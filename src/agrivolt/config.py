@@ -3,53 +3,27 @@
 A scenario file declares where the field sits, which layout grid to
 sweep, and the panel, sky and crop parameters. Only ``[meta]``
 ``schema_version`` and ``[location]`` are mandatory; everything else has
-the documented defaults. Unknown sections or keys are rejected so typos
-fail loudly instead of silently running defaults.
+the defaults of the dataclasses below. :data:`KEYS` lists every accepted
+key; unknown sections or keys are rejected so typos fail loudly instead
+of silently running defaults.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 from .agronomy import GROWING_MONTHS, CropThresholds
 from .electrical import PanelModel
 from .errors import InputError
-from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS
+from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS, Layout, optimal_tilt
 from .solar import GeoLocation
 
 SCHEMA_VERSION = 1
-
-_KNOWN_KEYS = {
-    "meta": {"schema_version"},
-    "location": {"latitude", "longitude"},
-    "field": {"electrical_m", "ground_m", "ground_cell_m"},
-    "layout": {
-        "kinds",
-        "spacings_m",
-        "heights_m",
-        "clearance_tilt_m",
-        "clearance_vertical_m",
-        "clearance_tracking_m",
-        "tilt_deg",
-        "tracker_max_rotation_deg",
-        "bifaciality_vertical",
-    },
-    "panel": {
-        "stc_efficiency",
-        "eta_system",
-        "alpha_r",
-        "u0",
-        "u1",
-        "blocks",
-        "wind_shear_exponent",
-    },
-    "sky": {"albedo"},
-    "crops": {"par_low", "par_medium", "par_high", "growing_months"},
-    "analysis": {"ground_map_months", "demand_twh"},
-}
 
 
 @dataclass(frozen=True)
@@ -73,138 +47,145 @@ class ScenarioConfig:
     demand_twh: float = 2550.0
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise InputError(f"bad {what} list {text!r}: {exc}") from exc
-    if not values:
-        raise InputError(f"empty {what} list")
-    return values
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
-def _parse_months(text: str, what: str) -> tuple[int, ...]:
-    try:
-        months = tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise InputError(f"bad {what} list {text!r}: {exc}") from exc
-    bad = [m for m in months if not 1 <= m <= 12]
-    if bad or not months:
-        raise InputError(f"{what} must be calendar months 1-12, got {text!r}")
-    return months
+def _list(parse):
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(part) for part in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return parse_list
+
+
+_floats, _ints, _words = _list(_number), _list(int), _list(str)
+
+# checks: (predicate on the parsed value, complaint formatted with the value)
+_SCHEMA = (
+    lambda v: v == SCHEMA_VERSION,
+    f"unsupported schema_version {{}}, this build reads {SCHEMA_VERSION}",
+)
+_POSITIVE = (lambda v: v > 0.0, "{} must be positive")
+_ALL_POSITIVE = (lambda vs: min(vs) > 0.0, "{} must all be positive")
+_KINDS = (lambda ks: set(ks) <= set(MOUNT_KINDS), "unknown mount kinds in {}")
+_TILT = (lambda v: 0.0 < v < 90.0, "{} out of range (0, 90)")
+_ROTATION = (lambda v: 0.0 <= v <= 90.0, "{} out of range [0, 90]")
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "{} out of range [0, 1]")
+_MONTHS = (lambda ms: all(1 <= m <= 12 for m in ms), "{} must be calendar months 1-12")
+
+#: Every accepted key: (section, key) -> (target, parser, check or None).
+#: The target names the :class:`ScenarioConfig` field the value sets, or a
+#: field of a nested object as ``location.*``, ``panel.*``, ``thresholds.*``
+#: or ``clearances.*``; ``None`` checks the value without storing it. Keys
+#: absent from the file leave their field at the dataclass default.
+KEYS = {
+    ("meta", "schema_version"): (None, int, _SCHEMA),
+    ("location", "latitude"): ("location.latitude", _number, None),
+    ("location", "longitude"): ("location.longitude", _number, None),
+    ("field", "electrical_m"): ("electrical_field_m", _number, _POSITIVE),
+    ("field", "ground_m"): ("ground_field_m", _number, _POSITIVE),
+    ("field", "ground_cell_m"): ("ground_cell_m", _number, _POSITIVE),
+    ("layout", "kinds"): ("kinds", _words, _KINDS),
+    ("layout", "spacings_m"): ("spacings", _floats, _ALL_POSITIVE),
+    ("layout", "heights_m"): ("heights", _floats, _ALL_POSITIVE),
+    ("layout", "clearance_tilt_m"): ("clearances.tilt", _number, None),
+    ("layout", "clearance_vertical_m"): ("clearances.vertical", _number, None),
+    ("layout", "clearance_tracking_m"): ("clearances.tracking", _number, None),
+    ("layout", "tilt_deg"): ("tilt_deg", _number, _TILT),
+    ("layout", "tracker_max_rotation_deg"): ("tracker_max_rotation_deg", _number, _ROTATION),
+    ("layout", "bifaciality_vertical"): ("bifaciality_vertical", _number, None),
+    ("panel", "stc_efficiency"): ("panel.stc_efficiency", _number, None),
+    ("panel", "eta_system"): ("panel.eta_system", _number, None),
+    ("panel", "alpha_r"): ("panel.alpha_r", _number, None),
+    ("panel", "u0"): ("panel.u0", _number, None),
+    ("panel", "u1"): ("panel.u1", _number, None),
+    ("panel", "blocks"): ("panel.blocks", int, None),
+    ("panel", "wind_shear_exponent"): ("panel.wind_shear_exponent", _number, None),
+    ("sky", "albedo"): ("albedo", _number, _FRACTION),
+    ("crops", "par_low"): ("thresholds.low", _number, None),
+    ("crops", "par_medium"): ("thresholds.medium", _number, None),
+    ("crops", "par_high"): ("thresholds.high", _number, None),
+    ("crops", "growing_months"): ("growing_months", _ints, _MONTHS),
+    ("analysis", "ground_map_months"): ("ground_map_months", _ints, _MONTHS),
+    ("analysis", "demand_twh"): ("demand_twh", _number, None),
+}
+
+_REQUIRED = (("meta", "schema_version"), ("location", "latitude"), ("location", "longitude"))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario INI file."""
+    """Parse and validate a scenario INI file.
+
+    Besides the per-key checks, every (kind, spacing, height) case of the
+    grid must be a feasible :class:`Layout`, so a configuration that loads
+    can be simulated.
+    """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise InputError(f"malformed config {path}: {exc}") from exc
 
+    sections = {section for section, _ in KEYS}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise InputError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = sorted(key for key in parser[section] if (section, key) not in KEYS)
         if unknown:
-            raise InputError(f"{path}: unknown keys in [{section}]: {sorted(unknown)}")
+            raise InputError(f"{path}: unknown keys in [{section}]: {unknown}")
+    missing = [f"[{s}] {k}" for s, k in _REQUIRED if not parser.has_option(s, k)]
+    if missing:
+        raise InputError(f"{path}: missing {', '.join(missing)}")
 
-    def get(section: str, key: str, fallback: str | None = None) -> str | None:
-        return parser.get(section, key, fallback=fallback)
+    values: defaultdict[str, dict] = defaultdict(dict)
+    for (section, key), (target, parse, check) in KEYS.items():
+        text = parser.get(section, key, fallback=None)
+        if text is None:
+            continue
+        try:
+            value = parse(text)
+            if check is not None and not check[0](value):
+                raise ValueError(check[1].format(value))
+        except ValueError as exc:
+            raise InputError(f"{path}: invalid value for [{section}] {key}: {exc}") from exc
+        if target is not None:
+            group, _, name = target.rpartition(".")
+            values[group][name] = value
 
-    version = get("meta", "schema_version")
-    if version is None:
-        raise InputError(f"{path}: missing [meta] schema_version")
-    if int(version) != SCHEMA_VERSION:
-        raise InputError(
-            f"{path}: unsupported schema_version {version}, this build reads {SCHEMA_VERSION}"
-        )
-    if not parser.has_section("location"):
-        raise InputError(f"{path}: missing [location] section")
     try:
-        location = GeoLocation(
-            latitude=float(parser["location"]["latitude"]),
-            longitude=float(parser["location"]["longitude"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"{path}: [location] needs latitude and longitude") from exc
+        location = GeoLocation(**values["location"])
     except ValueError as exc:
         raise InputError(f"{path}: bad location: {exc}") from exc
-
-    defaults = ScenarioConfig(location=location)
-
-    kinds_text = get("layout", "kinds")
-    if kinds_text is None:
-        kinds: tuple[str, ...] = defaults.kinds
-    else:
-        kinds = tuple(k.strip() for k in kinds_text.split(",") if k.strip())
-        bad_kinds = [k for k in kinds if k not in MOUNT_KINDS]
-        if bad_kinds or not kinds:
-            raise InputError(f"{path}: unknown mount kinds {bad_kinds or kinds_text!r}")
-
-    clearances = dict(DEFAULT_CLEARANCE)
-    for kind in MOUNT_KINDS:
-        text = get("layout", f"clearance_{kind}_m")
-        if text is not None:
-            clearances[kind] = float(text)
-
     try:
-        panel = PanelModel(
-            stc_efficiency=float(get("panel", "stc_efficiency", "0.20")),
-            eta_system=float(get("panel", "eta_system", "0.86")),
-            alpha_r=float(get("panel", "alpha_r", "0.17")),
-            u0=float(get("panel", "u0", "26.92")),
-            u1=float(get("panel", "u1", "6.24")),
-            blocks=int(get("panel", "blocks", "3")),
-            wind_shear_exponent=float(get("panel", "wind_shear_exponent", "2.0")),
-        )
-        thresholds = CropThresholds(
-            low=float(get("crops", "par_low", "250")),
-            medium=float(get("crops", "par_medium", "450")),
-            high=float(get("crops", "par_high", "650")),
-        )
         config = ScenarioConfig(
             location=location,
-            kinds=kinds,
-            spacings=_parse_floats(get("layout", "spacings_m", "6"), "spacings_m"),
-            heights=_parse_floats(get("layout", "heights_m", "2"), "heights_m"),
-            electrical_field_m=float(get("field", "electrical_m", "100")),
-            ground_field_m=float(get("field", "ground_m", "50")),
-            ground_cell_m=float(get("field", "ground_cell_m", "0.5")),
-            clearances=clearances,
-            tilt_deg=(lambda t: None if t is None else float(t))(get("layout", "tilt_deg")),
-            tracker_max_rotation_deg=(lambda t: None if t is None else float(t))(
-                get("layout", "tracker_max_rotation_deg")
-            ),
-            bifaciality_vertical=float(get("layout", "bifaciality_vertical", "0.8")),
-            panel=panel,
-            albedo=float(get("sky", "albedo", "0.2")),
-            thresholds=thresholds,
-            growing_months=_parse_months(
-                get("crops", "growing_months", "4 5 6 7 8 9"), "growing_months"
-            ),
-            ground_map_months=_parse_months(
-                get("analysis", "ground_map_months", "7"), "ground_map_months"
-            ),
-            demand_twh=float(get("analysis", "demand_twh", "2550")),
+            panel=PanelModel(**values["panel"]),
+            thresholds=CropThresholds(**values["thresholds"]),
+            clearances={**DEFAULT_CLEARANCE, **values["clearances"]},
+            **values[""],
         )
+        tilt = optimal_tilt(location.latitude) if config.tilt_deg is None else tilt_radians(config)
+        for kind, spacing, height in product(config.kinds, config.spacings, config.heights):
+            Layout(
+                kind=kind,
+                spacing=spacing,
+                height=height,
+                clearance=config.clearances[kind],
+                tilt=tilt,
+                bifaciality=config.bifaciality_vertical if kind == "vertical" else 0.0,
+            )
     except ValueError as exc:
         raise InputError(f"{path}: invalid value: {exc}") from exc
-
-    if config.electrical_field_m <= 0.0 or config.ground_field_m <= 0.0:
-        raise InputError(f"{path}: field extents must be positive")
-    if config.ground_cell_m <= 0.0:
-        raise InputError(f"{path}: ground_cell_m must be positive")
-    if not 0.0 <= config.albedo <= 1.0:
-        raise InputError(f"{path}: albedo out of range [0, 1]")
-    if config.tilt_deg is not None and not 0.0 < config.tilt_deg < 90.0:
-        raise InputError(f"{path}: tilt_deg out of range (0, 90)")
-    if any(s <= 0.0 for s in config.spacings) or any(h <= 0.0 for h in config.heights):
-        raise InputError(f"{path}: spacings and heights must be positive")
     return config
 
 

@@ -70,6 +70,8 @@ class PanelModel:
             raise ValueError(f"stc_efficiency out of range (0, 1]: {self.stc_efficiency}")
         if not 0.0 < self.eta_system <= 1.0:
             raise ValueError(f"eta_system out of range (0, 1]: {self.eta_system}")
+        if self.alpha_r <= 0.0:
+            raise ValueError(f"alpha_r must be positive: {self.alpha_r}")
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
         if self.u0 <= 0.0 or self.u1 < 0.0:

@@ -155,6 +155,30 @@ def run_cases(
         return list(pool.imap(_run_case_worker, cases))
 
 
+def _decision_points(
+    config: ScenarioConfig,
+    results: list[CaseResult],
+    reports: list[indicators.IndicatorReport],
+) -> list[agronomy.DecisionPoint]:
+    """Sorted decision-map rows: each case's yield against growing-period PAR."""
+    points = []
+    for r, rep in zip(results, reports):
+        growing = r.combined_grid(config.growing_months)
+        points.append(
+            agronomy.decision_point(
+                scenario=r.spec.scenario,
+                kind=r.spec.kind,
+                spacing=r.spec.spacing,
+                height=r.spec.height,
+                capacity_density_w_m2=rep.capacity_density_w_m2,
+                electricity_yield_kwh_m2=rep.electricity_yield_kwh_m2,
+                par_map=agronomy.par_flux(growing.mean_daytime_irradiance()),
+                thresholds=config.thresholds,
+            )
+        )
+    return agronomy.sort_decision_points(points)
+
+
 def run_scenario(
     config: ScenarioConfig,
     weather: list[IrradianceSample],
@@ -178,23 +202,6 @@ def run_scenario(
     reports = [
         indicators.report(r.simulation, r.spec.scenario, prices) for r in results
     ]
-    points = []
-    for r, rep in zip(results, reports):
-        growing = r.combined_grid(config.growing_months)
-        par_map = agronomy.par_flux(growing.mean_daytime_irradiance())
-        points.append(
-            agronomy.decision_point(
-                scenario=r.spec.scenario,
-                kind=r.spec.kind,
-                spacing=r.spec.spacing,
-                height=r.spec.height,
-                capacity_density_w_m2=rep.capacity_density_w_m2,
-                electricity_yield_kwh_m2=rep.electricity_yield_kwh_m2,
-                par_map=par_map,
-                thresholds=config.thresholds,
-            )
-        )
-
     written: list[Path] = []
 
     def emit(name: str, writer, *args) -> None:
@@ -214,11 +221,8 @@ def run_scenario(
         grid = r.combined_grid(config.ground_map_months)
         emit(f"ground_{r.spec.scenario}.csv", outputs.write_ground_csv, grid)
         emit(f"ground_{r.spec.scenario}.pgm", outputs.write_ground_pgm, grid)
-    emit(
-        "decision_map.csv",
-        outputs.write_decision_csv,
-        agronomy.sort_decision_points(points),
-    )
+    points = _decision_points(config, results, reports)
+    emit("decision_map.csv", outputs.write_decision_csv, points)
     emit("comparisons.csv", outputs.write_comparisons_csv, reports)
     log.info("wrote %d artifacts to %s", len(written), out)
     return written
@@ -234,23 +238,7 @@ def run_decision_map(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_cases(config, weather, tuple(config.growing_months), threads)
-    points = []
-    for r in results:
-        rep = indicators.report(r.simulation, r.spec.scenario, None)
-        growing = r.combined_grid(config.growing_months)
-        par_map = agronomy.par_flux(growing.mean_daytime_irradiance())
-        points.append(
-            agronomy.decision_point(
-                scenario=r.spec.scenario,
-                kind=r.spec.kind,
-                spacing=r.spec.spacing,
-                height=r.spec.height,
-                capacity_density_w_m2=rep.capacity_density_w_m2,
-                electricity_yield_kwh_m2=rep.electricity_yield_kwh_m2,
-                par_map=par_map,
-                thresholds=config.thresholds,
-            )
-        )
+    reports = [indicators.report(r.simulation, r.spec.scenario, None) for r in results]
     target = out / "decision_map.csv"
-    outputs.write_decision_csv(target, agronomy.sort_decision_points(points))
+    outputs.write_decision_csv(target, _decision_points(config, results, reports))
     return target

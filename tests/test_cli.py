@@ -91,7 +91,7 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_impossible_layout_exits_3(self, data_dir, tmp_path, capsys):
+    def test_impossible_layout_exits_2(self, data_dir, tmp_path, capsys):
         config = tmp_path / "overlap.ini"
         config.write_text(
             "[meta]\nschema_version = 1\n\n[location]\nlatitude = 56.49\nlongitude = 9.57\n\n"
@@ -105,8 +105,9 @@ class TestSimulate:
                 "--out", str(tmp_path / "out"),
             ]
         )
-        assert code == 3
-        assert "computation failed" in capsys.readouterr().err
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -131,6 +132,20 @@ class TestDecisionMap:
         assert lines[0].startswith("scenario,kind,s,h,")
         assert len(lines) == 3
         assert "wrote" in capsys.readouterr().out
+
+    def test_same_decision_map_as_simulate(self, cli_config, data_dir, tmp_path, cli_runs):
+        out = tmp_path / "dm"
+        code = main(
+            [
+                "decision-map",
+                "--config", str(cli_config),
+                "--weather", str(data_dir / "weather.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        simulated = cli_runs["first"][1] / "decision_map.csv"
+        assert (out / "decision_map.csv").read_bytes() == simulated.read_bytes()
 
 
 @pytest.fixture()
@@ -286,6 +301,31 @@ class TestValidate:
         code = main(["validate", "--prices", str(data_dir / "prices.csv")])
         assert code == 2
         assert "--weather" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "[meta]\nschema_version = one",
+            "[layout]\nclearance_tilt_m = high",
+            "[panel]\nalpha_r = 0",
+            "[panel]\nu1 = nan",
+            "[layout]\nspacings_m = nan",
+            "[layout]\ntracker_max_rotation_deg = -10",
+            "[layout]\nkinds = tracking\nspacings_m = 2\nheights_m = 3",
+        ],
+    )
+    def test_invalid_config_rejected_by_validate_and_simulate(
+        self, snippet, data_dir, tmp_path, capsys
+    ):
+        config = tmp_path / "scenario.ini"
+        base = "[location]\nlatitude = 56.49\nlongitude = 9.57\n"
+        if not snippet.startswith("[meta]"):
+            base = "[meta]\nschema_version = 1\n" + base
+        config.write_text(f"{base}\n{snippet}\n")
+        simulate = ["simulate", "--weather", str(data_dir / "weather.csv")]
+        for command in (["validate"], [*simulate, "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", str(config)]) == 2
+            assert "error:" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

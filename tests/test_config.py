@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from agrivolt.cli import main
 from agrivolt.config import (
+    KEYS,
     SCHEMA_VERSION,
     ScenarioConfig,
     load_config,
@@ -206,23 +212,45 @@ class TestValidation:
             load_config(write(tmp_path, text))
 
     def test_tilt_out_of_range(self, tmp_path):
-        text = MINIMAL + "\n[layout]\ntilt_deg = 90\n"
-        with pytest.raises(InputError, match="tilt_deg"):
-            load_config(write(tmp_path, text))
+        for key, value in (
+            ("tilt_deg", "90"),
+            ("tracker_max_rotation_deg", "-10"),
+            ("tracker_max_rotation_deg", "90.5"),
+        ):
+            text = MINIMAL + f"\n[layout]\n{key} = {value}\n"
+            with pytest.raises(InputError, match=key):
+                load_config(write(tmp_path, text))
 
     def test_zero_ground_cell(self, tmp_path):
-        text = MINIMAL + "\n[field]\nground_cell_m = 0\n"
-        with pytest.raises(InputError, match="ground_cell_m"):
-            load_config(write(tmp_path, text))
+        for section, key in (("field", "ground_cell_m"), ("panel", "alpha_r")):
+            text = MINIMAL + f"\n[{section}]\n{key} = 0\n"
+            with pytest.raises(InputError, match=key):
+                load_config(write(tmp_path, text))
 
     def test_non_numeric_value(self, tmp_path):
-        text = MINIMAL + "\n[sky]\nalbedo = greenish\n"
-        with pytest.raises(InputError, match="invalid value"):
-            load_config(write(tmp_path, text))
+        texts = [MINIMAL.replace("schema_version = 1", "schema_version = one")]
+        texts += [
+            MINIMAL + f"\n{snippet}\n"
+            for snippet in (
+                "[sky]\nalbedo = greenish",
+                "[layout]\nclearance_tilt_m = high",
+                "[panel]\nu1 = nan",
+                "[layout]\nspacings_m = 6 nan",
+                "[field]\nelectrical_m = inf",
+                "[crops]\npar_high = -inf",
+            )
+        ]
+        for text in texts:
+            with pytest.raises(InputError, match="invalid value"):
+                load_config(write(tmp_path, text))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
+        undecodable = tmp_path / "latin1.ini"
+        undecodable.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        with pytest.raises(InputError, match="cannot read"):
+            load_config(undecodable)
 
     def test_malformed_ini(self, tmp_path):
         with pytest.raises(InputError, match="malformed"):
@@ -234,3 +262,40 @@ class TestValidation:
         parsed = load_config(write(tmp_path, MINIMAL))
         coded = ScenarioConfig(location=foulum)
         assert parsed == coded
+
+
+class TestKeyTable:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(key=st.sampled_from(sorted(KEYS)), value=st.text(max_size=40))
+    def test_any_value_is_valid_or_input_error(self, tmp_path, key, value):
+        """Whatever text a key holds, loading fails only with InputError and
+        ``validate`` exits 0 or 2, never 3."""
+        entries = {
+            ("meta", "schema_version"): "1",
+            ("location", "latitude"): "56.49",
+            ("location", "longitude"): "9.57",
+            key: value,
+        }
+        sections: dict[str, list[str]] = {}
+        for (section, name), text in entries.items():
+            sections.setdefault(section, []).append(f"{name} = {text}")
+        path = write(
+            tmp_path,
+            "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()),
+        )
+        try:
+            load_config(path)
+        except InputError:
+            pass
+        assert main(["validate", "--config", str(path)]) in (0, 2)
+
+    def test_readme_documents_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Scenario configuration", 1)[1].split("\n## ", 1)[0]
+        for section, key in KEYS:
+            row = rf"^\| `\[{section}\] [^|]*\b{key}\b"
+            assert re.search(row, table, re.MULTILINE), f"[{section}] {key} missing from README"
