@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path

@@ -26,15 +26,8 @@ import numpy as np
 
 from .errors import InputError
 from .layout import Layout
-from .sky import MIN_SUN_ALTITUDE, IrradianceSample, PlaneIrradiance, plane_irradiance
-from .solar import (
-    SOLAR_CONSTANT,
-    GeoLocation,
-    eccentricity_correction,
-    incidence_angle,
-    solar_position,
-    sun_vector,
-)
+from .sky import PlaneIrradiance, SkyHour, plane_irradiance
+from .solar import incidence_angle, sun_vector
 from .shading import ShadingState, UNSHADED, row_shading
 
 #: Relative-efficiency coefficients for crystalline silicon modules
@@ -155,7 +148,6 @@ class SimulationResult:
 
     layout: Layout
     panel: PanelModel
-    location: GeoLocation
     times: list[datetime]
     p_w: np.ndarray
     p_noshadow_w: np.ndarray
@@ -194,12 +186,11 @@ def _check_year(times: list[datetime]) -> None:
 
 def simulate_year(
     layout: Layout,
-    location: GeoLocation,
-    weather: list[IrradianceSample],
+    sky: list[SkyHour],
     panel: PanelModel | None = None,
     albedo: float = 0.2,
 ) -> SimulationResult:
-    """Hourly field production for one complete year of weather.
+    """Hourly field production for one complete year of sky hours.
 
     Rows fall into at most two shading classes per hour (the sun-side edge
     row is never shaded; all others share the nearest-neighbour shadow), so
@@ -207,10 +198,10 @@ def simulate_year(
     count. The same loop produces the shading counterfactual.
     """
     panel = panel or PanelModel()
-    times = [s.time for s in weather]
+    times = [hour.sample.time for hour in sky]
     _check_year(times)
 
-    n = len(weather)
+    n = len(sky)
     p_w = np.zeros(n)
     p_ns_w = np.zeros(n)
     t_cell = np.zeros(n)
@@ -224,21 +215,18 @@ def simulate_year(
     bifacial = layout.bifaciality > 0.0
     wind_height = layout.mid_height
 
-    for i, sample in enumerate(weather):
+    for i, hour in enumerate(sky):
+        sample, sun = hour.sample, hour.sun
         t_cell[i] = sample.temp_air
-        if sample.ghi <= 0.0:
+        if sample.ghi <= 0.0 or sun.altitude <= 0.0:
             continue
-        sun = solar_position(location, sample.time)
-        if sun.altitude <= 0.0:
-            continue
-        toa = SOLAR_CONSTANT * eccentricity_correction(sample.time) * math.sin(sun.altitude)
 
         front = layout.orientation(sun)
-        poa_front = plane_irradiance(sample, sun, front, toa, albedo)
+        poa_front = plane_irradiance(hour, front, albedo)
         inc_front = incidence_angle(sun, front)
         if bifacial:
             rear = layout.rear_orientation(front)
-            poa_rear = plane_irradiance(sample, sun, rear, toa, albedo)
+            poa_rear = plane_irradiance(hour, rear, albedo)
             inc_rear = incidence_angle(sun, rear)
         else:
             poa_rear = PlaneIrradiance(0.0, 0.0, 0.0, 0.0)
@@ -285,7 +273,6 @@ def simulate_year(
     return SimulationResult(
         layout=layout,
         panel=panel,
-        location=location,
         times=times,
         p_w=p_w,
         p_noshadow_w=p_ns_w,

@@ -67,8 +67,8 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
     header: dict[str, float] = {}
     data_lines: list[str] = []
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read raster {path}: {exc}") from exc
     for line in lines:
         stripped = line.strip()
@@ -142,17 +142,20 @@ def load_class_sets(path: str | Path) -> ClassSets:
     """Load class sets from JSON: {"include": [...], "exclude": [...],
     "neutral": [...]} with neutral optional."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read class sets {path}: {exc}") from exc
     for key in ("include", "exclude"):
-        if key not in raw or not isinstance(raw[key], list):
+        if not isinstance(raw, dict) or not isinstance(raw.get(key), list):
             raise InputError(f"{path}: missing or malformed {key!r} list")
-    return ClassSets(
-        include=frozenset(int(c) for c in raw["include"]),
-        exclude=frozenset(int(c) for c in raw["exclude"]),
-        neutral=frozenset(int(c) for c in raw.get("neutral", [])),
-    )
+    try:
+        return ClassSets(
+            include=frozenset(int(c) for c in raw["include"]),
+            exclude=frozenset(int(c) for c in raw["exclude"]),
+            neutral=frozenset(int(c) for c in raw.get("neutral", [])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: class codes must be integers: {exc}") from exc
 
 
 def eligibility_mask(

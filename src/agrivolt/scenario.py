@@ -26,7 +26,7 @@ from .config import ScenarioConfig, max_rotation_radians, tilt_radians
 from .electrical import SimulationResult, simulate_year
 from .layout import Layout, build_layout
 from .shading import GroundGrid, ground_irradiance_map
-from .sky import IrradianceSample
+from .sky import IrradianceSample, SkyHour, sky_year
 
 log = logging.getLogger(__name__)
 
@@ -94,26 +94,23 @@ def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
 def run_case(
     config: ScenarioConfig,
     spec: CaseSpec,
-    weather: list[IrradianceSample],
+    sky: list[SkyHour],
     months: tuple[int, ...],
 ) -> CaseResult:
     """Simulate one grid case: electricity year plus ground grids.
 
-    ``months`` lists every calendar month any downstream artifact needs;
-    grids accumulate per month so ground-map and growing-period artifacts
-    can combine them without re-scanning the weather.
+    ``sky`` is :func:`sky.sky_year` of the configured location. ``months``
+    lists every calendar month any downstream artifact needs; grids
+    accumulate per month so ground-map and growing-period artifacts can
+    combine them without re-scanning the weather.
     """
     electrical = layout_for(config, spec, config.electrical_field_m)
-    simulation = simulate_year(
-        electrical, config.location, weather, config.panel, config.albedo
-    )
+    simulation = simulate_year(electrical, sky, config.panel, config.albedo)
     ground_layout = layout_for(config, spec, config.ground_field_m)
     grids = {
         month: ground_irradiance_map(
             ground_layout,
-            config.location,
-            weather,
-            months=(month,),
+            [hour for hour in sky if hour.sample.time.month == month],
             cell_size=config.ground_cell_m,
         )
         for month in sorted(set(months))
@@ -125,12 +122,12 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(config: ScenarioConfig, weather, months) -> None:
-    _WORKER_STATE["args"] = (config, weather, months)
+    _WORKER_STATE["args"] = (config, sky_year(config.location, weather), months)
 
 
 def _run_case_worker(spec: CaseSpec) -> CaseResult:
-    config, weather, months = _WORKER_STATE["args"]
-    return run_case(config, spec, weather, months)
+    config, sky, months = _WORKER_STATE["args"]
+    return run_case(config, spec, sky, months)
 
 
 def run_cases(
@@ -143,11 +140,13 @@ def run_cases(
 
     Results come back in grid order whatever the worker count, and each
     case's computation is independent of scheduling, so downstream
-    artifacts do not depend on ``threads``.
+    artifacts do not depend on ``threads``. The sky year is derived once
+    per process: here in-process, else once in each worker.
     """
     cases = expand_cases(config)
     if threads <= 1 or len(cases) == 1:
-        return [run_case(config, spec, weather, months) for spec in cases]
+        sky = sky_year(config.location, weather)
+        return [run_case(config, spec, sky, months) for spec in cases]
     workers = min(threads, len(cases))
     with multiprocessing.Pool(
         processes=workers, initializer=_init_worker, initargs=(config, weather, months)

@@ -25,19 +25,12 @@ circumsolar); isotropic and ground-reflected light always arrive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .layout import Layout, RowGeometry
-from .sky import (
-    MIN_SUN_ALTITUDE,
-    IrradianceSample,
-    anisotropy_index,
-    diffuse_fraction,
-    horizon_brightening,
-)
-from .solar import GeoLocation, extraterrestrial_horizontal, solar_position, sun_vector
+from .sky import MIN_SUN_ALTITUDE, SkyHour
+from .solar import sun_vector
 
 #: A shadow must cover more than this fraction of a block's area to count
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
@@ -252,13 +245,9 @@ class GroundGrid:
 
 
 def ground_irradiance_map(
-    layout: Layout,
-    location: GeoLocation,
-    weather: Iterable[IrradianceSample],
-    months: Sequence[int] | None = None,
-    cell_size: float = 0.5,
+    layout: Layout, hours: list[SkyHour], cell_size: float = 0.5
 ) -> GroundGrid:
-    """Accumulate the ground-level shadow map over a weather period.
+    """Accumulate the ground-level shadow map over the given sky hours.
 
     Horizontal components per hour: the full measured beam, the
     circumsolar share k1 of the diffuse (both blocked wherever a collector
@@ -266,8 +255,6 @@ def ground_irradiance_map(
     remainder (never blocked; the ground-reflected term vanishes on a
     horizontal receiver). Cells sit at the centres of a ``cell_size`` grid
     covering the layout field.
-
-    ``months`` restricts the accumulation to the given calendar months.
     """
     nx = max(1, int(round(layout.field[0] / cell_size)))
     ny = max(1, int(round(layout.field[1] / cell_size)))
@@ -279,21 +266,15 @@ def ground_irradiance_map(
     blocked_circ = np.zeros((ny, nx))
     unshaded_total = 0.0
     daylight_hours = 0
-    wanted = None if months is None else frozenset(months)
 
-    for sample in weather:
-        if wanted is not None and sample.time.month not in wanted:
-            continue
+    for hour in hours:
+        sample, sun = hour.sample, hour.sun
         if sample.ghi <= 0.0:
             continue
         daylight_hours += 1
-        sun = solar_position(location, sample.time)
-        toa = extraterrestrial_horizontal(location, sample.time)
-        k1 = anisotropy_index(sample, toa)
-        k_hori = horizon_brightening(diffuse_fraction(sample), sun.altitude)
         direct_h = sample.bhi
-        circ_h = k1 * sample.dhi
-        iso_h = k_hori * (1.0 - k1) * sample.dhi
+        circ_h = hour.k1 * sample.dhi
+        iso_h = hour.k_hori * (1.0 - hour.k1) * sample.dhi
         unshaded_total += direct_h + circ_h + iso_h
         if sun.altitude <= MIN_SUN_ALTITUDE or direct_h + circ_h <= 0.0:
             continue

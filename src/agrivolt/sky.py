@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
-from .solar import PlaneOrientation, SolarPosition, incidence_angle
+from .solar import (
+    GeoLocation,
+    PlaneOrientation,
+    SolarPosition,
+    incidence_angle,
+    solar_position,
+    toa_horizontal,
+)
 
 #: Sun altitudes at or below this threshold produce no beam-like irradiance
 #: on a tilted plane; avoids the 1/sin(altitude) blow-up near the horizon.
@@ -37,6 +44,21 @@ class IrradianceSample:
     ghi: float
     temp_air: float
     wind10: float
+
+
+@dataclass(frozen=True, slots=True)
+class SkyHour:
+    """The sky of one hour, shared by every plane and ground cell.
+
+    ``toa`` is the top-of-atmosphere horizontal irradiance in W/m2, ``k1``
+    the anisotropy index and ``k_hori`` the horizon brightening factor.
+    """
+
+    sample: IrradianceSample
+    sun: SolarPosition
+    toa: float
+    k1: float
+    k_hori: float
 
 
 @dataclass(frozen=True)
@@ -134,18 +156,24 @@ def albedo_on_plane(
     return albedo * sample.ghi * 0.5 * (1.0 - math.cos(plane.tilt))
 
 
+def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> list[SkyHour]:
+    """The sky of every weather hour, each hour's sun computed once."""
+    hours = []
+    for sample in weather:
+        sun = solar_position(location, sample.time)
+        toa = toa_horizontal(sun, sample.time)
+        k_hori = horizon_brightening(diffuse_fraction(sample), sun.altitude)
+        hours.append(SkyHour(sample, sun, toa, anisotropy_index(sample, toa), k_hori))
+    return hours
+
+
 def plane_irradiance(
-    sample: IrradianceSample,
-    sun: SolarPosition,
-    plane: PlaneOrientation,
-    toa_horizontal: float,
-    albedo: float = DEFAULT_ALBEDO,
+    hour: SkyHour, plane: PlaneOrientation, albedo: float = DEFAULT_ALBEDO
 ) -> PlaneIrradiance:
     """Full transposition pipeline for one plane and one hour."""
-    k1 = anisotropy_index(sample, toa_horizontal)
-    k_hori = horizon_brightening(diffuse_fraction(sample), sun.altitude)
+    sample, sun = hour.sample, hour.sun
     direct = direct_on_plane(sample, sun, plane)
-    circumsolar, isotropic = diffuse_on_plane(sample, sun, plane, k1, k_hori)
+    circumsolar, isotropic = diffuse_on_plane(sample, sun, plane, hour.k1, hour.k_hori)
     reflected = albedo_on_plane(sample, plane, albedo)
     return PlaneIrradiance(
         direct=direct, circumsolar=circumsolar, isotropic=isotropic, reflected=reflected

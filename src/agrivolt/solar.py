@@ -22,6 +22,9 @@ SOLAR_CONSTANT = 1361.0  # W/m2 at 1 AU
 
 _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
+#: Years the ephemeris of :func:`solar_position` covers.
+SUPPORTED_YEARS = range(1950, 2101)
+
 
 @dataclass(frozen=True)
 class GeoLocation:
@@ -84,7 +87,7 @@ def solar_position(location: GeoLocation, time: datetime) -> SolarPosition:
     SolarPosition
         Altitude above horizon and azimuth (0 = south, + = west), radians.
     """
-    if not 1950 <= time.year <= 2100:
+    if time.year not in SUPPORTED_YEARS:
         raise ValueError(f"timestamp outside supported range 1950-2100: {time.isoformat()}")
     n = _days_since_j2000(time)
 
@@ -172,7 +175,11 @@ def extraterrestrial_horizontal(location: GeoLocation, time: datetime) -> float:
 
     Zero whenever the sun is at or below the horizon.
     """
-    sun = solar_position(location, time)
+    return toa_horizontal(solar_position(location, time), time)
+
+
+def toa_horizontal(sun: SolarPosition, time: datetime) -> float:
+    """:func:`extraterrestrial_horizontal` for an already computed sun."""
     if sun.altitude <= 0.0:
         return 0.0
     return SOLAR_CONSTANT * eccentricity_correction(time) * math.sin(sun.altitude)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .sky import IrradianceSample
-from .solar import GeoLocation, extraterrestrial_horizontal
+from .solar import SUPPORTED_YEARS, GeoLocation, extraterrestrial_horizontal
 
 log = logging.getLogger(__name__)
 
@@ -33,15 +33,30 @@ CLOSURE_TOLERANCE_WM2 = 1.0
 _MAX_LISTED = 8  # cap row listings in error messages
 
 
+def _records(path: Path, columns: tuple[str, ...], what: str):
+    """Yield ``(row number, record)`` per data row of a UTF-8 CSV with ``columns``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")  # fields a short row lacks read empty
+            if reader.fieldnames is None:
+                raise InputError(f"{path}: empty file")
+            missing = [c for c in columns if c not in reader.fieldnames]
+            if missing:
+                raise InputError(f"{path}: missing {what} columns {missing}")
+            yield from enumerate(reader, start=2)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _parse_time(text: str, path: Path, row: int) -> datetime:
     cleaned = text.strip().replace("Z", "+00:00")
     try:
         stamp = datetime.fromisoformat(cleaned)
-    except ValueError as exc:
+        if stamp.tzinfo is None:
+            return stamp.replace(tzinfo=timezone.utc)
+        return stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{path}: row {row}: bad timestamp {text!r}: {exc}") from exc
-    if stamp.tzinfo is None:
-        return stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
 
 
 def _parse_float(text: str, column: str, path: Path, row: int) -> float:
@@ -69,41 +84,37 @@ def ingest_weather(
 ) -> list[IrradianceSample]:
     """Read and validate an hourly weather CSV.
 
-    Raises :class:`InputError` on missing columns, unparseable values,
-    negative irradiance or wind (with row numbers), and gaps in the hourly
-    timeline (listing the missing timestamps). When ``location`` is given,
-    rows whose beam exceeds the top-of-atmosphere irradiance are counted
-    and logged; they are physically suspect but not fatal.
+    Raises :class:`InputError` on an unreadable file, missing columns,
+    unparseable values, negative irradiance or wind, years outside the
+    sun position model's 1950-2100 (with row numbers), and gaps in the
+    hourly timeline (listing the missing timestamps). When ``location`` is
+    given, rows whose beam exceeds the top-of-atmosphere irradiance are
+    counted and logged; they are physically suspect but not fatal.
     """
     path = Path(path)
     samples: list[IrradianceSample] = []
     negative_rows: list[int] = []
     repaired_rows: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file")
-        missing = [c for c in WEATHER_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise InputError(f"{path}: missing weather columns {missing}")
-        for row_num, record in enumerate(reader, start=2):
-            time = _parse_time(record["time"], path, row_num)
-            bhi = _parse_float(record["bhi"], "bhi", path, row_num)
-            dhi = _parse_float(record["dhi"], "dhi", path, row_num)
-            ghi = _parse_float(record["ghi"], "ghi", path, row_num)
-            temp = _parse_float(record["temp_air"], "temp_air", path, row_num)
-            wind = _parse_float(record["wind10"], "wind10", path, row_num)
-            if bhi < 0.0 or dhi < 0.0 or ghi < 0.0 or wind < 0.0:
-                negative_rows.append(row_num)
-                continue
-            if abs(ghi - (bhi + dhi)) > CLOSURE_TOLERANCE_WM2:
-                ghi = bhi + dhi
-                repaired_rows.append(row_num)
-            samples.append(
-                IrradianceSample(
-                    time=time, bhi=bhi, dhi=dhi, ghi=ghi, temp_air=temp, wind10=wind
-                )
+    for row_num, record in _records(path, WEATHER_COLUMNS, "weather"):
+        time = _parse_time(record["time"], path, row_num)
+        if time.year not in SUPPORTED_YEARS:
+            raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
+        bhi = _parse_float(record["bhi"], "bhi", path, row_num)
+        dhi = _parse_float(record["dhi"], "dhi", path, row_num)
+        ghi = _parse_float(record["ghi"], "ghi", path, row_num)
+        temp = _parse_float(record["temp_air"], "temp_air", path, row_num)
+        wind = _parse_float(record["wind10"], "wind10", path, row_num)
+        if bhi < 0.0 or dhi < 0.0 or ghi < 0.0 or wind < 0.0:
+            negative_rows.append(row_num)
+            continue
+        if abs(ghi - (bhi + dhi)) > CLOSURE_TOLERANCE_WM2:
+            ghi = bhi + dhi
+            repaired_rows.append(row_num)
+        samples.append(
+            IrradianceSample(
+                time=time, bhi=bhi, dhi=dhi, ghi=ghi, temp_air=temp, wind10=wind
             )
+        )
     if negative_rows:
         raise InputError(
             f"{path}: negative irradiance or wind in rows {_listed(negative_rows)}"
@@ -136,7 +147,8 @@ def ingest_weather(
 
 def _check_hourly(samples: list[IrradianceSample], path: Path) -> None:
     hour = timedelta(hours=1)
-    missing: list[str] = []
+    missing: list[str] = []  # the first few of ``n_missing``
+    n_missing = 0
     duplicates: list[str] = []
     for prev, cur in zip(samples, samples[1:]):
         if cur.time == prev.time:
@@ -148,12 +160,14 @@ def _check_hourly(samples: list[IrradianceSample], path: Path) -> None:
             )
         expect = prev.time + hour
         while expect < cur.time:
-            missing.append(expect.isoformat())
+            n_missing += 1
+            if n_missing <= _MAX_LISTED:
+                missing.append(expect.isoformat())
             expect += hour
     if duplicates:
         raise InputError(f"{path}: duplicate timestamps: {_listed(duplicates)}")
-    if missing:
-        raise InputError(f"{path}: missing hours: {_listed(missing)}")
+    if n_missing:
+        raise InputError(f"{path}: missing hours: {_listed(missing, n_missing)}")
 
 
 def ingest_prices(path: str | Path, times: list[datetime]) -> np.ndarray:
@@ -166,16 +180,9 @@ def ingest_prices(path: str | Path, times: list[datetime]) -> np.ndarray:
     path = Path(path)
     stamps: list[datetime] = []
     prices: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file")
-        missing = [c for c in PRICE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise InputError(f"{path}: missing price columns {missing}")
-        for row_num, record in enumerate(reader, start=2):
-            stamps.append(_parse_time(record["time"], path, row_num))
-            prices.append(_parse_float(record["price"], "price", path, row_num))
+    for row_num, record in _records(path, PRICE_COLUMNS, "price"):
+        stamps.append(_parse_time(record["time"], path, row_num))
+        prices.append(_parse_float(record["price"], "price", path, row_num))
     if not stamps:
         raise InputError(f"{path}: no data rows")
     if len(stamps) != len(times):

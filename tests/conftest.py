@@ -17,6 +17,7 @@ from agrivolt.indicators import report
 from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.scenario import run_cases
 from agrivolt.shading import ground_irradiance_map
+from agrivolt.sky import sky_year
 
 REFERENCE_SPACING = 6.0
 REFERENCE_HEIGHT = 2.0
@@ -37,6 +38,12 @@ def foulum():
 @pytest.fixture(scope="session")
 def weather():
     return fixturegen.synthetic_weather()
+
+
+@pytest.fixture(scope="session")
+def sky(foulum, weather):
+    """The sky hours of the weather year at Foulum."""
+    return sky_year(foulum, weather)
 
 
 @pytest.fixture(scope="session")
@@ -70,10 +77,10 @@ def reference_layout(kind: str, field_m: float, spacing: float = REFERENCE_SPACI
 
 
 @pytest.fixture(scope="session")
-def annual_sims(weather, foulum):
+def annual_sims(sky):
     """Reference-year simulation per mount kind (s=6, h=2, 100 m field)."""
     return {
-        kind: simulate_year(reference_layout(kind, 100.0), foulum, weather)
+        kind: simulate_year(reference_layout(kind, 100.0), sky)
         for kind in MOUNT_KINDS
     }
 
@@ -87,12 +94,11 @@ def annual_reports(annual_sims, prices):
 
 
 @pytest.fixture(scope="session")
-def july_maps(weather, foulum):
+def july_maps(sky):
     """July ground irradiance maps per kind (s=6, h=2, 50 m field, 0.5 m)."""
+    july = [hour for hour in sky if hour.sample.time.month == 7]
     return {
-        kind: ground_irradiance_map(
-            reference_layout(kind, 50.0), foulum, weather, months=(7,), cell_size=0.5
-        )
+        kind: ground_irradiance_map(reference_layout(kind, 50.0), july, cell_size=0.5)
         for kind in MOUNT_KINDS
     }
 

@@ -182,7 +182,7 @@ def test_criterion_06_seasonal_orderings(annual_reports, annual_sims):
     )
 
 
-def test_criterion_07_shadow_loss_limits(weather, foulum, decision_grid):
+def test_criterion_07_shadow_loss_limits(sky, foulum, decision_grid):
     """At 15 W/m2 capacity density every mount kind loses under 1% to row
     shading, and losses grow monotonically with density within a kind."""
     losses_15 = {}
@@ -199,7 +199,7 @@ def test_criterion_07_shadow_loss_limits(weather, foulum, decision_grid):
             PanelModel(),
             stc_efficiency=PanelModel().stc_efficiency * 15.0 / default_density,
         )
-        sim = simulate_year(layout, foulum, weather, panel)
+        sim = simulate_year(layout, sky, panel)
         density = sim.capacity_w / layout.field_area
         assert density == pytest.approx(15.0, rel=1e-12)
         loss = 100.0 * (1.0 - sim.energy_kwh / sim.noshadow_energy_kwh)

@@ -11,6 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import agrivolt
 from agrivolt.cli import main
 from agrivolt.land import LandRaster, write_ascii_grid
@@ -167,6 +170,25 @@ def potential_inputs(tmp_path):
     return land_path, regions_path
 
 
+class TestReadme:
+    def test_library_snippet_runs(
+        self, cli_config, cli_runs, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        """The README's library example runs on the CLI fixtures and prints
+        the first case's specific yield as ``simulate`` wrote it."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        shutil.copy(cli_config, tmp_path / "scenario.ini")
+        shutil.copy(data_dir / "weather.csv", tmp_path / "weather.csv")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, "README.md", "exec"), {})
+        printed = float(capsys.readouterr().out)
+        _, out = cli_runs["first"]
+        first_case = (out / "indicators.csv").read_text().splitlines()[1]
+        assert f"{printed:.6f}" == first_case.split(",")[8]
+
+
 class TestPotential:
     def test_constant_yields_arithmetic(self, potential_inputs, tmp_path, capsys):
         land_path, regions_path = potential_inputs
@@ -248,6 +270,30 @@ class TestPotential:
         err = capsys.readouterr().err
         assert "--yield-vertical" in err
 
+    def test_unreadable_raster_or_classes_exit_2(self, potential_inputs, tmp_path, capsys):
+        """A non-UTF-8 land raster or a class set with a non-integer code is
+        invalid input to ``potential`` and to ``validate``."""
+        land_path, regions_path = potential_inputs
+        latin1 = tmp_path / "latin1.asc"
+        latin1.write_bytes(land_path.read_bytes() + b"\xe9\n")
+        classes = tmp_path / "classes.json"
+        classes.write_text('{"include": ["x"], "exclude": [112]}')
+        potential = [
+            "potential",
+            "--regions", str(regions_path),
+            "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
+            "--out", str(tmp_path / "pot"),
+        ]
+        for command in (
+            [*potential, "--raster", str(latin1)],
+            [*potential, "--raster", str(land_path), "--classes", str(classes)],
+            ["validate", "--raster", str(latin1)],
+            ["validate", "--classes", str(classes)],
+        ):
+            assert main(command) == 2, command
+            assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "pot").exists()
+
     def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys):
         land_path, _ = potential_inputs
         small = tmp_path / "small.asc"
@@ -267,7 +313,55 @@ class TestPotential:
         assert "does not match" in capsys.readouterr().err
 
 
+#: Weather or price rows: arbitrary text, or comma-joined fields mixing
+#: arbitrary text with timestamps and numbers, valid and not.
+CSV_ROWS = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.one_of(
+            st.text(max_size=12),
+            st.sampled_from(
+                [
+                    "2015-06-01T00:00Z",
+                    "2015-06-01T01:00:00+00:00",
+                    "1949-12-31T23:00Z",
+                    "2101-01-01T00:00Z",
+                    "0001-01-01T00:00+05:00",
+                    "0",
+                    "-1",
+                    "nan",
+                    "1e400",
+                ]
+            ),
+            st.floats().map(str),
+        ),
+        max_size=7,
+    ).map(",".join),
+)
+
+
 class TestValidate:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=st.lists(CSV_ROWS, max_size=4), prices=st.booleans())
+    def test_any_csv_rows_are_valid_or_input_error(self, tmp_path, rows, prices):
+        """Whatever text the rows of a weather or price file hold, ``validate``
+        exits 0 or 2, never 3."""
+        weather_rows = ["2015-06-01T00:00Z,100,50,150,10,3"] if prices else rows
+        weather = tmp_path / "weather.csv"
+        weather.write_text(
+            "\n".join(["time,bhi,dhi,ghi,temp_air,wind10", *weather_rows]), encoding="utf-8"
+        )
+        command = ["validate", "--weather", str(weather)]
+        if prices:
+            price_file = tmp_path / "prices.csv"
+            price_file.write_text("\n".join(["time,price", *rows]), encoding="utf-8")
+            command += ["--prices", str(price_file)]
+        assert main(command) in (0, 2)
+
     def test_all_inputs_ok(self, cli_config, data_dir, potential_inputs, tmp_path, capsys):
         land_path, _ = potential_inputs
         classes = tmp_path / "classes.json"
@@ -287,7 +381,7 @@ class TestValidate:
         assert out.count("ok:") == 5
         assert "8760 hours" in out
 
-    def test_broken_weather_exits_2(self, tmp_path, capsys):
+    def test_broken_weather_exits_2(self, cli_config, data_dir, tmp_path, capsys):
         bad = tmp_path / "w.csv"
         bad.write_text(
             "time,bhi,dhi,ghi,temp_air,wind10\n2015-01-01T00:00:00,-5,0,0,0,1\n"
@@ -295,6 +389,44 @@ class TestValidate:
         code = main(["validate", "--weather", str(bad)])
         assert code == 2
         assert "negative" in capsys.readouterr().err
+
+        def broken(name: str, header: str, rows: list[str]) -> list[str]:
+            """Absent, directory, non-UTF-8, and one file per bad row."""
+            latin1 = tmp_path / f"{name}_latin1.csv"
+            latin1.write_bytes(f"{header}\n".encode() + b"caf\xe9\n")
+            paths = [tmp_path / "absent.csv", tmp_path / "out", latin1]
+            for i, line in enumerate(rows):
+                paths.append(tmp_path / f"{name}_{i}.csv")
+                paths[-1].write_text(f"{header}\n{line}\n")
+            return [str(path) for path in paths]
+
+        (tmp_path / "out").mkdir()
+        weather = str(data_dir / "weather.csv")
+        simulate = ["simulate", "--config", str(cli_config), "--out", str(tmp_path / "sim")]
+        commands = []
+        for path in broken(
+            "weather",
+            "time,bhi,dhi,ghi,temp_air,wind10",
+            [
+                "2015-01-01T01:00Z,0,0",
+                "1949-12-31T23:00Z,0,0,0,0,1",
+                "2101-01-01T00:00Z,0,0,0,0,1",
+            ],
+        ):
+            commands += [
+                ["validate", "--weather", path],
+                ["validate", "--config", str(cli_config), "--weather", path],
+                [*simulate, "--weather", path],
+            ]
+        for path in broken("prices", "time,price", ["2015-01-01T00:00Z"]):
+            commands += [
+                ["validate", "--weather", weather, "--prices", path],
+                [*simulate, "--weather", weather, "--prices", path],
+            ]
+        for command in commands:
+            assert main(command) == 2, command
+            assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_nothing_to_check(self, capsys):
         code = main(["validate"])

@@ -209,33 +209,31 @@ class TestSimulateYear:
         assert np.all(annual_sims["tilt"].f_es_rear == 0.0)
         assert np.all(annual_sims["tracking"].f_es_rear == 0.0)
 
-    def test_bifacial_rear_contributes(self, weather, foulum):
+    def test_bifacial_rear_contributes(self, sky):
         mono = build_layout("vertical", 6.0, 2.0, field=(30.0, 30.0), bifaciality=0.0)
         bi = build_layout("vertical", 6.0, 2.0, field=(30.0, 30.0), bifaciality=0.8)
-        e_mono = simulate_year(mono, foulum, weather).energy_kwh
-        e_bi = simulate_year(bi, foulum, weather).energy_kwh
+        e_mono = simulate_year(mono, sky).energy_kwh
+        e_bi = simulate_year(bi, sky).energy_kwh
         assert e_bi > 1.3 * e_mono  # the western face sees whole afternoons
 
-    def test_partial_year_rejected(self, weather, foulum):
+    def test_partial_year_rejected(self, sky):
         layout = build_layout("tilt", 6.0, 2.0, latitude_deg=56.49)
         with pytest.raises(InputError, match="full year"):
-            simulate_year(layout, foulum, weather[:100])
+            simulate_year(layout, sky[:100])
 
-    def test_gappy_year_rejected(self, weather, foulum):
+    def test_gappy_year_rejected(self, sky):
         layout = build_layout("tilt", 6.0, 2.0, latitude_deg=56.49)
-        broken = weather[:4000] + weather[4001:] + [weather[4000]]
+        broken = sky[:4000] + sky[4001:] + [sky[4000]]
         with pytest.raises(InputError):
-            simulate_year(layout, foulum, broken)
+            simulate_year(layout, broken)
 
-    def test_shadow_loss_independent_of_panel_scale(self, weather, foulum):
+    def test_shadow_loss_independent_of_panel_scale(self, sky):
         """Halving the nameplate efficiency halves power everywhere, so the
         relative shadow loss is unchanged; density studies can scale the
         panel without re-deriving loss percentages."""
         layout = build_layout("tilt", 4.5, 2.0, field=(30.0, 30.0), latitude_deg=56.49)
-        full = simulate_year(layout, foulum, weather, PanelModel())
-        half = simulate_year(
-            layout, foulum, weather, replace(PanelModel(), stc_efficiency=0.10)
-        )
+        full = simulate_year(layout, sky, PanelModel())
+        half = simulate_year(layout, sky, replace(PanelModel(), stc_efficiency=0.10))
         loss_full = 1.0 - full.energy_kwh / full.noshadow_energy_kwh
         loss_half = 1.0 - half.energy_kwh / half.noshadow_energy_kwh
         assert loss_full == pytest.approx(loss_half, rel=1e-9)

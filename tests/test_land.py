@@ -74,6 +74,10 @@ class TestAsciiGridIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             read_ascii_grid(tmp_path / "nope.asc")
+        latin1 = tmp_path / "latin1.asc"
+        latin1.write_bytes(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xe9\n")
+        with pytest.raises(InputError, match="cannot read"):
+            read_ascii_grid(latin1)
 
     def test_default_nodata(self, tmp_path):
         path = tmp_path / "plain.asc"
@@ -196,6 +200,21 @@ class TestClassSets:
         path.write_text("{not json")
         with pytest.raises(InputError, match="cannot read"):
             load_class_sets(path)
+        path.write_bytes(b'{"include": [1], "exclude": [2], "neutral": ["caf\xe9"]}')
+        with pytest.raises(InputError, match="cannot read"):
+            load_class_sets(path)
+        for text in (
+            '{"include": ["x"], "exclude": [2]}',
+            '{"include": [1], "exclude": [[2]]}',
+            '{"include": [1], "exclude": [2], "neutral": 3}',
+        ):
+            path.write_text(text)
+            with pytest.raises(InputError, match="class codes must be integers"):
+                load_class_sets(path)
+        for text in ("[1, 2]", '"include"', "3"):
+            path.write_text(text)
+            with pytest.raises(InputError, match="malformed 'include' list"):
+                load_class_sets(path)
 
 
 class TestRegionPotential:

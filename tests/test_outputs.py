@@ -173,15 +173,15 @@ class TestComparisonsCsv:
         values = [float(l.split(",")[8]) for l in lines[1:]]
         assert all(0.5 < v < 1.5 for v in values)
 
-    def test_normalization_within_kind(self, tmp_path, annual_sims, weather, foulum):
+    def test_normalization_within_kind(self, tmp_path, annual_sims, sky):
         from agrivolt.electrical import simulate_year
         from agrivolt.layout import build_layout
 
         dense = build_layout("tilt", 3.0, 2.0, field=(50.0, 50.0), latitude_deg=56.49)
         sparse = build_layout("tilt", 12.0, 2.0, field=(50.0, 50.0), latitude_deg=56.49)
         reports = [
-            report(simulate_year(dense, foulum, weather), "dense"),
-            report(simulate_year(sparse, foulum, weather), "sparse"),
+            report(simulate_year(dense, sky), "dense"),
+            report(simulate_year(sparse, sky), "sparse"),
         ]
         path = tmp_path / "comparisons.csv"
         outputs.write_comparisons_csv(path, reports)

@@ -258,22 +258,21 @@ class TestGroundIrradianceMap:
         assert grid.xs[0] == pytest.approx(0.25)
         assert grid.xs[-1] == pytest.approx(49.75)
 
-    def test_denser_rows_remove_more_light(self, weather, foulum):
+    def test_denser_rows_remove_more_light(self, sky):
+        july = [hour for hour in sky if hour.sample.time.month == 7]
         means = []
         for spacing in (12.0, 6.0, 3.0):
             layout = build_layout(
                 "tilt", spacing, 2.0, field=(24.0, 24.0), latitude_deg=56.49
             )
-            grid = ground_irradiance_map(
-                layout, foulum, weather, months=(7,), cell_size=1.0
-            )
+            grid = ground_irradiance_map(layout, july, cell_size=1.0)
             means.append(float(grid.normalized.mean()))
         assert means[0] > means[1] > means[2]
 
-    def test_empty_period_is_fully_lit(self, weather, foulum):
+    def test_empty_period_is_fully_lit(self, sky):
         layout = build_layout("tilt", 6.0, 2.0, field=(10.0, 10.0), latitude_deg=56.49)
-        dark = [s for s in weather if s.ghi <= 0.0][:48]
-        grid = ground_irradiance_map(layout, foulum, dark, cell_size=1.0)
+        dark = [hour for hour in sky if hour.sample.ghi <= 0.0][:48]
+        grid = ground_irradiance_map(layout, dark, cell_size=1.0)
         assert grid.daylight_hours == 0
         assert grid.unshaded_total == 0.0
         np.testing.assert_array_equal(grid.normalized, 1.0)

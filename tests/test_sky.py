@@ -11,6 +11,7 @@ import pytest
 from agrivolt.sky import (
     MIN_SUN_ALTITUDE,
     IrradianceSample,
+    SkyHour,
     albedo_on_plane,
     anisotropy_index,
     diffuse_fraction,
@@ -19,7 +20,12 @@ from agrivolt.sky import (
     horizon_brightening,
     plane_irradiance,
 )
-from agrivolt.solar import PlaneOrientation, SolarPosition
+from agrivolt.solar import (
+    PlaneOrientation,
+    SolarPosition,
+    extraterrestrial_horizontal,
+    solar_position,
+)
 
 NOON = datetime(2015, 7, 1, 12, 0, tzinfo=timezone.utc)
 
@@ -29,6 +35,12 @@ def sample(bhi: float, dhi: float, ghi: float | None = None) -> IrradianceSample
         time=NOON, bhi=bhi, dhi=dhi, ghi=bhi + dhi if ghi is None else ghi,
         temp_air=15.0, wind10=4.0,
     )
+
+
+def hour(s: IrradianceSample, sun: SolarPosition, toa: float) -> SkyHour:
+    """The sky of one hour for a given sun, derived as ``sky_year`` does."""
+    k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
+    return SkyHour(s, sun, toa, anisotropy_index(s, toa), k_hori)
 
 
 class TestComponents:
@@ -100,7 +112,7 @@ class TestHorizontalIdentity:
         flat = PlaneOrientation(tilt=0.0, azimuth=0.0)
         s = sample(420.0, 180.0)
         toa = 900.0
-        poa = plane_irradiance(s, sun, flat, toa)
+        poa = plane_irradiance(hour(s, sun, toa), flat)
 
         k1 = anisotropy_index(s, toa)
         k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
@@ -154,8 +166,18 @@ class TestDiffuseOnPlane:
             bhi = rng.uniform(0.0, 800.0)
             dhi = rng.uniform(0.0, 400.0)
             toa = rng.uniform(0.0, 1200.0)
-            poa = plane_irradiance(sample(bhi, dhi), sun, plane, toa)
+            poa = plane_irradiance(hour(sample(bhi, dhi), sun, toa), plane)
             assert poa.direct >= 0.0
             assert poa.circumsolar >= 0.0
             assert poa.isotropic >= 0.0
             assert poa.reflected >= 0.0
+
+
+class TestSkyYear:
+    def test_each_hour_matches_its_own_derivation(self, sky, weather, foulum):
+        """One sun per hour, and the TOA, k1 and k_hori it implies."""
+        assert [h.sample for h in sky] == weather
+        for h in sky[::7]:
+            sun = solar_position(foulum, h.sample.time)
+            toa = extraterrestrial_horizontal(foulum, h.sample.time)
+            assert h == hour(h.sample, sun, toa)

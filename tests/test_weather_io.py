@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -29,6 +29,14 @@ T0 = "2015-06-01T00:00:00+00:00"
 T1 = "2015-06-01T01:00:00+00:00"
 T2 = "2015-06-01T02:00:00+00:00"
 T3 = "2015-06-01T03:00:00+00:00"
+
+
+def unreadable_files(tmp_path, text):
+    """Paths that cannot be read as UTF-8 text: absent, a directory, and
+    ``text`` with a byte that is not UTF-8."""
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(text.encode() + b"# caf\xe9\n")
+    return [tmp_path / "absent.csv", tmp_path, latin1]
 
 
 class TestIngestWeather:
@@ -113,6 +121,13 @@ class TestIngestWeather:
             ingest_weather(path)
         assert "2015-06-01T01:00:00+00:00" in str(err.value)
         assert "2015-06-01T02:00:00+00:00" in str(err.value)
+        # a gap of 150 years is counted, not spelled out hour by hour
+        path.write_text(HEADER + row("1950-01-01T00:00Z") + row("2100-12-31T00:00Z"))
+        gap = datetime(2100, 12, 31) - datetime(1950, 1, 1)
+        with pytest.raises(InputError, match="missing hours") as err:
+            ingest_weather(path)
+        assert "1950-01-01T01:00:00+00:00, " in str(err.value)
+        assert f"({gap // timedelta(hours=1) - 1} total)" in str(err.value)
 
     def test_duplicate_timestamps_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -131,6 +146,9 @@ class TestIngestWeather:
         path.write_text("")
         with pytest.raises(InputError, match="empty file"):
             ingest_weather(path)
+        for unreadable in unreadable_files(tmp_path, HEADER + row(T0)):
+            with pytest.raises(InputError, match="cannot read weather file"):
+                ingest_weather(unreadable)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -138,16 +156,30 @@ class TestIngestWeather:
         with pytest.raises(InputError, match="no data rows"):
             ingest_weather(path)
 
-    def test_bad_timestamp(self, tmp_path):
+    def test_bad_timestamp(self, tmp_path, foulum):
         path = tmp_path / "w.csv"
         path.write_text(HEADER + row("yesterday"))
         with pytest.raises(InputError, match="bad timestamp"):
             ingest_weather(path)
+        # before year 1 in UTC
+        path.write_text(HEADER + row("0001-01-01T00:00:00+05:00"))
+        with pytest.raises(InputError, match="bad timestamp"):
+            ingest_weather(path)
+        # outside the sun position model, with or without a location
+        for stamp in ("1949-12-31T23:00:00Z", "2101-01-01T00:00:00Z", "9999-12-31T23:00Z"):
+            path.write_text(HEADER + row(stamp))
+            for location in (None, foulum):
+                with pytest.raises(InputError, match="row 2: year .* outside 1950-2100"):
+                    ingest_weather(path, location)
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(HEADER + f"{T0},100,50,150,warm,3\n")
         with pytest.raises(InputError, match="temp_air"):
+            ingest_weather(path)
+        # a row with fewer fields than the header
+        path.write_text(HEADER + row(T0) + "2015-06-01T01:00Z,0,0\n")
+        with pytest.raises(InputError, match="row 3: column 'ghi' is not a number"):
             ingest_weather(path)
 
     def test_non_finite_value(self, tmp_path):
@@ -222,12 +254,19 @@ class TestIngestPrices:
         path.write_text(f"time,cost\n{T0},30.5\n")
         with pytest.raises(InputError, match="price"):
             ingest_prices(path, self._times(1))
+        # a row with no price field at all
+        path.write_text(f"time,price\n{T0},30.5\n{T1}\n")
+        with pytest.raises(InputError, match="row 3: column 'price' is not a number"):
+            ingest_prices(path, self._times(2))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("")
         with pytest.raises(InputError, match="empty file"):
             ingest_prices(path, self._times(0))
+        for unreadable in unreadable_files(tmp_path, f"time,price\n{T0},30.5\n"):
+            with pytest.raises(InputError, match="cannot read price file"):
+                ingest_prices(unreadable, self._times(1))
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "p.csv"
