@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 invalid input, 3 computation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +24,8 @@ import numpy as np
 from . import land, outputs, scenario
 from .config import load_config
 from .errors import ComputationError, InputError
-from .weather import ingest_prices, ingest_weather
+from .layout import MOUNT_KINDS
+from .weather import _parse_float, _records, check_full_year, ingest_prices, ingest_weather
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +81,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Numeric flags: (argparse dest, predicate on a finite value, requirement).
+_NUMERIC_FLAGS = (
+    ("wind_shear_exponent", lambda v: True, "a finite number"),
+    ("buffer", lambda v: v >= 0.0, "a finite number >= 0"),
+    ("capacity_density", lambda v: v > 0.0, "a finite number > 0"),
+    ("yield_tilt", lambda v: v >= 0.0, "a finite number >= 0"),
+    ("yield_vertical", lambda v: v >= 0.0, "a finite number >= 0"),
+    ("yield_tracking", lambda v: v >= 0.0, "a finite number >= 0"),
+    ("demand_twh", lambda v: v > 0.0, "a finite number > 0"),
+)
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Reject a numeric flag of the command outside its range, ``nan`` included."""
+    for dest, valid, requirement in _NUMERIC_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not (math.isfinite(value) and valid(value)):
+            raise InputError(f"--{dest.replace('_', '-')} must be {requirement}, got {value}")
+
+
+def _out_dir(path: str) -> Path:
+    """The ``--out`` directory, refused when it or its nearest existing
+    ancestor is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out {path}: {existing} is not a directory")
+    return out
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_numbers(args)
+    out = _out_dir(args.out)
     config = load_config(args.config)
     if args.wind_shear_exponent is not None:
         config = replace(
@@ -91,40 +124,40 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prices = None
     if args.prices:
         prices = ingest_prices(args.prices, [s.time for s in weather])
-    written = scenario.run_scenario(config, weather, prices, args.out, args.threads)
+    written = scenario.run_scenario(config, weather, prices, out, args.threads)
     print(f"wrote {len(written)} artifacts to {args.out}")
     return 0
 
 
 def _cmd_decision_map(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     config = load_config(args.config)
     weather = ingest_weather(args.weather, config.location)
-    target = scenario.run_decision_map(config, weather, args.out, args.threads)
+    target = scenario.run_decision_map(config, weather, out, args.threads)
     print(f"wrote {target}")
     return 0
 
 
 def _read_yields(path: str) -> dict[int, dict[str, float]]:
     """Per-region specific yields: region_id,tilt,vertical,tracking."""
+    path = Path(path)
     table: dict[int, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"region_id", "tilt", "vertical", "tracking"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise InputError(f"{path}: yields CSV needs columns {sorted(needed)}")
-        for row_num, record in enumerate(reader, start=2):
-            try:
-                table[int(record["region_id"])] = {
-                    kind: float(record[kind]) for kind in ("tilt", "vertical", "tracking")
-                }
-            except ValueError as exc:
-                raise InputError(f"{path}: row {row_num}: {exc}") from exc
+    for row, record in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
+        try:
+            region = int(record["region_id"])
+        except ValueError as exc:
+            raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
+        table[region] = {kind: _parse_float(record[kind], kind, path, row) for kind in MOUNT_KINDS}
+        if min(table[region].values()) < 0.0:
+            raise InputError(f"{path}: row {row}: yields must be >= 0")
     if not table:
         raise InputError(f"{path}: no yield rows")
     return table
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
+    _check_numbers(args)
+    out = _out_dir(args.out)
     raster = land.read_ascii_grid(args.raster)
     regions_raster = land.read_ascii_grid(args.regions)
     if regions_raster.codes.shape != raster.codes.shape:
@@ -162,10 +195,12 @@ def _cmd_potential(args: argparse.Namespace) -> int:
                 raster, mask, regions_raster.codes, rid, args.capacity_density, yields
             )
         )
-    out = Path(args.out)
+    summary = land.aggregate_potential(results, args.demand_twh)
+    # every region value adds into a total, so a finite summary has finite regions
+    if not all(math.isfinite(v) for v in summary.values()):
+        raise InputError("the flag values overflow the potential totals")
     out.mkdir(parents=True, exist_ok=True)
     outputs.write_regions_csv(out / "regions.csv", results)
-    summary = land.aggregate_potential(results, args.demand_twh)
     outputs.write_summary_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'regions.csv'} and {out / 'summary.csv'}")
     return 0
@@ -181,12 +216,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     weather = None
     if args.weather:
         weather = ingest_weather(args.weather, config.location if config else None)
-        print(f"weather ok: {args.weather} ({len(weather)} hours)")
-        checked += 1
     if args.prices:
         if weather is None:
             raise InputError("--prices validation needs --weather for the timeline")
         prices = ingest_prices(args.prices, [s.time for s in weather])
+    if weather is not None:
+        # after the prices, so that their rows are checked whatever the year
+        check_full_year([s.time for s in weather])
+        print(f"weather ok: {args.weather} ({len(weather)} hours)")
+        checked += 1
+    if args.prices:
         print(f"prices ok: {args.prices} (mean {np.mean(prices):.2f})")
         checked += 1
     if args.raster:

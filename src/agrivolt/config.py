@@ -11,6 +11,7 @@ of silently running defaults.
 from __future__ import annotations
 
 import configparser
+import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .electrical import PanelModel
 from .errors import InputError
 from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS, Layout, optimal_tilt
 from .solar import GeoLocation
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +47,6 @@ class ScenarioConfig:
     thresholds: CropThresholds = CropThresholds()
     growing_months: tuple[int, ...] = GROWING_MONTHS
     ground_map_months: tuple[int, ...] = (7,)
-    demand_twh: float = 2550.0
 
 
 def _number(text: str) -> float:
@@ -113,7 +115,7 @@ KEYS = {
     ("crops", "par_high"): ("thresholds.high", _number, None),
     ("crops", "growing_months"): ("growing_months", _ints, _MONTHS),
     ("analysis", "ground_map_months"): ("ground_map_months", _ints, _MONTHS),
-    ("analysis", "demand_twh"): ("demand_twh", _number, None),
+    ("analysis", "demand_twh"): (None, _number, None),  # deprecated, ignored
 }
 
 _REQUIRED = (("meta", "schema_version"), ("location", "latitude"), ("location", "longitude"))
@@ -146,6 +148,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
     missing = [f"[{s}] {k}" for s, k in _REQUIRED if not parser.has_option(s, k)]
     if missing:
         raise InputError(f"{path}: missing {', '.join(missing)}")
+    if parser.has_option("analysis", "demand_twh"):
+        log.warning(
+            "%s: [analysis] demand_twh is deprecated and ignored; "
+            "pass --demand-twh to the potential command",
+            path,
+        )
 
     values: defaultdict[str, dict] = defaultdict(dict)
     for (section, key), (target, parse, check) in KEYS.items():

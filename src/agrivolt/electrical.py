@@ -24,11 +24,11 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import InputError
 from .layout import Layout
 from .sky import PlaneIrradiance, SkyHour, plane_irradiance
 from .solar import incidence_angle, sun_vector
 from .shading import ShadingState, UNSHADED, row_shading
+from .weather import check_full_year
 
 #: Relative-efficiency coefficients for crystalline silicon modules
 #: (irradiance/temperature fit, dimensionless).
@@ -171,19 +171,6 @@ class SimulationResult:
         return float(self.p_noshadow_w.sum()) / 1000.0
 
 
-def _check_year(times: list[datetime]) -> None:
-    if len(times) not in (8760, 8784):
-        raise InputError(
-            f"weather must cover one full year of hourly samples, got {len(times)} rows"
-        )
-    step = times[1] - times[0]
-    if step.total_seconds() != 3600.0:
-        raise InputError(f"weather must be hourly, got step {step}")
-    for prev, cur in zip(times, times[1:]):
-        if (cur - prev).total_seconds() != 3600.0:
-            raise InputError(f"gap in weather series after {prev.isoformat()}")
-
-
 def simulate_year(
     layout: Layout,
     sky: list[SkyHour],
@@ -195,11 +182,12 @@ def simulate_year(
     Rows fall into at most two shading classes per hour (the sun-side edge
     row is never shaded; all others share the nearest-neighbour shadow), so
     each hour evaluates the module model once per class and weighs by row
-    count. The same loop produces the shading counterfactual.
+    count. The open rows' output is also the shading counterfactual of
+    every row.
     """
     panel = panel or PanelModel()
     times = [hour.sample.time for hour in sky]
-    _check_year(times)
+    check_full_year(times)
 
     n = len(sky)
     p_w = np.zeros(n)
@@ -222,18 +210,19 @@ def simulate_year(
             continue
 
         front = layout.orientation(sun)
-        poa_front = plane_irradiance(hour, front, albedo)
         inc_front = incidence_angle(sun, front)
+        poa_front = plane_irradiance(hour, front, inc_front, albedo)
         if bifacial:
             rear = layout.rear_orientation(front)
-            poa_rear = plane_irradiance(hour, rear, albedo)
             inc_rear = incidence_angle(sun, rear)
+            poa_rear = plane_irradiance(hour, rear, inc_rear, albedo)
         else:
             poa_rear = PlaneIrradiance(0.0, 0.0, 0.0, 0.0)
             inc_rear = 0.5 * math.pi
 
         # geometric shadows exist regardless of face; they only act on the
-        # face the beam currently lights
+        # face the beam currently lights, and a face without beam-like light
+        # loses nothing to them
         if poa_front.beamlike > 0.0 or (bifacial and poa_rear.beamlike > 0.0):
             geom = layout.row_geometry(front)
             n_open, n_shaded, state = row_shading(geom, sun_vector(sun), panel.blocks)
@@ -242,28 +231,21 @@ def simulate_year(
 
         w_mod = wind_at_module(sample.wind10, wind_height, panel.wind_shear_exponent)
         phi = layout.bifaciality
-
-        def field_power(shaded_state: ShadingState) -> tuple[float, float, float]:
-            """(sum P, mean T_cell, mean G_eff) over the field's rows."""
-            p_sum = 0.0
-            t_sum = 0.0
-            g_sum = 0.0
-            for count, st in ((n_open, UNSHADED), (n_shaded, shaded_state)):
-                if count == 0:
-                    continue
-                fs = st if poa_front.beamlike > 0.0 else UNSHADED
-                rs = st if poa_rear.beamlike > 0.0 else UNSHADED
-                g = effective_irradiance(poa_front, fs, inc_front, panel.alpha_r)
-                if bifacial:
-                    g += phi * effective_irradiance(poa_rear, rs, inc_rear, panel.alpha_r)
-                p_row, t_row, _ = power_output(g, sample.temp_air, w_mod, p_stc_row, panel)
-                p_sum += count * p_row
-                t_sum += count * t_row
-                g_sum += count * g
-            return p_sum, t_sum / rows, g_sum / rows
-
-        p_w[i], t_cell[i], g_eff_out[i] = field_power(state)
-        p_ns_w[i], _, _ = field_power(UNSHADED)
+        p_sum = t_sum = g_sum = 0.0
+        for count, st in ((n_open, UNSHADED), (n_shaded, state)):
+            if count == 0:
+                continue
+            g = effective_irradiance(poa_front, st, inc_front, panel.alpha_r)
+            if bifacial:
+                g += phi * effective_irradiance(poa_rear, st, inc_rear, panel.alpha_r)
+            p_row, t_row, _ = power_output(g, sample.temp_air, w_mod, p_stc_row, panel)
+            p_sum += count * p_row
+            t_sum += count * t_row
+            g_sum += count * g
+            if st is UNSHADED:
+                # without shadows every row would produce what the open rows do
+                p_ns_w[i] = p_sum + n_shaded * p_row
+        p_w[i], t_cell[i], g_eff_out[i] = p_sum, t_sum / rows, g_sum / rows
         share = n_shaded / rows
         if poa_front.beamlike > 0.0:
             f_front[i] = share * state.f_es

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,16 @@ DEFAULT_EXCLUDE_CLASSES = (
 )
 DEFAULT_BUFFER_M = 100.0
 
-_ASCII_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+#: Rule per header key: (predicate on the parsed float, requirement). Each
+#: value must also be finite; every key but ``nodata_value`` is required.
+_ASCII_HEADER_RULES = {
+    "ncols": (lambda v: v.is_integer() and v > 0, "a positive integer"),
+    "nrows": (lambda v: v.is_integer() and v > 0, "a positive integer"),
+    "xllcorner": (lambda v: True, "a finite number"),
+    "yllcorner": (lambda v: True, "a finite number"),
+    "cellsize": (lambda v: v > 0.0, "a finite number > 0"),
+    "nodata_value": (lambda v: v.is_integer(), "an integer"),
+}
 
 
 @dataclass
@@ -61,7 +71,8 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
     """Read an ESRI ASCII grid of integer codes.
 
     Expects the usual header (ncols, nrows, xllcorner, yllcorner, cellsize,
-    optional NODATA_value) followed by whitespace-separated values.
+    optional NODATA_value) followed by whitespace-separated values. The
+    header values must meet :data:`_ASCII_HEADER_RULES`.
     """
     path = Path(path)
     header: dict[str, float] = {}
@@ -76,13 +87,20 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
             continue
         parts = stripped.split()
         key = parts[0].lower()
-        if key in _ASCII_HEADER_KEYS or key == "nodata_value":
+        if key in _ASCII_HEADER_RULES:
             if len(parts) != 2:
                 raise InputError(f"{path}: malformed header line {stripped!r}")
-            header[key] = float(parts[1])
+            valid, requirement = _ASCII_HEADER_RULES[key]
+            try:
+                value = float(parts[1])
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and valid(value)):
+                raise InputError(f"{path}: {key} must be {requirement}, got {parts[1]!r}")
+            header[key] = value
         else:
             data_lines.append(stripped)
-    missing = [k for k in _ASCII_HEADER_KEYS if k not in header]
+    missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
     if missing:
         raise InputError(f"{path}: missing header keys {missing}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
@@ -148,14 +166,12 @@ def load_class_sets(path: str | Path) -> ClassSets:
     for key in ("include", "exclude"):
         if not isinstance(raw, dict) or not isinstance(raw.get(key), list):
             raise InputError(f"{path}: missing or malformed {key!r} list")
-    try:
-        return ClassSets(
-            include=frozenset(int(c) for c in raw["include"]),
-            exclude=frozenset(int(c) for c in raw["exclude"]),
-            neutral=frozenset(int(c) for c in raw.get("neutral", [])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: class codes must be integers: {exc}") from exc
+    sets = {key: raw.get(key, []) for key in ("include", "exclude", "neutral")}
+    for key, codes in sets.items():
+        # bool is a subclass of int, but JSON true is no class code
+        if not isinstance(codes, list) or any(type(c) is not int for c in codes):
+            raise InputError(f"{path}: class codes must be integers: {key!r} holds others")
+    return ClassSets(**{key: frozenset(codes) for key, codes in sets.items()})
 
 
 def eligibility_mask(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,11 @@ class RowGeometry:
             [base, base + self.along, base + self.along + self.rise, base + self.rise]
         )
 
-    @property
+    @cached_property
     def length(self) -> float:
         return float(np.linalg.norm(self.along))
 
-    @property
+    @cached_property
     def height(self) -> float:
         return float(np.linalg.norm(self.rise))
 

@@ -7,7 +7,6 @@ platform or thread count.
 
 from __future__ import annotations
 
-import calendar
 from datetime import datetime
 from pathlib import Path
 
@@ -58,15 +57,16 @@ def write_hourly_csv(path: str | Path, result: SimulationResult) -> None:
 
 
 def monthly_daily_yield(result: SimulationResult) -> list[float]:
-    """Average daily electricity yield per month, kWh/m2/day."""
-    year = result.times[0].year
+    """Average daily electricity yield per month, kWh/m2/day.
+
+    A month's days are its hours present / 24, so a year that crosses New
+    Year divides each month by the days it really holds.
+    """
     area = result.layout.field_area
-    sums = np.zeros(12)
-    for stamp, p in zip(result.times, result.p_w):
-        sums[stamp.month - 1] += p
-    return [
-        sums[m - 1] / 1000.0 / area / calendar.monthrange(year, m)[1] for m in range(1, 13)
-    ]
+    months = np.array([stamp.month - 1 for stamp in result.times])
+    sums = np.bincount(months, weights=result.p_w, minlength=12)
+    days = np.bincount(months, minlength=12) / 24
+    return [sums[m] / 1000.0 / area / days[m] for m in range(12)]
 
 
 def write_monthly_csv(path: str | Path, results: dict[str, SimulationResult]) -> None:

@@ -193,10 +193,10 @@ def run_scenario(
     ``decision_map.csv`` (growing-period crop suitability), and
     ``comparisons.csv``. Returns the written paths.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     months = tuple(sorted(set(config.ground_map_months) | set(config.growing_months)))
     results = run_cases(config, weather, months, threads)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     reports = [
         indicators.report(r.simulation, r.spec.scenario, prices) for r in results
@@ -234,9 +234,9 @@ def run_decision_map(
     threads: int = 1,
 ) -> Path:
     """Sweep the grid and write only the crop decision map."""
+    results = run_cases(config, weather, tuple(config.growing_months), threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_cases(config, weather, tuple(config.growing_months), threads)
     reports = [indicators.report(r.simulation, r.spec.scenario, None) for r in results]
     target = out / "decision_map.csv"
     outputs.write_decision_csv(target, _decision_points(config, results, reports))

@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
-from .solar import (
-    GeoLocation,
-    PlaneOrientation,
-    SolarPosition,
-    incidence_angle,
-    solar_position,
-    toa_horizontal,
-)
+from .solar import GeoLocation, PlaneOrientation, SolarPosition, solar_position, toa_horizontal
 
 #: Sun altitudes at or below this threshold produce no beam-like irradiance
 #: on a tilted plane; avoids the 1/sin(altitude) blow-up near the horizon.
@@ -80,17 +73,16 @@ class PlaneIrradiance:
         return self.direct + self.circumsolar
 
 
-def direct_on_plane(
-    sample: IrradianceSample, sun: SolarPosition, plane: PlaneOrientation
-) -> float:
-    """Beam irradiance on the plane: B0 * cos(incidence) / sin(altitude).
+def direct_on_plane(sample: IrradianceSample, sun: SolarPosition, incidence: float) -> float:
+    """Beam irradiance on a plane: B0 * cos(incidence) / sin(altitude).
 
+    ``incidence`` is the plane's :func:`~agrivolt.solar.incidence_angle`.
     Returns 0 for sun at or below ``MIN_SUN_ALTITUDE`` or behind the plane.
     At tilt 0 this reduces exactly to the horizontal beam input.
     """
     if sun.altitude <= MIN_SUN_ALTITUDE:
         return 0.0
-    cos_inc = math.cos(incidence_angle(sun, plane))
+    cos_inc = math.cos(incidence)
     if cos_inc <= 0.0:
         return 0.0
     return sample.bhi * cos_inc / math.sin(sun.altitude)
@@ -126,14 +118,16 @@ def diffuse_on_plane(
     sample: IrradianceSample,
     sun: SolarPosition,
     plane: PlaneOrientation,
+    incidence: float,
     k1: float,
     k_hori: float,
 ) -> tuple[float, float]:
     """Circumsolar and isotropic diffuse components on the plane.
 
-    Circumsolar follows the beam direction (same low-sun guard as the
-    direct component); the isotropic part sees the sky dome view factor
-    ``(1 + cos(tilt)) / 2`` scaled by the horizon brightening factor.
+    Circumsolar follows the beam direction at the plane's ``incidence``
+    angle (same low-sun guard as the direct component); the isotropic part
+    sees the sky dome view factor ``(1 + cos(tilt)) / 2`` scaled by the
+    horizon brightening factor.
 
     Returns
     -------
@@ -141,7 +135,7 @@ def diffuse_on_plane(
     """
     circumsolar = 0.0
     if sun.altitude > MIN_SUN_ALTITUDE:
-        cos_inc = math.cos(incidence_angle(sun, plane))
+        cos_inc = math.cos(incidence)
         if cos_inc > 0.0:
             circumsolar = k1 * sample.dhi * cos_inc / math.sin(sun.altitude)
     sky_view = 0.5 * (1.0 + math.cos(plane.tilt))
@@ -168,12 +162,15 @@ def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> list[Sky
 
 
 def plane_irradiance(
-    hour: SkyHour, plane: PlaneOrientation, albedo: float = DEFAULT_ALBEDO
+    hour: SkyHour, plane: PlaneOrientation, incidence: float, albedo: float = DEFAULT_ALBEDO
 ) -> PlaneIrradiance:
-    """Full transposition pipeline for one plane and one hour."""
+    """Full transposition pipeline for one plane and one hour, given the
+    plane's incidence angle."""
     sample, sun = hour.sample, hour.sun
-    direct = direct_on_plane(sample, sun, plane)
-    circumsolar, isotropic = diffuse_on_plane(sample, sun, plane, hour.k1, hour.k_hori)
+    direct = direct_on_plane(sample, sun, incidence)
+    circumsolar, isotropic = diffuse_on_plane(
+        sample, sun, plane, incidence, hour.k1, hour.k_hori
+    )
     reflected = albedo_on_plane(sample, plane, albedo)
     return PlaneIrradiance(
         direct=direct, circumsolar=circumsolar, isotropic=isotropic, reflected=reflected

@@ -13,9 +13,17 @@ import math
 
 import numpy as np
 
-from agrivolt.layout import RowGeometry
+from agrivolt.electrical import (
+    PanelModel,
+    effective_irradiance,
+    power_output,
+    wind_at_module,
+)
+from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster
-from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle
+from agrivolt.shading import UNSHADED, ShadingState, row_shading
+from agrivolt.sky import PlaneIrradiance, SkyHour, plane_irradiance
+from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle, sun_vector
 
 _EPS = 1.0e-9
 
@@ -177,3 +185,72 @@ def sweep_min_incidence(
             best_inc = inc
             best_rot = rot
     return best_rot, best_inc
+
+
+def reference_field_year(
+    layout: Layout, sky: list[SkyHour], panel: PanelModel | None = None, albedo: float = 0.2
+) -> tuple[np.ndarray, ...]:
+    """Hourly field output in the plain two-evaluation form.
+
+    Each hour derives each face's incidence angle anew for every use, gates
+    the shading state per face on that face's beam-like light, and runs
+    the whole field twice: once with the hour's shading and once with none
+    for the counterfactual. Returns ``(p_w, p_noshadow_w, t_cell_c,
+    f_es_front, f_es_rear, g_eff_wm2)`` as
+    :func:`agrivolt.electrical.simulate_year` does.
+    """
+    panel = panel or PanelModel()
+    n = len(sky)
+    p_w, p_ns_w, t_cell = np.zeros(n), np.zeros(n), np.zeros(n)
+    f_front, f_rear, g_eff_out = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = layout.row_count
+    p_stc_row = panel.stc_efficiency * panel.g_stc * (layout.row_length * layout.height)
+    bifacial = layout.bifaciality > 0.0
+
+    for i, hour in enumerate(sky):
+        sample, sun = hour.sample, hour.sun
+        t_cell[i] = sample.temp_air
+        if sample.ghi <= 0.0 or sun.altitude <= 0.0:
+            continue
+        front = layout.orientation(sun)
+        poa_front = plane_irradiance(hour, front, incidence_angle(sun, front), albedo)
+        if bifacial:
+            rear = layout.rear_orientation(front)
+            poa_rear = plane_irradiance(hour, rear, incidence_angle(sun, rear), albedo)
+        else:
+            poa_rear = PlaneIrradiance(0.0, 0.0, 0.0, 0.0)
+        if poa_front.beamlike > 0.0 or poa_rear.beamlike > 0.0:
+            geom = layout.row_geometry(front)
+            n_open, n_shaded, state = row_shading(geom, sun_vector(sun), panel.blocks)
+        else:
+            n_open, n_shaded, state = rows, 0, UNSHADED
+        w_mod = wind_at_module(sample.wind10, layout.mid_height, panel.wind_shear_exponent)
+
+        def field_power(shaded_state: ShadingState) -> tuple[float, float, float]:
+            p_sum = t_sum = g_sum = 0.0
+            for count, st in ((n_open, UNSHADED), (n_shaded, shaded_state)):
+                if count == 0:
+                    continue
+                fs = st if poa_front.beamlike > 0.0 else UNSHADED
+                g = effective_irradiance(
+                    poa_front, fs, incidence_angle(sun, front), panel.alpha_r
+                )
+                if bifacial:
+                    rs = st if poa_rear.beamlike > 0.0 else UNSHADED
+                    g += layout.bifaciality * effective_irradiance(
+                        poa_rear, rs, incidence_angle(sun, rear), panel.alpha_r
+                    )
+                p_row, t_row, _ = power_output(g, sample.temp_air, w_mod, p_stc_row, panel)
+                p_sum += count * p_row
+                t_sum += count * t_row
+                g_sum += count * g
+            return p_sum, t_sum / rows, g_sum / rows
+
+        p_w[i], t_cell[i], g_eff_out[i] = field_power(state)
+        p_ns_w[i] = field_power(UNSHADED)[0]
+        share = n_shaded / rows
+        if poa_front.beamlike > 0.0:
+            f_front[i] = share * state.f_es
+        if poa_rear.beamlike > 0.0:
+            f_rear[i] = share * state.f_es
+    return p_w, p_ns_w, t_cell, f_front, f_rear, g_eff_out

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,31 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_flag_or_out_exits_2(
+        self, cli_config, data_dir, potential_inputs, tmp_path, capsys
+    ):
+        """A non-finite flag value, or an ``--out`` that is a file or lies
+        under one, is invalid input to the command that reads it."""
+        land_path, regions_path = potential_inputs
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
+        potential = [
+            "potential", "--raster", str(land_path), "--regions", str(regions_path),
+            "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
+        ]
+        for command in (
+            ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "nan"],
+            ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "inf"],
+            ["simulate", *inputs, "--out", str(taken)],
+            ["decision-map", *inputs, "--out", str(taken / "sub")],
+            [*potential, "--out", str(taken)],
+        ):
+            assert main(command) == 2, command
+            assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+        assert taken.read_text() == "not a directory\n"
+
     def test_impossible_layout_exits_2(self, data_dir, tmp_path, capsys):
         config = tmp_path / "overlap.ini"
         config.write_text(
@@ -189,6 +215,22 @@ class TestReadme:
         assert f"{printed:.6f}" == first_case.split(",")[8]
 
 
+POTENTIAL_FLAGS = (
+    "--buffer",
+    "--capacity-density",
+    "--yield-tilt",
+    "--yield-vertical",
+    "--yield-tracking",
+    "--demand-twh",
+)
+
+#: Flag values: any float as Python prints it, and the edges of each range.
+FLAG_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-5", "0", "-0.0", "1e308", "5e-324"]),
+)
+
+
 class TestPotential:
     def test_constant_yields_arithmetic(self, potential_inputs, tmp_path, capsys):
         land_path, regions_path = potential_inputs
@@ -270,29 +312,89 @@ class TestPotential:
         err = capsys.readouterr().err
         assert "--yield-vertical" in err
 
+        header = "region_id,tilt,vertical,tracking\n"
+        tables = [tmp_path / "absent.csv"]
+        for i, body in enumerate(("1,nan,1,1\n2,1,1,1\n", "1,1,1,1\n2,1,-5,1\n", "x,1,1,1\n")):
+            tables.append(tmp_path / f"yields_{i}.csv")
+            tables[-1].write_text(header + body)
+        for table in tables:
+            command = [
+                "potential",
+                "--raster", str(land_path),
+                "--regions", str(regions_path),
+                "--yields", str(table),
+                "--out", str(tmp_path / "pot"),
+            ]
+            assert main(command) == 2, table
+            assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "pot").exists()
+
     def test_unreadable_raster_or_classes_exit_2(self, potential_inputs, tmp_path, capsys):
-        """A non-UTF-8 land raster or a class set with a non-integer code is
-        invalid input to ``potential`` and to ``validate``."""
+        """A land raster that is not UTF-8 or has a bad header value, or a
+        class set with a code that is no JSON integer, is invalid input to
+        ``potential`` and to ``validate``."""
         land_path, regions_path = potential_inputs
         latin1 = tmp_path / "latin1.asc"
         latin1.write_bytes(land_path.read_bytes() + b"\xe9\n")
-        classes = tmp_path / "classes.json"
-        classes.write_text('{"include": ["x"], "exclude": [112]}')
+        rasters = [latin1]
+        for line in ("ncols abc", "ncols -1", "nrows -1", "cellsize 0", "cellsize nan"):
+            key = line.split()[0]
+            rasters.append(tmp_path / f"header_{len(rasters)}.asc")
+            rasters[-1].write_text(
+                "\n".join(
+                    line if old.split()[0] == key else old
+                    for old in land_path.read_text().splitlines()
+                )
+            )
+        class_files = []
+        for text in (
+            '{"include": ["x"], "exclude": [112]}',
+            '{"include": [211.7], "exclude": [112]}',
+            '{"include": ["212"], "exclude": [112]}',
+            '{"include": [true], "exclude": [112]}',
+            '{"include": [211], "exclude": [112], "neutral": "34"}',
+        ):
+            class_files.append(tmp_path / f"classes_{len(class_files)}.json")
+            class_files[-1].write_text(text)
         potential = [
             "potential",
             "--regions", str(regions_path),
             "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
             "--out", str(tmp_path / "pot"),
         ]
-        for command in (
-            [*potential, "--raster", str(latin1)],
-            [*potential, "--raster", str(land_path), "--classes", str(classes)],
-            ["validate", "--raster", str(latin1)],
-            ["validate", "--classes", str(classes)],
-        ):
+        commands = []
+        for raster in rasters:
+            commands += [
+                [*potential, "--raster", str(raster)],
+                ["validate", "--raster", str(raster)],
+            ]
+        for classes in class_files:
+            commands += [
+                [*potential, "--raster", str(land_path), "--classes", str(classes)],
+                ["validate", "--classes", str(classes)],
+            ]
+        for command in commands:
             assert main(command) == 2, command
             assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "pot").exists()
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(values=st.tuples(*(FLAG_NUMBERS for _ in POTENTIAL_FLAGS)))
+    def test_numeric_flags_exit_0_or_2_without_nan(self, potential_inputs, tmp_path, values):
+        """Whatever numbers the numeric flags of ``potential`` take, it exits 0
+        or 2, and no artifact it writes holds ``nan`` or ``inf``."""
+        land_path, regions_path = potential_inputs
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "pot"
+        command = ["potential", "--raster", str(land_path), "--regions", str(regions_path)]
+        command += [f"{flag}={value}" for flag, value in zip(POTENTIAL_FLAGS, values)]
+        assert main([*command, "--out", str(out)]) in (0, 2)
+        for artifact in out.glob("*"):
+            text = artifact.read_text()
+            assert "nan" not in text and "inf" not in text, artifact.name
 
     def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys):
         land_path, _ = potential_inputs
@@ -411,6 +513,7 @@ class TestValidate:
                 "2015-01-01T01:00Z,0,0",
                 "1949-12-31T23:00Z,0,0,0,0,1",
                 "2101-01-01T00:00Z,0,0,0,0,1",
+                "2015-01-01T00:00Z,0,0,0,0,1",  # valid, but not a full year
             ],
         ):
             commands += [
@@ -418,7 +521,11 @@ class TestValidate:
                 ["validate", "--config", str(cli_config), "--weather", path],
                 [*simulate, "--weather", path],
             ]
-        for path in broken("prices", "time,price", ["2015-01-01T00:00Z"]):
+        prices = broken("prices", "time,price", ["2015-01-01T00:00Z"])
+        zero = tmp_path / "prices_zero.csv"
+        stamps = [line.split(",")[0] for line in (data_dir / "prices.csv").read_text().split()]
+        zero.write_text("\n".join(["time,price", *(f"{t},0" for t in stamps[1:])]) + "\n")
+        for path in [*prices, str(zero)]:
             commands += [
                 ["validate", "--weather", weather, "--prices", path],
                 [*simulate, "--weather", weather, "--prices", path],

@@ -62,7 +62,7 @@ class TestMinimalConfig:
         )
         assert config.growing_months == (4, 5, 6, 7, 8, 9)
         assert config.ground_map_months == (7,)
-        assert config.demand_twh == 2550.0
+        assert not hasattr(config, "demand_twh")
 
     def test_schema_version_constant(self):
         assert SCHEMA_VERSION == 1
@@ -121,7 +121,7 @@ demand_twh = 300
 
 
 class TestFullConfig:
-    def test_every_field_parsed(self, tmp_path):
+    def test_every_field_parsed(self, tmp_path, caplog):
         config = load_config(write(tmp_path, FULL))
         assert config.location.latitude == 40.0
         assert config.kinds == ("vertical", "tracking")
@@ -142,7 +142,9 @@ class TestFullConfig:
         assert config.thresholds.medium == 400.0
         assert config.growing_months == (5, 6, 7, 8)
         assert config.ground_map_months == (6, 7)
-        assert config.demand_twh == 300.0
+        # accepted for old files, but ignored with a warning
+        assert not hasattr(config, "demand_twh")
+        assert "demand_twh is deprecated and ignored" in caplog.text
 
     def test_angle_helpers(self, tmp_path):
         config = load_config(write(tmp_path, FULL))

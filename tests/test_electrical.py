@@ -24,6 +24,8 @@ from agrivolt.layout import build_layout
 from agrivolt.shading import UNSHADED, ShadingState
 from agrivolt.sky import PlaneIrradiance
 
+from oracles import reference_field_year
+
 
 class TestAngularLoss:
     def test_reference_value_at_60_degrees(self):
@@ -237,3 +239,28 @@ class TestSimulateYear:
         loss_full = 1.0 - full.energy_kwh / full.noshadow_energy_kwh
         loss_half = 1.0 - half.energy_kwh / half.noshadow_energy_kwh
         assert loss_full == pytest.approx(loss_half, rel=1e-9)
+
+
+#: Layouts for the oracle comparison: every mount kind, monofacial and
+#: bifacial faces, a rotation clamp, and a field of a single row.
+ORACLE_LAYOUTS = {
+    "tilt": dict(kind="tilt", spacing=6.0, height=2.0, latitude_deg=56.49),
+    "bifacial_vertical": dict(kind="vertical", spacing=6.0, height=2.0),
+    "tracking_clamp_60": dict(
+        kind="tracking", spacing=6.0, height=2.0, max_rotation=math.radians(60.0)
+    ),
+    "bifacial_tracking": dict(kind="tracking", spacing=4.5, height=2.0, bifaciality=0.7),
+    "one_row": dict(kind="tilt", spacing=6.0, height=2.0, field=(30.0, 5.0), latitude_deg=56.49),
+}
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(ORACLE_LAYOUTS))
+    def test_six_arrays_equal(self, name, sky):
+        """One incidence angle per face and the open rows as the counterfactual
+        give the same bits as the form that recomputes both."""
+        layout = build_layout(**{"field": (30.0, 30.0), **ORACLE_LAYOUTS[name]})
+        sim = simulate_year(layout, sky)
+        columns = ("p_w", "p_noshadow_w", "t_cell_c", "f_es_front", "f_es_rear", "g_eff_wm2")
+        for column, reference in zip(columns, reference_field_year(layout, sky)):
+            assert np.array_equal(getattr(sim, column), reference), column

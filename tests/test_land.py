@@ -54,6 +54,18 @@ class TestAsciiGridIO:
         path.write_text("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\n211 211\n")
         with pytest.raises(InputError, match="cellsize"):
             read_ascii_grid(path)
+        header = {"ncols": "2", "nrows": "1", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "100", "NODATA_value": "-9999"}
+        for key, value in (
+            ("ncols", "abc"), ("ncols", "-1"), ("ncols", "0"), ("ncols", "2.5"),
+            ("nrows", "-1"), ("cellsize", "0"), ("cellsize", "-100"), ("cellsize", "nan"),
+            ("xllcorner", "inf"), ("yllcorner", "nan"), ("NODATA_value", "-9999.5"),
+            ("NODATA_value", "nan"),
+        ):
+            lines = [f"{k} {value if k == key else v}" for k, v in header.items()]
+            path.write_text("\n".join([*lines, "211 211"]) + "\n")
+            with pytest.raises(InputError, match=f"{key.lower()} must be"):
+                read_ascii_grid(path)
 
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "short.asc"
@@ -207,6 +219,10 @@ class TestClassSets:
             '{"include": ["x"], "exclude": [2]}',
             '{"include": [1], "exclude": [[2]]}',
             '{"include": [1], "exclude": [2], "neutral": 3}',
+            '{"include": [1], "exclude": [2], "neutral": "34"}',
+            '{"include": [211.7], "exclude": [2]}',
+            '{"include": ["212"], "exclude": [2]}',
+            '{"include": [true], "exclude": [2]}',
         ):
             path.write_text(text)
             with pytest.raises(InputError, match="class codes must be integers"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from agrivolt.indicators import report
 from agrivolt.land import RegionPotential
 from agrivolt.scenario import case_id, combine_grids, expand_cases
 from agrivolt.config import ScenarioConfig
+from agrivolt.electrical import PanelModel, SimulationResult
 
 INDICATOR_HEADER = (
     "scenario,kind,spacing_m,height_m,capacity_density_W_m2,"
@@ -96,6 +99,17 @@ class TestMonthlyYield:
             for d, n in zip(daily, (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31))
         )
         assert annual == pytest.approx(sim.energy_kwh / sim.layout.field_area, rel=1e-9)
+
+    def test_year_across_new_year(self, annual_sims):
+        """A Jul 2015 - Jun 2016 year divides each month by the days it holds,
+        29 for February 2016."""
+        start = datetime(2015, 7, 1, tzinfo=timezone.utc)
+        times = [start + timedelta(hours=i) for i in range(8784)]
+        layout = annual_sims["tilt"].layout
+        ones = np.full(len(times), 1000.0)  # 1 kWh in every hour
+        sim = SimulationResult(layout, PanelModel(), times, ones, ones, ones, ones, ones, ones)
+        expected = [24.0 / layout.field_area] * 12
+        assert outputs.monthly_daily_yield(sim) == pytest.approx(expected, rel=1e-12)
 
     def test_summer_beats_winter(self, annual_sims):
         daily = outputs.monthly_daily_yield(annual_sims["tilt"])

@@ -24,6 +24,7 @@ from agrivolt.solar import (
     PlaneOrientation,
     SolarPosition,
     extraterrestrial_horizontal,
+    incidence_angle,
     solar_position,
 )
 
@@ -82,17 +83,20 @@ class TestComponents:
             * math.cos(sun.azimuth - plane.azimuth)
         )
         expected = 500.0 * cos_inc / math.sin(sun.altitude)
-        assert direct_on_plane(s, sun, plane) == pytest.approx(expected, rel=1e-12)
+        assert direct_on_plane(s, sun, incidence_angle(sun, plane)) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_direct_zero_below_altitude_guard(self):
         sun = SolarPosition(altitude=MIN_SUN_ALTITUDE * 0.5, azimuth=0.0)
         plane = PlaneOrientation(tilt=math.radians(30.0), azimuth=0.0)
-        assert direct_on_plane(sample(200.0, 50.0), sun, plane) == 0.0
+        assert direct_on_plane(sample(200.0, 50.0), sun, incidence_angle(sun, plane)) == 0.0
 
     def test_direct_zero_behind_plane(self):
         sun = SolarPosition(altitude=math.radians(10.0), azimuth=0.0)
         north_wall = PlaneOrientation(tilt=0.5 * math.pi, azimuth=math.pi)
-        assert direct_on_plane(sample(400.0, 50.0), sun, north_wall) == 0.0
+        incidence = incidence_angle(sun, north_wall)
+        assert direct_on_plane(sample(400.0, 50.0), sun, incidence) == 0.0
 
     def test_albedo_on_plane(self):
         s = sample(400.0, 100.0)
@@ -112,7 +116,7 @@ class TestHorizontalIdentity:
         flat = PlaneOrientation(tilt=0.0, azimuth=0.0)
         s = sample(420.0, 180.0)
         toa = 900.0
-        poa = plane_irradiance(hour(s, sun, toa), flat)
+        poa = plane_irradiance(hour(s, sun, toa), flat, incidence_angle(sun, flat))
 
         k1 = anisotropy_index(s, toa)
         k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
@@ -132,7 +136,7 @@ class TestDiffuseOnPlane:
         plane = PlaneOrientation(tilt=math.radians(45.0), azimuth=0.0)
         s = sample(300.0, 200.0)
         k1 = 0.4
-        circ, _ = diffuse_on_plane(s, sun, plane, k1, 1.0)
+        circ, _ = diffuse_on_plane(s, sun, plane, incidence_angle(sun, plane), k1, 1.0)
         cos_inc = math.cos(
             math.acos(
                 math.sin(sun.altitude) * math.cos(plane.tilt)
@@ -148,7 +152,7 @@ class TestDiffuseOnPlane:
         s = sample(300.0, 200.0)
         for tilt_deg in (0.0, 45.0, 90.0):
             plane = PlaneOrientation(tilt=math.radians(tilt_deg), azimuth=0.0)
-            _, iso = diffuse_on_plane(s, sun, plane, 0.0, 1.0)
+            _, iso = diffuse_on_plane(s, sun, plane, incidence_angle(sun, plane), 0.0, 1.0)
             sky_view = 0.5 * (1.0 + math.cos(plane.tilt))
             assert iso == pytest.approx(200.0 * sky_view, rel=1e-12)
 
@@ -166,7 +170,9 @@ class TestDiffuseOnPlane:
             bhi = rng.uniform(0.0, 800.0)
             dhi = rng.uniform(0.0, 400.0)
             toa = rng.uniform(0.0, 1200.0)
-            poa = plane_irradiance(hour(sample(bhi, dhi), sun, toa), plane)
+            poa = plane_irradiance(
+                hour(sample(bhi, dhi), sun, toa), plane, incidence_angle(sun, plane)
+            )
             assert poa.direct >= 0.0
             assert poa.circumsolar >= 0.0
             assert poa.isotropic >= 0.0
