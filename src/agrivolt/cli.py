@@ -16,10 +16,9 @@ import argparse
 import logging
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import land, outputs, scenario
 from .config import load_config
@@ -138,9 +137,18 @@ def _cmd_decision_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_yields(path: str) -> dict[int, dict[str, float]]:
-    """Per-region specific yields: region_id,tilt,vertical,tracking."""
-    path = Path(path)
+def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]:
+    """Specific yields (kWh/kW) of a region id: its ``--yields`` row
+    (region_id,tilt,vertical,tracking), else the three constant flags."""
+    if not args.yields:
+        constant = {kind: getattr(args, f"yield_{kind}") for kind in MOUNT_KINDS}
+        if None in constant.values():
+            raise InputError(
+                "potential needs either --yields or all of "
+                "--yield-tilt/--yield-vertical/--yield-tracking"
+            )
+        return lambda region: constant
+    path = Path(args.yields)
     table: dict[int, dict[str, float]] = {}
     for row, record in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
         try:
@@ -152,49 +160,24 @@ def _read_yields(path: str) -> dict[int, dict[str, float]]:
             raise InputError(f"{path}: row {row}: yields must be >= 0")
     if not table:
         raise InputError(f"{path}: no yield rows")
-    return table
+
+    def lookup(region: int) -> dict[str, float]:
+        if region not in table:
+            raise InputError(f"--yields has no row for region {region}")
+        return table[region]
+
+    return lookup
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
     _check_numbers(args)
     out = _out_dir(args.out)
     raster = land.read_ascii_grid(args.raster)
-    regions_raster = land.read_ascii_grid(args.regions)
-    if regions_raster.codes.shape != raster.codes.shape:
-        raise InputError(
-            f"region raster {regions_raster.codes.shape} does not match "
-            f"land raster {raster.codes.shape}"
-        )
+    regions = land.read_ascii_grid(args.regions)
     classes = land.load_class_sets(args.classes) if args.classes else land.DEFAULT_CLASS_SETS
-
-    per_region = _read_yields(args.yields) if args.yields else None
-    constant = {
-        "tilt": args.yield_tilt,
-        "vertical": args.yield_vertical,
-        "tracking": args.yield_tracking,
-    }
-    if per_region is None and any(v is None for v in constant.values()):
-        raise InputError(
-            "potential needs either --yields or all of "
-            "--yield-tilt/--yield-vertical/--yield-tracking"
-        )
-
+    yields = _yield_lookup(args)
     mask = land.eligibility_mask(raster, classes, args.buffer)
-    region_ids = sorted(
-        int(v)
-        for v in np.unique(regions_raster.codes)
-        if v != regions_raster.nodata
-    )
-    results = []
-    for rid in region_ids:
-        yields = per_region.get(rid) if per_region is not None else constant
-        if yields is None:
-            raise InputError(f"--yields has no row for region {rid}")
-        results.append(
-            land.region_potential(
-                raster, mask, regions_raster.codes, rid, args.capacity_density, yields
-            )
-        )
+    results = land.region_potential(raster, mask, regions, args.capacity_density, yields)
     summary = land.aggregate_potential(results, args.demand_twh)
     # every region value adds into a total, so a finite summary has finite regions
     if not all(math.isfinite(v) for v in summary.values()):
@@ -226,7 +209,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"weather ok: {args.weather} ({len(weather)} hours)")
         checked += 1
     if args.prices:
-        print(f"prices ok: {args.prices} (mean {np.mean(prices):.2f})")
+        print(f"prices ok: {args.prices} (mean {prices.mean():.2f})")
         checked += 1
     if args.raster:
         raster = land.read_ascii_grid(args.raster)

@@ -19,10 +19,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+# imported eagerly: deferring it measured slower simulate runs (more page faults)
 from scipy.ndimage import distance_transform_edt
 
 from .errors import InputError
@@ -71,43 +74,51 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
     """Read an ESRI ASCII grid of integer codes.
 
     Expects the usual header (ncols, nrows, xllcorner, yllcorner, cellsize,
-    optional NODATA_value) followed by whitespace-separated values. The
-    header values must meet :data:`_ASCII_HEADER_RULES`.
+    optional NODATA_value) followed by whitespace-separated int64 values,
+    the same number on every data line. The header values must meet
+    :data:`_ASCII_HEADER_RULES`.
     """
     path = Path(path)
     header: dict[str, float] = {}
-    data_lines: list[str] = []
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # ASCII: numpy 2.4's int64 parser crashes on some non-ASCII characters
+        with open(path, encoding="ascii") as fh:
+            start = fh.tell()
+            for line in iter(fh.readline, ""):
+                parts = line.split()
+                if parts and parts[0].lower() not in _ASCII_HEADER_RULES:
+                    fh.seek(start)  # back to the first data line
+                    break
+                start = fh.tell()
+                if not parts:
+                    continue
+                key = parts[0].lower()
+                if len(parts) != 2:
+                    raise InputError(f"{path}: malformed header line {line.strip()!r}")
+                valid, requirement = _ASCII_HEADER_RULES[key]
+                try:
+                    value = float(parts[1])
+                except ValueError:
+                    value = math.nan
+                if not (math.isfinite(value) and valid(value)):
+                    raise InputError(f"{path}: {key} must be {requirement}, got {parts[1]!r}")
+                header[key] = value
+            missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
+            if missing:
+                raise InputError(f"{path}: missing header keys {missing}")
+            with warnings.catch_warnings():
+                # an empty data block is reported below as a value count
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read raster {path}: {exc}") from exc
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        key = parts[0].lower()
-        if key in _ASCII_HEADER_RULES:
-            if len(parts) != 2:
-                raise InputError(f"{path}: malformed header line {stripped!r}")
-            valid, requirement = _ASCII_HEADER_RULES[key]
-            try:
-                value = float(parts[1])
-            except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and valid(value)):
-                raise InputError(f"{path}: {key} must be {requirement}, got {parts[1]!r}")
-            header[key] = value
-        else:
-            data_lines.append(stripped)
-    missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
-    if missing:
-        raise InputError(f"{path}: missing header keys {missing}")
+    except InputError:
+        raise
+    except ValueError as exc:  # numpy's message names the row and column
+        raise InputError(
+            f"{path}: non-integer raster values or unequal line lengths: {exc}"
+        ) from exc
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    try:
-        values = np.array(" ".join(data_lines).split(), dtype=np.int64)
-    except ValueError as exc:
-        raise InputError(f"{path}: non-integer raster values: {exc}") from exc
     if values.size != ncols * nrows:
         raise InputError(
             f"{path}: expected {ncols * nrows} values ({ncols} x {nrows}), got {values.size}"
@@ -119,20 +130,6 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
         yllcorner=header["yllcorner"],
         nodata=int(header.get("nodata_value", -9999)),
     )
-
-
-def write_ascii_grid(path: str | Path, raster: LandRaster) -> None:
-    """Write a raster back out as an ESRI ASCII grid."""
-    nrows, ncols = raster.codes.shape
-    with open(path, "w") as fh:
-        fh.write(f"ncols {ncols}\n")
-        fh.write(f"nrows {nrows}\n")
-        fh.write(f"xllcorner {raster.xllcorner:g}\n")
-        fh.write(f"yllcorner {raster.yllcorner:g}\n")
-        fh.write(f"cellsize {raster.cell_size:g}\n")
-        fh.write(f"NODATA_value {raster.nodata}\n")
-        for row in raster.codes:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -215,41 +212,47 @@ class RegionPotential:
     energy_twh: dict[str, float] = field(default_factory=dict)
 
 
+def _grid(r: LandRaster) -> str:
+    return f"shape {r.codes.shape}, cellsize {r.cell_size}, corner ({r.xllcorner}, {r.yllcorner})"
+
+
 def region_potential(
     raster: LandRaster,
     eligible: np.ndarray,
-    regions: np.ndarray,
-    region_id: int,
+    regions: LandRaster,
     capacity_density_w_m2: float,
-    specific_yields_kwh_kw: dict[str, float],
-) -> RegionPotential:
-    """Potential of one region: eligible area, capacity and annual energy.
+    yields: Callable[[int], dict[str, float]],
+) -> list[RegionPotential]:
+    """Potential of every region: eligible area, capacity and annual energy.
 
-    ``regions`` assigns a region id to every pixel (same shape as the
-    raster). Capacity = eligible area x capacity density; energy per mount
-    kind = capacity x that kind's specific yield.
+    ``regions`` assigns a region id to every pixel of the land raster's
+    grid; its NODATA pixels belong to no region. Regions come in id order.
+    Capacity = eligible area x capacity density; energy per mount kind =
+    capacity x that kind's specific yield in ``yields(region_id)``.
     """
-    if regions.shape != raster.codes.shape:
+    if _grid(regions) != _grid(raster):
         raise InputError(
-            f"region raster shape {regions.shape} does not match land raster "
-            f"{raster.codes.shape}"
+            f"region raster grid ({_grid(regions)}) does not match "
+            f"land raster grid ({_grid(raster)})"
         )
-    in_region = (regions == region_id) & (raster.codes != raster.nodata)
-    total_km2 = float(in_region.sum()) * raster.pixel_area_km2
-    eligible_km2 = float((in_region & eligible).sum()) * raster.pixel_area_km2
-    capacity_gw = eligible_km2 * 1.0e6 * capacity_density_w_m2 / 1.0e9
-    energy = {
-        kind: capacity_gw * yield_kwh_kw / 1000.0
-        for kind, yield_kwh_kw in specific_yields_kwh_kw.items()
-    }
-    return RegionPotential(
-        region_id=region_id,
-        total_km2=total_km2,
-        eligible_km2=eligible_km2,
-        share_pct=100.0 * eligible_km2 / total_km2 if total_km2 > 0.0 else 0.0,
-        capacity_gw=capacity_gw,
-        energy_twh=energy,
-    )
+    ids = np.unique(regions.codes)
+    index = np.searchsorted(ids, regions.codes.ravel())  # a third of return_inverse's cost
+    land = (raster.codes != raster.nodata).ravel()
+    total_px = np.bincount(index[land], minlength=ids.size)
+    eligible_px = np.bincount(index[land & eligible.ravel()], minlength=ids.size)
+    results = []
+    for region_id, total, eligible_count in zip(ids.tolist(), total_px, eligible_px):
+        if region_id == regions.nodata:
+            continue
+        total_km2 = float(total) * raster.pixel_area_km2
+        eligible_km2 = float(eligible_count) * raster.pixel_area_km2
+        capacity_gw = eligible_km2 * 1.0e6 * capacity_density_w_m2 / 1.0e9
+        share_pct = 100.0 * eligible_km2 / total_km2 if total_km2 > 0.0 else 0.0
+        energy = {kind: capacity_gw * kwh / 1000.0 for kind, kwh in yields(region_id).items()}
+        results.append(
+            RegionPotential(region_id, total_km2, eligible_km2, share_pct, capacity_gw, energy)
+        )
+    return results
 
 
 def aggregate_potential(

@@ -69,13 +69,6 @@ class RowGeometry:
     count: int
     normal: np.ndarray
 
-    def corners(self, index: int) -> np.ndarray:
-        """The four corner points of row ``index``, shape (4, 3)."""
-        base = self.origin + index * self.pitch
-        return np.array(
-            [base, base + self.along, base + self.along + self.rise, base + self.rise]
-        )
-
     @cached_property
     def length(self) -> float:
         return float(np.linalg.norm(self.along))

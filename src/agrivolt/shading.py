@@ -151,26 +151,6 @@ def row_shading(
     return 1, geom.count - 1, state
 
 
-def row_shading_fractions(geom: RowGeometry, sun_vec3: np.ndarray) -> np.ndarray:
-    """Per-row geometric shading fractions F_GS, indexed like the rows.
-
-    Mainly for verification: rows with at least one sun-side neighbour all
-    share the same fraction, the edge row on the sun side has zero.
-    """
-    fractions = np.zeros(geom.count)
-    rect = _shadow_rectangle(geom, sun_vec3)
-    if rect is None:
-        return fractions
-    _, shaded, state = row_shading(geom, sun_vec3)
-    if shaded == 0:
-        return fractions
-    fractions[:] = state.f_gs
-    # the outermost row in the neighbour direction has nobody sun-side
-    direction = rect[2]
-    fractions[geom.count - 1 if direction > 0 else 0] = 0.0
-    return fractions
-
-
 def ground_shadow_mask(
     geom: RowGeometry, sun_vec3: np.ndarray, xx: np.ndarray, yy: np.ndarray
 ) -> np.ndarray:

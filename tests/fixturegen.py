@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from agrivolt.land import LandRaster
 from agrivolt.sky import IrradianceSample
 from agrivolt.solar import GeoLocation, extraterrestrial_horizontal, solar_position
 
@@ -188,3 +189,17 @@ def write_price_csv(path: str | Path, times: list[datetime], prices: np.ndarray)
         for t, p in zip(times, prices):
             writer.writerow([t.strftime("%Y-%m-%dT%H:%M:%SZ"), f"{p:.2f}"])
     return path
+
+
+def write_ascii_grid(path: str | Path, raster: LandRaster) -> None:
+    """Write a raster as an ESRI ASCII grid: header first, one line per row."""
+    nrows, ncols = raster.codes.shape
+    with open(path, "w") as fh:
+        fh.write(f"ncols {ncols}\n")
+        fh.write(f"nrows {nrows}\n")
+        fh.write(f"xllcorner {raster.xllcorner:g}\n")
+        fh.write(f"yllcorner {raster.yllcorner:g}\n")
+        fh.write(f"cellsize {raster.cell_size:g}\n")
+        fh.write(f"NODATA_value {raster.nodata}\n")
+        for row in raster.codes:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -4,7 +4,9 @@ Everything here deliberately avoids the analytic shortcuts the package
 uses (interval overlaps, projected-parallelogram affine inverses,
 distance transforms, closed-form tracker rotation). The tests compare
 the fast production routines against these slow, geometry-literal
-routes on randomized and hand-picked cases.
+routes on randomized and hand-picked cases. ``row_shading_fractions``
+is the one exception: it spreads the production shading state over the
+rows so that it can be compared with the per-row oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from agrivolt.electrical import (
     wind_at_module,
 )
 from agrivolt.layout import Layout, RowGeometry
-from agrivolt.land import ClassSets, LandRaster
+from agrivolt.land import ClassSets, LandRaster, RegionPotential
 from agrivolt.shading import UNSHADED, ShadingState, row_shading
 from agrivolt.sky import PlaneIrradiance, SkyHour, plane_irradiance
 from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle, sun_vector
@@ -30,6 +32,30 @@ _EPS = 1.0e-9
 
 def _row_base(geom: RowGeometry, index: int) -> np.ndarray:
     return geom.origin + index * geom.pitch
+
+
+def row_corners(geom: RowGeometry, index: int) -> np.ndarray:
+    """The four corner points of row ``index``, shape (4, 3)."""
+    base = _row_base(geom, index)
+    return np.array([base, base + geom.along, base + geom.along + geom.rise, base + geom.rise])
+
+
+def row_shading_fractions(geom: RowGeometry, sun_vec3: np.ndarray) -> np.ndarray:
+    """Per-row geometric shading fractions F_GS from ``row_shading``.
+
+    Rows with a sun-side neighbour share the production state's fraction;
+    the edge row on the sun side has zero.
+    """
+    fractions = np.zeros(geom.count)
+    _, shaded, state = row_shading(geom, sun_vec3)
+    if shaded == 0:
+        return fractions
+    fractions[:] = state.f_gs
+    # neighbours shade from the +pitch side when pitch and normal point the
+    # same way relative to the sun; the last row in that direction has none
+    tau = float(np.dot(geom.pitch, geom.normal)) / float(np.dot(sun_vec3, geom.normal))
+    fractions[geom.count - 1 if tau > 0.0 else 0] = 0.0
+    return fractions
 
 
 def rasterized_row_shading(
@@ -160,6 +186,43 @@ def brute_force_eligibility(
         min_d = math.sqrt(float(d2.min())) * raster.cell_size
         eligible[r, c] = min_d > buffer_m
     return eligible
+
+
+def reference_region_potential(
+    raster: LandRaster,
+    eligible: np.ndarray,
+    regions: LandRaster,
+    capacity_density_w_m2: float,
+    yields,
+) -> list[RegionPotential]:
+    """Per-region potential by one full-raster mask per region.
+
+    The region ids are the distinct values of ``regions`` other than its
+    NODATA; each region's land and eligible pixels are counted with its
+    own ``regions == id`` mask over the whole grid.
+    """
+    region_ids = sorted(int(v) for v in np.unique(regions.codes) if v != regions.nodata)
+    results = []
+    for rid in region_ids:
+        in_region = (regions.codes == rid) & (raster.codes != raster.nodata)
+        total_km2 = float(in_region.sum()) * raster.pixel_area_km2
+        eligible_km2 = float((in_region & eligible).sum()) * raster.pixel_area_km2
+        capacity_gw = eligible_km2 * 1.0e6 * capacity_density_w_m2 / 1.0e9
+        energy = {
+            kind: capacity_gw * yield_kwh_kw / 1000.0
+            for kind, yield_kwh_kw in yields(rid).items()
+        }
+        results.append(
+            RegionPotential(
+                region_id=rid,
+                total_km2=total_km2,
+                eligible_km2=eligible_km2,
+                share_pct=100.0 * eligible_km2 / total_km2 if total_km2 > 0.0 else 0.0,
+                capacity_gw=capacity_gw,
+                energy_twh=energy,
+            )
+        )
+    return results
 
 
 def sweep_min_incidence(

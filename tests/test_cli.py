@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import agrivolt
 from agrivolt.cli import main
-from agrivolt.land import LandRaster, write_ascii_grid
+from agrivolt.land import LandRaster
+from fixturegen import write_ascii_grid
 
 EXPECTED_ARTIFACTS = {
     "indicators.csv",
@@ -327,6 +328,10 @@ class TestPotential:
             ]
             assert main(command) == 2, table
             assert "error:" in capsys.readouterr().err
+        # a table without a row for region 2 names it
+        tables[-1].write_text(header + "1,1,1,1\n")
+        assert main(command) == 2
+        assert "no row for region 2" in capsys.readouterr().err
         assert not (tmp_path / "pot").exists()
 
     def test_unreadable_raster_or_classes_exit_2(self, potential_inputs, tmp_path, capsys):
@@ -346,6 +351,11 @@ class TestPotential:
                     for old in land_path.read_text().splitlines()
                 )
             )
+        # a value one past the int64 range
+        rasters.append(tmp_path / "overflow.asc")
+        rasters[-1].write_text(
+            land_path.read_text().replace("211", "9223372036854775808", 1)
+        )
         class_files = []
         for text in (
             '{"include": ["x"], "exclude": [112]}',
@@ -397,22 +407,33 @@ class TestPotential:
             assert "nan" not in text and "inf" not in text, artifact.name
 
     def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys):
+        """A region raster of another shape, cell size or corner than the land
+        raster (6 x 6 cells of 1000 m from (0, 0)) exits 2 naming both grids."""
         land_path, _ = potential_inputs
-        small = tmp_path / "small.asc"
-        write_ascii_grid(
-            small, LandRaster(codes=np.ones((2, 2), dtype=np.int64), cell_size=1000.0)
-        )
-        code = main(
-            [
-                "potential",
-                "--raster", str(land_path),
-                "--regions", str(small),
-                "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
-                "--out", str(tmp_path / "pot"),
-            ]
-        )
-        assert code == 2
-        assert "does not match" in capsys.readouterr().err
+        ones = np.ones((6, 6), dtype=np.int64)
+        for regions in (
+            LandRaster(codes=np.ones((2, 2), dtype=np.int64), cell_size=1000.0),
+            LandRaster(codes=ones, cell_size=100.0),
+            LandRaster(codes=ones, cell_size=1000.0, xllcorner=5000.0),
+            LandRaster(codes=ones, cell_size=1000.0, yllcorner=-1000.0),
+        ):
+            other = tmp_path / "other.asc"
+            write_ascii_grid(other, regions)
+            code = main(
+                [
+                    "potential",
+                    "--raster", str(land_path),
+                    "--regions", str(other),
+                    "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
+                    "--out", str(tmp_path / "pot"),
+                ]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "does not match" in err
+            assert "shape (6, 6), cellsize 1000.0, corner (0.0, 0.0)" in err
+            assert f"cellsize {regions.cell_size}" in err
+            assert not (tmp_path / "pot").exists()
 
 
 #: Weather or price rows: arbitrary text, or comma-joined fields mixing
@@ -442,6 +463,24 @@ CSV_ROWS = st.one_of(
 )
 
 
+#: Raster data blocks: arbitrary text, or lines of integer-like tokens, in
+#: and out of the int64 range, with varied separators.
+RASTER_DATA = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**64), max_value=2**64).map(str),
+                st.sampled_from(["211", "-9999", "+7", "1.0", "1e3", "0x10", "nan", "ncols"]),
+                st.text(max_size=4),
+            ),
+            max_size=4,
+        ).map(" ".join),
+        max_size=4,
+    ).map("\n".join),
+)
+
+
 class TestValidate:
     @settings(
         max_examples=300,
@@ -463,6 +502,22 @@ class TestValidate:
             price_file.write_text("\n".join(["time,price", *rows]), encoding="utf-8")
             command += ["--prices", str(price_file)]
         assert main(command) in (0, 2)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=RASTER_DATA)
+    def test_any_raster_data_is_valid_or_input_error(self, tmp_path, data):
+        """Whatever text follows a valid 2 x 2 raster header, ``validate``
+        exits 0 or 2, never 3."""
+        raster = tmp_path / "raster.asc"
+        raster.write_text(
+            "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 100\n" + data,
+            encoding="utf-8",
+        )
+        assert main(["validate", "--raster", str(raster)]) in (0, 2)
 
     def test_all_inputs_ok(self, cli_config, data_dir, potential_inputs, tmp_path, capsys):
         land_path, _ = potential_inputs

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrivolt.errors import InputError
 from agrivolt.land import (
@@ -17,10 +21,9 @@ from agrivolt.land import (
     load_class_sets,
     read_ascii_grid,
     region_potential,
-    write_ascii_grid,
 )
-
-from oracles import brute_force_eligibility
+from fixturegen import write_ascii_grid
+from oracles import brute_force_eligibility, reference_region_potential
 
 FARM, CITY, FOREST, SHRUB = 211, 112, 311, 324
 
@@ -77,11 +80,41 @@ class TestAsciiGridIO:
 
     def test_non_integer_values(self, tmp_path):
         path = tmp_path / "float.asc"
-        path.write_text(
-            "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 100\n21.5 211\n"
-        )
+        header = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 100\n"
+        path.write_text(header + "21.5 211\n")
         with pytest.raises(InputError, match="non-integer"):
             read_ascii_grid(path)
+        # one past either end of int64
+        for value in ("9223372036854775808", "-9223372036854775809"):
+            path.write_text(header + f"{value} 211\n")
+            with pytest.raises(InputError, match="non-integer"):
+                read_ascii_grid(path)
+        path.write_text(header + "9223372036854775807 -9223372036854775808\n")
+        assert read_ascii_grid(path).codes.tolist() == [[2**63 - 1, -(2**63)]]
+
+    def test_header_first_and_equal_line_lengths(self, tmp_path):
+        path = tmp_path / "grid.asc"
+        header = ["ncols 2", "nrows 2", "xllcorner 0", "yllcorner 0", "cellsize 100"]
+        path.write_text("\n".join(header[:4] + ["211 211", header[4], "211 211"]) + "\n")
+        with pytest.raises(InputError, match=r"missing header keys \['cellsize'\]"):
+            read_ascii_grid(path)
+        path.write_text("\n".join(header + ["211 211", "NODATA_value -1", "211 211"]) + "\n")
+        with pytest.raises(InputError, match="non-integer"):
+            read_ascii_grid(path)
+        path.write_text("\n".join(header + ["211 211 211", "211"]) + "\n")
+        with pytest.raises(InputError, match="unequal line lengths"):
+            read_ascii_grid(path)
+        # blank lines anywhere and one line for the whole grid are still fine
+        path.write_text("\n".join(["", *header, "", "211 212 213 214", "  "]) + "\n")
+        np.testing.assert_array_equal(read_ascii_grid(path).codes, [[211, 212], [213, 214]])
+
+    def test_empty_data_block(self, tmp_path, recwarn):
+        path = tmp_path / "empty.asc"
+        for data in ("", "\n  \n"):
+            path.write_text("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 100\n" + data)
+            with pytest.raises(InputError, match="expected 2 values .* got 0"):
+                read_ascii_grid(path)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
@@ -90,6 +123,12 @@ class TestAsciiGridIO:
         latin1.write_bytes(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xe9\n")
         with pytest.raises(InputError, match="cannot read"):
             read_ascii_grid(latin1)
+        # valid UTF-8 but not ASCII: an Arabic-Indic digit, a private-use character
+        unicode = tmp_path / "unicode.asc"
+        for text in ("\u0663", "\U000f0000"):
+            unicode.write_text(f"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n{text}\n")
+            with pytest.raises(InputError, match="cannot read"):
+                read_ascii_grid(unicode)
 
     def test_default_nodata(self, tmp_path):
         path = tmp_path / "plain.asc"
@@ -233,6 +272,15 @@ class TestClassSets:
                 load_class_sets(path)
 
 
+def on_grid(raster, regions):
+    """Region ids as a raster on ``raster``'s grid."""
+    return replace(raster, codes=np.asarray(regions, dtype=np.int64))
+
+
+def constant(yields):
+    return lambda region_id: yields
+
+
 class TestRegionPotential:
     def test_capacity_arithmetic_large_region(self):
         """17,000 eligible km2-scale pixels of 100 km2 each at 30 W/m2 give
@@ -240,8 +288,8 @@ class TestRegionPotential:
         codes = np.full((170, 100), FARM)
         raster = make_raster(codes, cell_size=10_000.0)
         eligible = np.ones_like(codes, dtype=bool)
-        regions = np.ones_like(codes, dtype=np.int64)
-        pot = region_potential(raster, eligible, regions, 1, 30.0, {"tilt": 1000.0})
+        regions = on_grid(raster, np.ones_like(codes))
+        (pot,) = region_potential(raster, eligible, regions, 30.0, constant({"tilt": 1000.0}))
         assert pot.total_km2 == pytest.approx(1.7e6, rel=1e-12)
         assert pot.eligible_km2 == pytest.approx(1.7e6, rel=1e-12)
         assert pot.share_pct == 100.0
@@ -255,9 +303,9 @@ class TestRegionPotential:
         codes[0, :42] = FOREST  # 8383 - 42 = 8341 farm pixels
         raster = make_raster(codes, cell_size=1000.0)
         eligible = np.isin(codes, [FARM])
-        regions = np.ones_like(codes, dtype=np.int64)
-        pot = region_potential(
-            raster, eligible, regions, 1, 30.0, {"vertical": 850.0, "tilt": 1000.0}
+        regions = on_grid(raster, np.ones_like(codes))
+        (pot,) = region_potential(
+            raster, eligible, regions, 30.0, constant({"vertical": 850.0, "tilt": 1000.0})
         )
         assert eligible.sum() == 8341
         assert pot.eligible_km2 == pytest.approx(8341.0, rel=1e-12)
@@ -272,7 +320,8 @@ class TestRegionPotential:
         regions = np.zeros((4, 4), dtype=np.int64)
         regions[:, 2:] = 7
         eligible = eligibility_mask(raster, buffer_m=0.0)
-        pot = region_potential(raster, eligible, regions, 7, 25.0, {})
+        pots = region_potential(raster, eligible, on_grid(raster, regions), 25.0, constant({}))
+        pot = {p.region_id: p for p in pots}[7]
         assert pot.region_id == 7
         assert pot.total_km2 == pytest.approx(8.0)
         assert pot.eligible_km2 == pytest.approx(8.0)
@@ -282,26 +331,77 @@ class TestRegionPotential:
         codes = np.full((3, 3), FARM)
         codes[0, 0] = -9999
         raster = make_raster(codes, cell_size=1000.0)
-        regions = np.ones((3, 3), dtype=np.int64)
+        regions = on_grid(raster, np.ones((3, 3)))
         eligible = eligibility_mask(raster)
-        pot = region_potential(raster, eligible, regions, 1, 30.0, {})
+        (pot,) = region_potential(raster, eligible, regions, 30.0, constant({}))
         assert pot.total_km2 == pytest.approx(8.0)
 
     def test_shape_mismatch_rejected(self):
         raster = make_raster(np.full((3, 3), FARM))
         eligible = np.ones((3, 3), dtype=bool)
-        regions = np.ones((2, 3), dtype=np.int64)
-        with pytest.raises(InputError, match="shape"):
-            region_potential(raster, eligible, regions, 1, 30.0, {})
+        for regions in (
+            on_grid(raster, np.ones((2, 3))),
+            replace(on_grid(raster, np.ones((3, 3))), cell_size=1000.0),
+            replace(on_grid(raster, np.ones((3, 3))), xllcorner=5000.0),
+            replace(on_grid(raster, np.ones((3, 3))), yllcorner=-100.0),
+        ):
+            with pytest.raises(InputError, match="shape") as info:
+                region_potential(raster, eligible, regions, 30.0, constant({}))
+            assert "does not match" in str(info.value)
 
     def test_empty_region(self):
-        raster = make_raster(np.full((3, 3), FARM))
+        """A region that lies only on land NODATA has no area and no share."""
+        codes = np.full((3, 3), FARM)
+        codes[0, :] = -9999
+        raster = make_raster(codes)
         eligible = np.ones((3, 3), dtype=bool)
         regions = np.ones((3, 3), dtype=np.int64)
-        pot = region_potential(raster, eligible, regions, 99, 30.0, {"tilt": 900.0})
+        regions[0, :] = 99
+        pots = region_potential(
+            raster, eligible, on_grid(raster, regions), 30.0, constant({"tilt": 900.0})
+        )
+        pot = {p.region_id: p for p in pots}[99]
         assert pot.total_km2 == 0.0
         assert pot.share_pct == 0.0
         assert pot.capacity_gw == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_region_reference(self, data):
+        """Every field of every region equals the per-region mask loop, with
+        NODATA in either raster, different NODATA values, and negative and
+        large region ids."""
+        shape = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9)), label="shape")
+        land_nodata = data.draw(st.sampled_from([-9999, 0, 211]), label="land nodata")
+        region_nodata = data.draw(st.sampled_from([-9999, 0, 7, -(2**63)]), label="region nodata")
+        ids = st.sampled_from([1, 2, 7, 0, -5, -9999, 2**62, -(2**63), 2**63 - 1])
+        cells = shape[0] * shape[1]
+        codes = data.draw(
+            st.lists(
+                st.sampled_from([FARM, CITY, SHRUB, land_nodata]), min_size=cells, max_size=cells
+            ),
+            label="codes",
+        )
+        region_ids = data.draw(st.lists(ids, min_size=cells, max_size=cells), label="regions")
+        raster = make_raster(
+            np.reshape(codes, shape),
+            cell_size=data.draw(st.sampled_from([1.0, 30.0, 100.0, 2500.0])),
+            nodata=land_nodata,
+        )
+        region_codes = np.reshape(np.array(region_ids, dtype=np.int64), shape)
+        regions = replace(raster, codes=region_codes, nodata=region_nodata)
+        eligible = eligibility_mask(raster, buffer_m=data.draw(st.sampled_from([0.0, 100.0])))
+        density = data.draw(st.sampled_from([0.5, 30.0, 71.3]))
+
+        def yields(region_id):
+            return {"tilt": 1000.0 + region_id % 97, "vertical": 850.0, "tracking": 0.0}
+
+        fast = region_potential(raster, eligible, regions, density, yields)
+        slow = reference_region_potential(raster, eligible, regions, density, yields)
+        assert [p.region_id for p in fast] == [p.region_id for p in slow]
+        for a, b in zip(fast, slow):
+            assert a == b
+            assert type(a.region_id) is int
 
 
 class TestAggregatePotential:

