@@ -17,13 +17,13 @@ import logging
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 from pathlib import Path
 
 from . import land, outputs, scenario
 from .config import load_config
 from .errors import ComputationError, InputError
 from .layout import MOUNT_KINDS
+from .sky import sky_year
 from .weather import _parse_float, _records, check_full_year, ingest_prices, ingest_weather
 
 log = logging.getLogger(__name__)
@@ -113,13 +113,8 @@ def _out_dir(path: str) -> Path:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_numbers(args)
     out = _out_dir(args.out)
-    config = load_config(args.config)
-    if args.wind_shear_exponent is not None:
-        config = replace(
-            config,
-            panel=replace(config.panel, wind_shear_exponent=args.wind_shear_exponent),
-        )
-    weather = ingest_weather(args.weather, config.location)
+    config = load_config(args.config, args.wind_shear_exponent)
+    weather = ingest_weather(args.weather)
     prices = None
     if args.prices:
         prices = ingest_prices(args.prices, [s.time for s in weather])
@@ -131,7 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_decision_map(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     config = load_config(args.config)
-    weather = ingest_weather(args.weather, config.location)
+    weather = ingest_weather(args.weather)
     target = scenario.run_decision_map(config, weather, out, args.threads)
     print(f"wrote {target}")
     return 0
@@ -198,7 +193,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         checked += 1
     weather = None
     if args.weather:
-        weather = ingest_weather(args.weather, config.location if config else None)
+        weather = ingest_weather(args.weather)
+        if config is not None:
+            sky_year(config.location, weather)  # logs beam above top-of-atmosphere
     if args.prices:
         if weather is None:
             raise InputError("--prices validation needs --weather for the timeline")

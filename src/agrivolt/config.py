@@ -19,9 +19,9 @@ from itertools import product
 from pathlib import Path
 
 from .agronomy import GROWING_MONTHS, CropThresholds
-from .electrical import PanelModel
+from .electrical import PanelModel, wind_at_module
 from .errors import InputError
-from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS, Layout, optimal_tilt
+from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS, Layout, build_layout
 from .solar import GeoLocation
 
 log = logging.getLogger(__name__)
@@ -121,12 +121,13 @@ KEYS = {
 _REQUIRED = (("meta", "schema_version"), ("location", "latitude"), ("location", "longitude"))
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario INI file.
+def load_config(path: str | Path, wind_shear_exponent: float | None = None) -> ScenarioConfig:
+    """Parse and validate a scenario INI file; ``wind_shear_exponent``
+    overrides ``[panel] wind_shear_exponent``.
 
     Besides the per-key checks, every (kind, spacing, height) case of the
-    grid must be a feasible :class:`Layout`, so a configuration that loads
-    can be simulated.
+    grid must be a feasible :class:`Layout` with a finite wind shear
+    factor, so a configuration that loads can be simulated.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -169,6 +170,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if target is not None:
             group, _, name = target.rpartition(".")
             values[group][name] = value
+    if wind_shear_exponent is not None:
+        values["panel"]["wind_shear_exponent"] = wind_shear_exponent
 
     try:
         location = GeoLocation(**values["location"])
@@ -182,26 +185,33 @@ def load_config(path: str | Path) -> ScenarioConfig:
             clearances={**DEFAULT_CLEARANCE, **values["clearances"]},
             **values[""],
         )
-        tilt = optimal_tilt(location.latitude) if config.tilt_deg is None else tilt_radians(config)
         for kind, spacing, height in product(config.kinds, config.spacings, config.heights):
-            Layout(
-                kind=kind,
-                spacing=spacing,
-                height=height,
-                clearance=config.clearances[kind],
-                tilt=tilt,
-                bifaciality=config.bifaciality_vertical if kind == "vertical" else 0.0,
-            )
+            layout = case_layout(config, kind, spacing, height, config.electrical_field_m)
+            # the wind factor (h/10)^exp must not overflow
+            wind_at_module(1.0, layout.mid_height, config.panel.wind_shear_exponent)
     except ValueError as exc:
         raise InputError(f"{path}: invalid value: {exc}") from exc
     return config
 
 
-def tilt_radians(config: ScenarioConfig) -> float | None:
-    return None if config.tilt_deg is None else math.radians(config.tilt_deg)
+def case_layout(
+    config: ScenarioConfig, kind: str, spacing: float, height: float, field_m: float
+) -> Layout:
+    """The layout of one grid case on a square field of side ``field_m``.
 
-
-def max_rotation_radians(config: ScenarioConfig) -> float | None:
-    if config.tracker_max_rotation_deg is None:
-        return None
-    return math.radians(config.tracker_max_rotation_deg)
+    Fixed rows take ``tilt_deg``, else the optimal tilt of the latitude;
+    each kind takes its configured clearance, and only vertical rows are
+    bifacial.
+    """
+    rotation = config.tracker_max_rotation_deg
+    return build_layout(
+        kind=kind,
+        spacing=spacing,
+        height=height,
+        field=(field_m, field_m),
+        clearance=config.clearances[kind],
+        tilt=None if config.tilt_deg is None else math.radians(config.tilt_deg),
+        latitude_deg=config.location.latitude,
+        bifaciality=config.bifaciality_vertical if kind == "vertical" else 0.0,
+        max_rotation=None if rotation is None else math.radians(rotation),
+    )

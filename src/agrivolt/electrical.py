@@ -88,7 +88,10 @@ def wind_at_module(wind10: float, module_height: float, exponent: float = 2.0) -
     """Wind speed scaled from 10 m to module mid height: (h/10)^exp * w10."""
     if module_height <= 0.0:
         raise ValueError(f"module height must be positive: {module_height}")
-    return (module_height / 10.0) ** exponent * wind10
+    try:
+        return (module_height / 10.0) ** exponent * wind10
+    except OverflowError:
+        raise ValueError(f"(h/10)^exp overflows at h = {module_height:g} m, exp = {exponent:g}")
 
 
 def cell_temperature(
@@ -201,7 +204,7 @@ def simulate_year(
     row_area = layout.row_length * layout.height
     p_stc_row = panel.stc_efficiency * panel.g_stc * row_area
     bifacial = layout.bifaciality > 0.0
-    wind_height = layout.mid_height
+    wind_factor = wind_at_module(1.0, layout.mid_height, panel.wind_shear_exponent)
 
     for i, hour in enumerate(sky):
         sample, sun = hour.sample, hour.sun
@@ -229,7 +232,7 @@ def simulate_year(
         else:
             n_open, n_shaded, state = rows, 0, UNSHADED
 
-        w_mod = wind_at_module(sample.wind10, wind_height, panel.wind_shear_exponent)
+        w_mod = wind_factor * sample.wind10
         phi = layout.bifaciality
         p_sum = t_sum = g_sum = 0.0
         for count, st in ((n_open, UNSHADED), (n_shaded, state)):

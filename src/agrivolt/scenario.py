@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import agronomy, indicators, outputs
-from .config import ScenarioConfig, max_rotation_radians, tilt_radians
+from .config import ScenarioConfig, case_layout
 from .electrical import SimulationResult, simulate_year
-from .layout import Layout, build_layout
 from .shading import GroundGrid, ground_irradiance_map
 from .sky import IrradianceSample, SkyHour, sky_year
 
@@ -63,20 +62,6 @@ def expand_cases(config: ScenarioConfig) -> list[CaseSpec]:
     ]
 
 
-def layout_for(config: ScenarioConfig, spec: CaseSpec, field_m: float) -> Layout:
-    return build_layout(
-        kind=spec.kind,
-        spacing=spec.spacing,
-        height=spec.height,
-        field=(field_m, field_m),
-        clearance=config.clearances[spec.kind],
-        tilt=tilt_radians(config),
-        latitude_deg=config.location.latitude,
-        bifaciality=config.bifaciality_vertical if spec.kind == "vertical" else 0.0,
-        max_rotation=max_rotation_radians(config),
-    )
-
-
 def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
     """Sum per-month ground grids into one accumulation period."""
     first = grids[0]
@@ -95,25 +80,23 @@ def run_case(
     config: ScenarioConfig,
     spec: CaseSpec,
     sky: list[SkyHour],
-    months: tuple[int, ...],
+    monthly: dict[int, list[SkyHour]],
 ) -> CaseResult:
     """Simulate one grid case: electricity year plus ground grids.
 
-    ``sky`` is :func:`sky.sky_year` of the configured location. ``months``
-    lists every calendar month any downstream artifact needs; grids
-    accumulate per month so ground-map and growing-period artifacts can
-    combine them without re-scanning the weather.
+    ``sky`` is :func:`sky.sky_year` of the configured location and
+    ``monthly`` its hours by calendar month, for every month any downstream
+    artifact needs; grids accumulate per month so ground-map and
+    growing-period artifacts can combine them without re-scanning the
+    weather.
     """
-    electrical = layout_for(config, spec, config.electrical_field_m)
+    field_m = config.electrical_field_m
+    electrical = case_layout(config, spec.kind, spec.spacing, spec.height, field_m)
     simulation = simulate_year(electrical, sky, config.panel, config.albedo)
-    ground_layout = layout_for(config, spec, config.ground_field_m)
+    ground_layout = replace(electrical, field=(config.ground_field_m, config.ground_field_m))
     grids = {
-        month: ground_irradiance_map(
-            ground_layout,
-            [hour for hour in sky if hour.sample.time.month == month],
-            cell_size=config.ground_cell_m,
-        )
-        for month in sorted(set(months))
+        month: ground_irradiance_map(ground_layout, hours, cell_size=config.ground_cell_m)
+        for month, hours in monthly.items()
     }
     return CaseResult(spec=spec, simulation=simulation, monthly_grids=grids)
 
@@ -121,13 +104,13 @@ def run_case(
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(config: ScenarioConfig, weather, months) -> None:
-    _WORKER_STATE["args"] = (config, sky_year(config.location, weather), months)
+def _init_worker(*args) -> None:
+    _WORKER_STATE["args"] = args
 
 
 def _run_case_worker(spec: CaseSpec) -> CaseResult:
-    config, sky, months = _WORKER_STATE["args"]
-    return run_case(config, spec, sky, months)
+    config, sky, monthly = _WORKER_STATE["args"]
+    return run_case(config, spec, sky, monthly)
 
 
 def run_cases(
@@ -140,16 +123,17 @@ def run_cases(
 
     Results come back in grid order whatever the worker count, and each
     case's computation is independent of scheduling, so downstream
-    artifacts do not depend on ``threads``. The sky year is derived once
-    per process: here in-process, else once in each worker.
+    artifacts do not depend on ``threads``. The sky year and its month
+    groups are derived once, here, and every worker reads them.
     """
     cases = expand_cases(config)
+    sky = sky_year(config.location, weather)
+    monthly = {m: [h for h in sky if h.sample.time.month == m] for m in sorted(set(months))}
     if threads <= 1 or len(cases) == 1:
-        sky = sky_year(config.location, weather)
-        return [run_case(config, spec, sky, months) for spec in cases]
+        return [run_case(config, spec, sky, monthly) for spec in cases]
     workers = min(threads, len(cases))
     with multiprocessing.Pool(
-        processes=workers, initializer=_init_worker, initargs=(config, weather, months)
+        processes=workers, initializer=_init_worker, initargs=(config, sky, monthly)
     ) as pool:
         return list(pool.imap(_run_case_worker, cases))
 

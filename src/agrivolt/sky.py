@@ -10,11 +10,15 @@ reach the collector.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
 
+from .errors import listed
 from .solar import GeoLocation, PlaneOrientation, SolarPosition, solar_position, toa_horizontal
+
+log = logging.getLogger(__name__)
 
 #: Sun altitudes at or below this threshold produce no beam-like irradiance
 #: on a tilted plane; avoids the 1/sin(altitude) blow-up near the horizon.
@@ -151,13 +155,21 @@ def albedo_on_plane(
 
 
 def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> list[SkyHour]:
-    """The sky of every weather hour, each hour's sun computed once."""
+    """The sky of every weather hour, each hour's sun computed once. Hours whose
+    beam exceeds the top-of-atmosphere irradiance by over 1 W/m2 are kept and logged."""
     hours = []
     for sample in weather:
         sun = solar_position(location, sample.time)
         toa = toa_horizontal(sun, sample.time)
         k_hori = horizon_brightening(diffuse_fraction(sample), sun.altitude)
         hours.append(SkyHour(sample, sun, toa, anisotropy_index(sample, toa), k_hori))
+    over_toa = [h.sample.time.isoformat() for h in hours if h.sample.bhi > h.toa + 1.0]
+    if over_toa:
+        log.warning(
+            "beam exceeds top-of-atmosphere irradiance in %d hours (%s)",
+            len(over_toa),
+            listed(over_toa),
+        )
     return hours
 
 

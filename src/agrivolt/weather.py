@@ -5,8 +5,7 @@ Weather files carry hourly rows ``time,bhi,dhi,ghi,temp_air,wind10``
 ISO 8601). Validation is strict about structure (columns, hourly
 continuity, sign) and lenient about small physical inconsistencies: a
 global component that misses bhi + dhi by more than 1 W/m2 is repaired to
-the component sum with a logged warning, and measured beam above the
-top-of-atmosphere value is flagged but kept.
+the component sum with a logged warning.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MAX_LISTED, InputError, listed
 from .sky import IrradianceSample
-from .solar import SUPPORTED_YEARS, GeoLocation, extraterrestrial_horizontal
+from .solar import SUPPORTED_YEARS
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +28,6 @@ PRICE_COLUMNS = ("time", "price")
 
 #: Tolerated gap between ghi and bhi + dhi before the row is repaired.
 CLOSURE_TOLERANCE_WM2 = 1.0
-
-_MAX_LISTED = 8  # cap row listings in error messages
 
 
 def _records(path: Path, columns: tuple[str, ...], what: str):
@@ -71,25 +68,15 @@ def _parse_float(text: str, column: str, path: Path, row: int) -> float:
     return value
 
 
-def _listed(items: list, total: int | None = None) -> str:
-    total = len(items) if total is None else total
-    head = ", ".join(str(i) for i in items[:_MAX_LISTED])
-    if total > _MAX_LISTED:
-        head += f", ... ({total} total)"
-    return head
-
-
-def ingest_weather(
-    path: str | Path, location: GeoLocation | None = None
-) -> list[IrradianceSample]:
+def ingest_weather(path: str | Path) -> list[IrradianceSample]:
     """Read and validate an hourly weather CSV.
 
     Raises :class:`InputError` on an unreadable file, missing columns,
     unparseable values, negative irradiance or wind, years outside the
     sun position model's 1950-2100 (with row numbers), and gaps in the
-    hourly timeline (listing the missing timestamps). When ``location`` is
-    given, rows whose beam exceeds the top-of-atmosphere irradiance are
-    counted and logged; they are physically suspect but not fatal.
+    hourly timeline (listing the missing timestamps). Beam above the
+    top-of-atmosphere irradiance needs the sun, so :func:`sky.sky_year`
+    flags it.
     """
     path = Path(path)
     samples: list[IrradianceSample] = []
@@ -117,7 +104,7 @@ def ingest_weather(
         )
     if negative_rows:
         raise InputError(
-            f"{path}: negative irradiance or wind in rows {_listed(negative_rows)}"
+            f"{path}: negative irradiance or wind in rows {listed(negative_rows)}"
         )
     if not samples:
         raise InputError(f"{path}: no data rows")
@@ -126,22 +113,9 @@ def ingest_weather(
             "%s: repaired ghi to bhi + dhi in %d rows (rows %s)",
             path,
             len(repaired_rows),
-            _listed(repaired_rows),
+            listed(repaired_rows),
         )
     _check_hourly(samples, path)
-    if location is not None:
-        over_toa = [
-            s.time.isoformat()
-            for s in samples
-            if s.bhi > 0.0 and s.bhi > extraterrestrial_horizontal(location, s.time) + 1.0
-        ]
-        if over_toa:
-            log.warning(
-                "%s: beam exceeds top-of-atmosphere irradiance in %d rows (%s)",
-                path,
-                len(over_toa),
-                _listed(over_toa),
-            )
     return samples
 
 
@@ -161,13 +135,13 @@ def _check_hourly(samples: list[IrradianceSample], path: Path) -> None:
         expect = prev.time + hour
         while expect < cur.time:
             n_missing += 1
-            if n_missing <= _MAX_LISTED:
+            if n_missing <= MAX_LISTED:
                 missing.append(expect.isoformat())
             expect += hour
     if duplicates:
-        raise InputError(f"{path}: duplicate timestamps: {_listed(duplicates)}")
+        raise InputError(f"{path}: duplicate timestamps: {listed(duplicates)}")
     if n_missing:
-        raise InputError(f"{path}: missing hours: {_listed(missing, n_missing)}")
+        raise InputError(f"{path}: missing hours: {listed(missing, n_missing)}")
 
 
 def check_full_year(times: list[datetime]) -> None:

@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import agrivolt
+from agrivolt import scenario
 from agrivolt.cli import main
+from agrivolt.config import load_config
 from agrivolt.land import LandRaster
 from fixturegen import write_ascii_grid
 
@@ -86,6 +88,44 @@ class TestSimulate:
         # more wind at module height cools the cells and lifts production
         assert changed_yield > base_yield
 
+    def test_sky_derived_once_per_run(self, cli_config, weather, tmp_path, monkeypatch):
+        """At two workers the sky year is derived once, in the calling process."""
+        pids = tmp_path / "pids"
+        derive = scenario.sky_year
+
+        def recording(*args):
+            # only records: an initializer that raises makes the pool respawn forever
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return derive(*args)
+
+        monkeypatch.setattr(scenario, "sky_year", recording)
+        results = scenario.run_cases(load_config(cli_config), weather, (7,), threads=2)
+        assert [r.spec.scenario for r in results] == ["tilt_s6_h2", "vertical_s6_h2"]
+        assert pids.read_text().split() == [str(os.getpid())]
+
+    def test_toa_warning_once_per_run(self, cli_config, data_dir, tmp_path):
+        """One hour of beam above the top of the atmosphere is flagged once by
+        ``simulate --threads 2`` and once by ``validate``."""
+        lines = (data_dir / "weather.csv").read_text().splitlines()
+        stamp, *_, temp, wind = lines[1].split(",")  # midnight: any beam is too much
+        lines[1] = f"{stamp},500,0,500,{temp},{wind}"
+        weather = tmp_path / "weather.csv"
+        weather.write_text("\n".join(lines) + "\n")
+        inputs = ["--config", str(cli_config), "--weather", str(weather)]
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        for command in (
+            ["simulate", *inputs, "--out", str(tmp_path / "out"), "--threads", "2"],
+            ["validate", *inputs],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "agrivolt.cli", *command],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.count("top-of-atmosphere") == 1, proc.stderr
+            assert f"in 1 hours ({stamp[:13]}" in proc.stderr
+
     def test_bad_config_exits_2(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[meta]\nschema_version = 1\n\n[location]\nlatitude = 56\nlongitude = 9\n\n[sky]\nhaze = 1\n")
@@ -116,6 +156,7 @@ class TestSimulate:
         for command in (
             ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "nan"],
             ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "inf"],
+            ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "-1000"],
             ["simulate", *inputs, "--out", str(taken)],
             ["decision-map", *inputs, "--out", str(taken / "sub")],
             [*potential, "--out", str(taken)],
@@ -610,6 +651,7 @@ class TestValidate:
             "[layout]\nspacings_m = nan",
             "[layout]\ntracker_max_rotation_deg = -10",
             "[layout]\nkinds = tracking\nspacings_m = 2\nheights_m = 3",
+            "[panel]\nwind_shear_exponent = -1000",
         ],
     )
     def test_invalid_config_rejected_by_validate_and_simulate(

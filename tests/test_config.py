@@ -15,11 +15,11 @@ from agrivolt.config import (
     KEYS,
     SCHEMA_VERSION,
     ScenarioConfig,
+    case_layout,
     load_config,
-    max_rotation_radians,
-    tilt_radians,
 )
 from agrivolt.errors import InputError
+from agrivolt.layout import optimal_tilt
 
 MINIMAL = """\
 [meta]
@@ -69,8 +69,11 @@ class TestMinimalConfig:
 
     def test_helpers_on_defaults(self, tmp_path):
         config = load_config(write(tmp_path, MINIMAL))
-        assert tilt_radians(config) is None
-        assert max_rotation_radians(config) is None
+        fixed = case_layout(config, "tilt", 6.0, 2.0, 100.0)
+        assert fixed.tilt == optimal_tilt(56.49)
+        assert fixed.clearance == 2.0 and fixed.bifaciality == 0.0
+        assert case_layout(config, "vertical", 6.0, 2.0, 100.0).bifaciality == 0.8
+        assert case_layout(config, "tracking", 6.0, 2.0, 100.0).max_rotation is None
 
 
 FULL = """\
@@ -148,10 +151,13 @@ class TestFullConfig:
 
     def test_angle_helpers(self, tmp_path):
         config = load_config(write(tmp_path, FULL))
-        assert tilt_radians(config) == pytest.approx(math.radians(25.0), rel=1e-12)
-        assert max_rotation_radians(config) == pytest.approx(
-            math.radians(55.0), rel=1e-12
-        )
+        fixed = case_layout(config, "tilt", 4.5, 1.0, 50.0)
+        assert fixed.tilt == pytest.approx(math.radians(25.0), rel=1e-12)
+        assert fixed.field == (50.0, 50.0) and fixed.clearance == 0.9
+        wall = case_layout(config, "vertical", 4.5, 1.0, 50.0)
+        assert (wall.clearance, wall.bifaciality) == (0.3, 0.7)
+        tracker = case_layout(config, "tracking", 4.5, 1.0, 50.0)
+        assert tracker.max_rotation == pytest.approx(math.radians(55.0), rel=1e-12)
 
     def test_inline_comments_stripped(self, tmp_path):
         text = MINIMAL + "\n[sky]\nalbedo = 0.3  # fresh grass\n"

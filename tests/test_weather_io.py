@@ -9,6 +9,7 @@ import pytest
 
 import fixturegen
 from agrivolt.errors import InputError
+from agrivolt.sky import sky_year
 from agrivolt.weather import (
     CLOSURE_TOLERANCE_WM2,
     PRICE_COLUMNS,
@@ -156,7 +157,7 @@ class TestIngestWeather:
         with pytest.raises(InputError, match="no data rows"):
             ingest_weather(path)
 
-    def test_bad_timestamp(self, tmp_path, foulum):
+    def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(HEADER + row("yesterday"))
         with pytest.raises(InputError, match="bad timestamp"):
@@ -165,12 +166,11 @@ class TestIngestWeather:
         path.write_text(HEADER + row("0001-01-01T00:00:00+05:00"))
         with pytest.raises(InputError, match="bad timestamp"):
             ingest_weather(path)
-        # outside the sun position model, with or without a location
+        # outside the sun position model
         for stamp in ("1949-12-31T23:00:00Z", "2101-01-01T00:00:00Z", "9999-12-31T23:00Z"):
             path.write_text(HEADER + row(stamp))
-            for location in (None, foulum):
-                with pytest.raises(InputError, match="row 2: year .* outside 1950-2100"):
-                    ingest_weather(path, location)
+            with pytest.raises(InputError, match="row 2: year .* outside 1950-2100"):
+                ingest_weather(path)
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -195,8 +195,9 @@ class TestIngestWeather:
             + row("2015-06-21T12:00:00", bhi=1500.0, dhi=0.0)
             + row("2015-06-21T13:00:00", bhi=100.0, dhi=50.0)
         )
-        with caplog.at_level("WARNING", logger="agrivolt.weather"):
-            samples = ingest_weather(path, location=foulum)
+        samples = ingest_weather(path)
+        with caplog.at_level("WARNING", logger="agrivolt.sky"):
+            sky_year(foulum, samples)
         assert len(samples) == 2
         assert samples[0].bhi == 1500.0  # kept as measured
         assert any("top-of-atmosphere" in rec.message for rec in caplog.records)
@@ -208,8 +209,8 @@ class TestIngestWeather:
             + row("2015-06-21T12:00:00", bhi=700.0, dhi=100.0)
             + row("2015-06-21T13:00:00", bhi=650.0, dhi=110.0)
         )
-        with caplog.at_level("WARNING", logger="agrivolt.weather"):
-            ingest_weather(path, location=foulum)
+        with caplog.at_level("WARNING", logger="agrivolt.sky"):
+            sky_year(foulum, ingest_weather(path))
         assert not caplog.records
 
 
