@@ -19,11 +19,13 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
+import numpy as np
+
 from . import land, outputs, scenario
-from .config import load_config
+from .config import ScenarioConfig, load_config
 from .errors import ComputationError, InputError
 from .layout import MOUNT_KINDS
-from .sky import sky_year
+from .sky import IrradianceSample, sky_year
 from .weather import _parse_float, _records, check_full_year, ingest_prices, ingest_weather
 
 log = logging.getLogger(__name__)
@@ -38,22 +40,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the scenario grid, write all artifacts")
-    sim.add_argument("--config", required=True, help="scenario INI file")
-    sim.add_argument("--weather", required=True, help="hourly weather CSV")
+    dm = sub.add_parser("decision-map", help="write only the crop decision map")
+    for run in (sim, dm):
+        run.add_argument("--config", required=True, help="scenario INI file")
+        run.add_argument("--weather", required=True, help="hourly weather CSV")
+        run.add_argument("--out", required=True, help="output directory")
+        run.add_argument("--threads", type=int, default=1, help="worker processes")
     sim.add_argument("--prices", help="hourly price CSV aligned to the weather year")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes")
     sim.add_argument(
         "--wind-shear-exponent",
         type=float,
         help="override the (height/10)^exp wind scaling exponent",
     )
-
-    dm = sub.add_parser("decision-map", help="write only the crop decision map")
-    dm.add_argument("--config", required=True)
-    dm.add_argument("--weather", required=True)
-    dm.add_argument("--out", required=True)
-    dm.add_argument("--threads", type=int, default=1)
 
     pot = sub.add_parser("potential", help="regional deployment potential from rasters")
     pot.add_argument("--raster", required=True, help="land-cover class raster (ASCII grid)")
@@ -82,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Numeric flags: (argparse dest, predicate on a finite value, requirement).
 _NUMERIC_FLAGS = (
+    ("threads", lambda v: v >= 1, "an integer >= 1"),
     ("wind_shear_exponent", lambda v: True, "a finite number"),
     ("buffer", lambda v: v >= 0.0, "a finite number >= 0"),
     ("capacity_density", lambda v: v > 0.0, "a finite number > 0"),
@@ -110,25 +109,38 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_numbers(args)
-    out = _out_dir(args.out)
-    config = load_config(args.config, args.wind_shear_exponent)
-    weather = ingest_weather(args.weather)
-    prices = None
-    if args.prices:
-        prices = ingest_prices(args.prices, [s.time for s in weather])
-    written = scenario.run_scenario(config, weather, prices, out, args.threads)
-    print(f"wrote {len(written)} artifacts to {args.out}")
-    return 0
+def _load_run_inputs(
+    args: argparse.Namespace,
+) -> tuple[ScenarioConfig | None, list[IrradianceSample] | None, np.ndarray | None]:
+    """The checked inputs of ``simulate``, ``decision-map`` and ``validate``, None
+    where not passed, in one order: the config with the ``--wind-shear-exponent``
+    override, the weather, its prices, then the full-year check (last, so that a
+    price file is checked whatever the weather's length)."""
+    config = weather = prices = None
+    if args.config:
+        config = load_config(args.config, getattr(args, "wind_shear_exponent", None))
+    if args.weather:
+        weather = ingest_weather(args.weather)
+    times = [s.time for s in weather or ()]
+    if getattr(args, "prices", None):
+        if weather is None:
+            raise InputError("--prices validation needs --weather for the timeline")
+        prices = ingest_prices(args.prices, times)
+    if weather is not None:
+        check_full_year(times)
+    return config, weather, prices
 
 
-def _cmd_decision_map(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``simulate`` writes every artifact of the sweep, ``decision-map`` only
+    ``decision_map.csv``."""
     out = _out_dir(args.out)
-    config = load_config(args.config)
-    weather = ingest_weather(args.weather)
-    target = scenario.run_decision_map(config, weather, out, args.threads)
-    print(f"wrote {target}")
+    config, weather, prices = _load_run_inputs(args)
+    if args.command == "decision-map":
+        print(f"wrote {scenario.run_decision_map(config, weather, out, args.threads)}")
+    else:
+        written = scenario.run_scenario(config, weather, prices, out, args.threads)
+        print(f"wrote {len(written)} artifacts to {args.out}")
     return 0
 
 
@@ -165,7 +177,6 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
-    _check_numbers(args)
     out = _out_dir(args.out)
     raster = land.read_ascii_grid(args.raster)
     regions = land.read_ascii_grid(args.regions)
@@ -185,48 +196,32 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    checked = 0
-    config = None
-    if args.config:
-        config = load_config(args.config)
-        print(f"config ok: {args.config}")
-        checked += 1
-    weather = None
-    if args.weather:
-        weather = ingest_weather(args.weather)
-        if config is not None:
+    if not any((args.config, args.weather, args.prices, args.raster, args.classes)):
+        raise InputError("validate: nothing to check, pass at least one input")
+    config, weather, prices = _load_run_inputs(args)
+    if config is not None:
+        if weather is not None:
             sky_year(config.location, weather)  # logs beam above top-of-atmosphere
-    if args.prices:
-        if weather is None:
-            raise InputError("--prices validation needs --weather for the timeline")
-        prices = ingest_prices(args.prices, [s.time for s in weather])
+        print(f"config ok: {args.config}")
     if weather is not None:
-        # after the prices, so that their rows are checked whatever the year
-        check_full_year([s.time for s in weather])
         print(f"weather ok: {args.weather} ({len(weather)} hours)")
-        checked += 1
-    if args.prices:
+    if prices is not None:
         print(f"prices ok: {args.prices} (mean {prices.mean():.2f})")
-        checked += 1
     if args.raster:
         raster = land.read_ascii_grid(args.raster)
         print(f"raster ok: {args.raster} {raster.codes.shape}")
-        checked += 1
     if args.classes:
         sets = land.load_class_sets(args.classes)
         print(
             f"classes ok: {args.classes} "
             f"({len(sets.include)} include, {len(sets.exclude)} exclude)"
         )
-        checked += 1
-    if checked == 0:
-        raise InputError("validate: nothing to check, pass at least one input")
     return 0
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "decision-map": _cmd_decision_map,
+    "simulate": _cmd_run,
+    "decision-map": _cmd_run,
     "potential": _cmd_potential,
     "validate": _cmd_validate,
 }
@@ -239,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _fmt_time(stamp: datetime) -> str:
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def write_indicators_csv(path: str | Path, reports: list[IndicatorReport]) -> None:
     lines = [
         "scenario,kind,spacing_m,height_m,capacity_density_W_m2,"
@@ -45,15 +41,21 @@ def write_indicators_csv(path: str | Path, reports: list[IndicatorReport]) -> No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_hourly_csv(path: str | Path, result: SimulationResult) -> None:
-    lines = ["time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W"]
-    for i, stamp in enumerate(result.times):
-        lines.append(
-            f"{_fmt_time(stamp)},{_fmt(result.p_w[i])},{_fmt(result.t_cell_c[i])},"
-            f"{_fmt(result.f_es_front[i])},{_fmt(result.f_es_rear[i])},"
-            f"{_fmt(result.g_eff_wm2[i])},{_fmt(result.p_noshadow_w[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def time_column(times: list[datetime]) -> list[str]:
+    """The hourly time column; every case of a run shares it."""
+    return [stamp.strftime("%Y-%m-%dT%H:%M:%SZ") for stamp in times]
+
+
+_HOURLY_ROW = "{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
+
+
+def write_hourly_csv(path: str | Path, result: SimulationResult, stamps: list[str]) -> None:
+    """One row per hour; ``stamps`` is :func:`time_column` of ``result.times``."""
+    columns = (result.p_w, result.t_cell_c, result.f_es_front,
+               result.f_es_rear, result.g_eff_wm2, result.p_noshadow_w)
+    rows = map(_HOURLY_ROW, stamps, *(column.tolist() for column in columns))
+    header = "time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W"
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
 def monthly_daily_yield(result: SimulationResult) -> list[float]:
@@ -81,8 +83,7 @@ def write_monthly_csv(path: str | Path, results: dict[str, SimulationResult]) ->
 
 def write_ground_csv(path: str | Path, grid: GroundGrid) -> None:
     """Normalized ground irradiance as a dense matrix, southern row first."""
-    normalized = grid.normalized
-    lines = [",".join(_fmt(v) for v in row) for row in normalized]
+    lines = [",".join([f"{v:.6f}" for v in row]) for row in grid.normalized.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -3,9 +3,10 @@
 One scenario run covers the cross product of mount kinds, spacings and
 heights from the configuration. Per case it simulates a year of
 electricity on the electrical field and accumulates monthly ground
-irradiance grids on the smaller ground-study field, then derives
-indicators, ground map artifacts, the crop decision map, and comparison
-tables.
+irradiance grids on the smaller ground-study field. One ordered table
+of (file name, writer) then holds every artifact: indicators, hourly and
+monthly yields, ground maps, the crop decision map and the comparisons.
+A decision-map run sweeps only the growing months and writes one entry.
 
 Cases are independent, so the sweep optionally fans out over worker
 processes; results are collected in submission order and written by the
@@ -14,8 +15,10 @@ parent alone, keeping artifacts byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,16 +67,8 @@ def expand_cases(config: ScenarioConfig) -> list[CaseSpec]:
 
 def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
     """Sum per-month ground grids into one accumulation period."""
-    first = grids[0]
-    return GroundGrid(
-        cell_size=first.cell_size,
-        xs=first.xs,
-        ys=first.ys,
-        blocked_direct=sum(g.blocked_direct for g in grids),
-        blocked_circumsolar=sum(g.blocked_circumsolar for g in grids),
-        unshaded_total=sum(g.unshaded_total for g in grids),
-        daylight_hours=sum(g.daylight_hours for g in grids),
-    )
+    sums = ("blocked_direct", "blocked_circumsolar", "unshaded_total", "daylight_hours")
+    return replace(grids[0], **{name: sum(getattr(g, name) for g in grids) for name in sums})
 
 
 def run_case(
@@ -162,6 +157,57 @@ def _decision_points(
     return agronomy.sort_decision_points(points)
 
 
+def _artifacts(
+    config: ScenarioConfig, results: list[CaseResult], prices: np.ndarray | None
+) -> list[tuple[str, Callable[[Path], None]]]:
+    """Every artifact of a sweep in write order: (file name, writer of that path).
+
+    The indicator reports are built here, and the hourly time column once, on
+    first use; each ground grid and the decision map only by the writers that
+    need them, so a run that writes the decision map alone needs no ground-map
+    month and formats no time column.
+    """
+    reports = [indicators.report(r.simulation, r.spec.scenario, prices) for r in results]
+    stamps = functools.cache(lambda: outputs.time_column(results[0].simulation.times))
+    simulations = {r.spec.scenario: r.simulation for r in results}
+    table = [("indicators.csv", lambda path: outputs.write_indicators_csv(path, reports))]
+    for r in results:
+        table.append((f"hourly_{r.spec.scenario}.csv",
+                      lambda path, sim=r.simulation: outputs.write_hourly_csv(path, sim, stamps())))
+    table.append(("monthly_yield.csv", lambda path: outputs.write_monthly_csv(path, simulations)))
+    for r in results:
+        grid = functools.partial(r.combined_grid, config.ground_map_months)
+        table.append((f"ground_{r.spec.scenario}.csv",
+                      lambda path, grid=grid: outputs.write_ground_csv(path, grid())))
+        table.append((f"ground_{r.spec.scenario}.pgm",
+                      lambda path, grid=grid: outputs.write_ground_pgm(path, grid())))
+    points = functools.partial(_decision_points, config, results, reports)
+    table.append(("decision_map.csv", lambda path: outputs.write_decision_csv(path, points())))
+    table.append(("comparisons.csv", lambda path: outputs.write_comparisons_csv(path, reports)))
+    return table
+
+
+def _sweep(
+    config: ScenarioConfig, weather: list[IrradianceSample], prices: np.ndarray | None,
+    out_dir: str | Path, threads: int, only: str | None,
+) -> list[Path]:
+    """Run the grid once and write its artifact table in order, or only the
+    artifact named ``only``; ground-map months are swept only for the full set."""
+    months = set(config.growing_months)
+    if only is None:
+        months |= set(config.ground_map_months)
+    results = run_cases(config, weather, tuple(sorted(months)), threads)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, write in _artifacts(config, results, prices):
+        if only in (None, name):
+            write(out / name)
+            written.append(out / name)
+    log.info("wrote %d artifacts to %s", len(written), out)
+    return written
+
+
 def run_scenario(
     config: ScenarioConfig,
     weather: list[IrradianceSample],
@@ -169,46 +215,8 @@ def run_scenario(
     out_dir: str | Path,
     threads: int = 1,
 ) -> list[Path]:
-    """Run the full scenario grid and write all artifacts.
-
-    Artifacts: ``indicators.csv``, per-case ``hourly_<id>.csv``,
-    ``monthly_yield.csv``, per-case ``ground_<id>.csv`` and ``.pgm``
-    (accumulated over the configured ground-map months),
-    ``decision_map.csv`` (growing-period crop suitability), and
-    ``comparisons.csv``. Returns the written paths.
-    """
-    months = tuple(sorted(set(config.ground_map_months) | set(config.growing_months)))
-    results = run_cases(config, weather, months, threads)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    reports = [
-        indicators.report(r.simulation, r.spec.scenario, prices) for r in results
-    ]
-    written: list[Path] = []
-
-    def emit(name: str, writer, *args) -> None:
-        target = out / name
-        writer(target, *args)
-        written.append(target)
-
-    emit("indicators.csv", outputs.write_indicators_csv, reports)
-    for r in results:
-        emit(f"hourly_{r.spec.scenario}.csv", outputs.write_hourly_csv, r.simulation)
-    emit(
-        "monthly_yield.csv",
-        outputs.write_monthly_csv,
-        {r.spec.scenario: r.simulation for r in results},
-    )
-    for r in results:
-        grid = r.combined_grid(config.ground_map_months)
-        emit(f"ground_{r.spec.scenario}.csv", outputs.write_ground_csv, grid)
-        emit(f"ground_{r.spec.scenario}.pgm", outputs.write_ground_pgm, grid)
-    points = _decision_points(config, results, reports)
-    emit("decision_map.csv", outputs.write_decision_csv, points)
-    emit("comparisons.csv", outputs.write_comparisons_csv, reports)
-    log.info("wrote %d artifacts to %s", len(written), out)
-    return written
+    """Run the full scenario grid and write every artifact; returns the written paths."""
+    return _sweep(config, weather, prices, out_dir, threads, None)
 
 
 def run_decision_map(
@@ -217,11 +225,5 @@ def run_decision_map(
     out_dir: str | Path,
     threads: int = 1,
 ) -> Path:
-    """Sweep the grid and write only the crop decision map."""
-    results = run_cases(config, weather, tuple(config.growing_months), threads)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = [indicators.report(r.simulation, r.spec.scenario, None) for r in results]
-    target = out / "decision_map.csv"
-    outputs.write_decision_csv(target, _decision_points(config, results, reports))
-    return target
+    """Sweep the grid over the growing months and write only the crop decision map."""
+    return _sweep(config, weather, None, out_dir, threads, "decision_map.csv")[0]

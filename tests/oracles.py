@@ -6,24 +6,28 @@ distance transforms, closed-form tracker rotation). The tests compare
 the fast production routines against these slow, geometry-literal
 routes on randomized and hand-picked cases. ``row_shading_fractions``
 is the one exception: it spreads the production shading state over the
-rows so that it can be compared with the per-row oracle.
+rows so that it can be compared with the per-row oracle. The reference
+artifact writers format one value at a time; the bulk writers of
+``agrivolt.outputs`` must match them byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from agrivolt.electrical import (
     PanelModel,
+    SimulationResult,
     effective_irradiance,
     power_output,
     wind_at_module,
 )
 from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
-from agrivolt.shading import UNSHADED, ShadingState, row_shading
+from agrivolt.shading import UNSHADED, GroundGrid, ShadingState, row_shading
 from agrivolt.sky import PlaneIrradiance, SkyHour, plane_irradiance
 from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle, sun_vector
 
@@ -317,3 +321,26 @@ def reference_field_year(
         if poa_rear.beamlike > 0.0:
             f_rear[i] = share * state.f_es
     return p_w, p_ns_w, t_cell, f_front, f_rear, g_eff_out
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def reference_write_hourly_csv(path: str | Path, result: SimulationResult) -> None:
+    """The hourly CSV, one timestamp and one value at a time."""
+    lines = ["time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W"]
+    for i, stamp in enumerate(result.times):
+        lines.append(
+            f"{stamp.strftime('%Y-%m-%dT%H:%M:%SZ')},{_fmt(result.p_w[i])},"
+            f"{_fmt(result.t_cell_c[i])},{_fmt(result.f_es_front[i])},"
+            f"{_fmt(result.f_es_rear[i])},{_fmt(result.g_eff_wm2[i])},"
+            f"{_fmt(result.p_noshadow_w[i])}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_ground_csv(path: str | Path, grid: GroundGrid) -> None:
+    """The ground CSV, one numpy value at a time, southern row first."""
+    lines = [",".join(_fmt(v) for v in row) for row in grid.normalized]
+    Path(path).write_text("\n".join(lines) + "\n")

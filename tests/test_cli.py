@@ -157,6 +157,10 @@ class TestSimulate:
             ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "nan"],
             ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "inf"],
             ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--wind-shear-exponent", "-1000"],
+            ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--threads", "0"],
+            ["simulate", *inputs, "--out", str(tmp_path / "sim"), "--threads", "-4"],
+            ["decision-map", *inputs, "--out", str(tmp_path / "sim"), "--threads", "0"],
+            ["decision-map", *inputs, "--out", str(tmp_path / "sim"), "--threads", "-4"],
             ["simulate", *inputs, "--out", str(taken)],
             ["decision-map", *inputs, "--out", str(taken / "sub")],
             [*potential, "--out", str(taken)],
@@ -221,6 +225,33 @@ class TestDecisionMap:
         assert code == 0
         simulated = cli_runs["first"][1] / "decision_map.csv"
         assert (out / "decision_map.csv").read_bytes() == simulated.read_bytes()
+
+    def test_ground_maps_of_growing_months_only(
+        self, cli_config, data_dir, tmp_path, monkeypatch
+    ):
+        """``decision-map`` maps each case's growing months and no ground-map
+        month; ``simulate`` maps both, each month once per case."""
+        config = tmp_path / "scenario.ini"
+        config.write_text(
+            cli_config.read_text().replace("ground_map_months = 7", "ground_map_months = 1 12")
+        )
+        loaded = load_config(config)
+        cases = scenario.expand_cases(loaded)
+        calls = []
+        mapper = scenario.ground_irradiance_map
+
+        def counting(*args, **kwargs):
+            calls.append(args[1][0].sample.time.month)
+            return mapper(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "ground_irradiance_map", counting)
+        inputs = ["--config", str(config), "--weather", str(data_dir / "weather.csv")]
+        assert main(["decision-map", *inputs, "--out", str(tmp_path / "dm")]) == 0
+        assert len(calls) == len(cases) * len(loaded.growing_months)
+        assert set(calls) == set(loaded.growing_months)
+        calls.clear()
+        assert main(["simulate", *inputs, "--out", str(tmp_path / "sim")]) == 0
+        assert len(calls) == len(cases) * len({*loaded.growing_months, *loaded.ground_map_months})
 
 
 @pytest.fixture()
@@ -666,6 +697,68 @@ class TestValidate:
         for command in (["validate"], [*simulate, "--out", str(tmp_path / "out")]):
             assert main([*command, "--config", str(config)]) == 2
             assert "error:" in capsys.readouterr().err
+
+
+#: Replacement text for one config value or key, or one CSV field or column
+#: name. Numbers stay small so that no mutated field or grid grows large.
+MUTANT_TOKENS = st.sampled_from(
+    [
+        "", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "0.5", "1", "2", "7", "13",
+        "-1000", "3 4", "tilt", "vertical, tracking", "[layout]", "kinds", "ghi",
+        "2015-06-01T00:00Z", "1949-12-31T23:00Z", "2015-01-01T00:00:00+01:00",
+    ]
+)
+
+
+@st.composite
+def mutated(draw, text: bytes, separator: bytes) -> bytes:
+    """``text`` with one byte span overwritten or deleted, or with one key or
+    value of one line (split at ``separator``) replaced."""
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        cut = draw(st.integers(1, 3))
+        return text[:at] + draw(st.binary(max_size=cut)) + text[at + cut:]
+    lines = text.split(b"\n")
+    row = draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split(separator)
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(MUTANT_TOKENS).encode()
+    lines[row] = separator.join(fields)
+    return b"\n".join(lines)
+
+
+class TestValidateAgreesWithSimulate:
+    @pytest.fixture(scope="class")
+    def one_case(self, cli_config, data_dir):
+        """One tilt case on a 2 m ground field: the config, weather and price bytes."""
+        config = cli_config.read_text().replace("tilt, vertical", "tilt")
+        config = config.replace("ground_m = 20", "ground_m = 2")
+        return {
+            "config": (config.encode(), b"="),
+            "weather": ((data_dir / "weather.csv").read_bytes(), b","),
+            "prices": ((data_dir / "prices.csv").read_bytes(), b","),
+        }
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data(), target=st.sampled_from(["config", "weather", "prices"]))
+    def test_validate_exits_2_exactly_when_simulate_does(self, one_case, tmp_path, data, target):
+        """With one input file mutated, ``validate`` rejects it exactly when a
+        ``simulate`` of the same inputs does, and neither command exits 3."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        inputs = []
+        for name, (text, separator) in one_case.items():
+            if name == target:
+                text = data.draw(mutated(text, separator), label=name)
+            path = work / f"{name}.in"
+            path.write_bytes(text)
+            inputs += [f"--{name}", str(path)]
+        validated = main(["validate", *inputs])
+        simulated = main(["simulate", *inputs, "--out", str(work / "out")])
+        assert validated in (0, 2) and simulated in (0, 2)
+        assert validated == simulated
 
 
 SUBCOMMANDS = ("simulate", "decision-map", "potential", "validate")

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agrivolt import outputs
 from agrivolt.agronomy import CropThresholds, decision_point
@@ -14,6 +17,7 @@ from agrivolt.land import RegionPotential
 from agrivolt.scenario import case_id, combine_grids, expand_cases
 from agrivolt.config import ScenarioConfig
 from agrivolt.electrical import PanelModel, SimulationResult
+from oracles import reference_write_ground_csv, reference_write_hourly_csv
 
 INDICATOR_HEADER = (
     "scenario,kind,spacing_m,height_m,capacity_density_W_m2,"
@@ -61,7 +65,8 @@ class TestIndicatorsCsv:
 class TestHourlyCsv:
     def test_header_and_length(self, tmp_path, annual_sims):
         path = tmp_path / "hourly.csv"
-        outputs.write_hourly_csv(path, annual_sims["tilt"])
+        sim = annual_sims["tilt"]
+        outputs.write_hourly_csv(path, sim, outputs.time_column(sim.times))
         lines = path.read_text().splitlines()
         assert lines[0] == HOURLY_HEADER
         assert len(lines) == 1 + 8760
@@ -70,7 +75,7 @@ class TestHourlyCsv:
     def test_energy_reconstructs_from_power_column(self, tmp_path, annual_sims):
         sim = annual_sims["tracking"]
         path = tmp_path / "hourly.csv"
-        outputs.write_hourly_csv(path, sim)
+        outputs.write_hourly_csv(path, sim, outputs.time_column(sim.times))
         rows = path.read_text().splitlines()[1:]
         total_wh = sum(float(r.split(",")[1]) for r in rows)
         assert total_wh / 1000.0 == pytest.approx(sim.energy_kwh, rel=1e-6)
@@ -278,3 +283,57 @@ class TestCombineGrids:
         assert double.cell_size == grid.cell_size
         # normalization is scale-free: doubling both terms changes nothing
         np.testing.assert_allclose(double.normalized, grid.normalized, rtol=1e-12)
+
+
+#: Values whose text is easy to get wrong: signed zero, nan, infinities,
+#: the largest magnitudes and the smallest subnormal.
+AWKWARD = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324, 0.5e-6])
+
+
+def _hourly_result(layout, values: np.ndarray) -> SimulationResult:
+    """Six hourly columns holding ``values`` rolled by one place each."""
+    start = datetime(2015, 1, 1, tzinfo=timezone.utc)
+    times = [start + timedelta(hours=i) for i in range(len(values))]
+    columns = [np.roll(values, k) for k in range(6)]
+    return SimulationResult(layout, PanelModel(), times, *columns)
+
+
+class TestBulkWritersMatchReference:
+    """The bulk hourly and ground writers against the per-value reference
+    writers of ``oracles``, byte for byte."""
+
+    @staticmethod
+    def _same_hourly(tmp_path, sim):
+        bulk, ref = tmp_path / "bulk.csv", tmp_path / "ref.csv"
+        outputs.write_hourly_csv(bulk, sim, outputs.time_column(sim.times))
+        reference_write_hourly_csv(ref, sim)
+        assert bulk.read_bytes() == ref.read_bytes()
+
+    @staticmethod
+    def _same_ground(tmp_path, grid):
+        bulk, ref = tmp_path / "bulk.csv", tmp_path / "ref.csv"
+        outputs.write_ground_csv(bulk, grid)
+        reference_write_ground_csv(ref, grid)
+        assert bulk.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["tilt", "vertical", "tracking"])
+    def test_fixture_years(self, tmp_path, annual_sims, july_maps, kind):
+        self._same_hourly(tmp_path, annual_sims[kind])
+        self._same_ground(tmp_path, july_maps[kind])
+
+    def test_awkward_values(self, tmp_path, annual_sims):
+        self._same_hourly(tmp_path, _hourly_result(annual_sims["tilt"].layout, AWKWARD))
+        square = np.concatenate([AWKWARD, AWKWARD[::-1]]).reshape(4, 5)
+        self._same_ground(tmp_path, SimpleNamespace(normalized=square))
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(values=st.lists(st.floats(width=64), min_size=1, max_size=12))
+    def test_any_floats(self, tmp_path, annual_sims, values):
+        array = np.array(values)
+        self._same_hourly(tmp_path, _hourly_result(annual_sims["tilt"].layout, array))
+        self._same_ground(tmp_path, SimpleNamespace(normalized=array.reshape(1, -1)))
+        self._same_ground(tmp_path, SimpleNamespace(normalized=array.reshape(-1, 1)))
