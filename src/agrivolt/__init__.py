@@ -20,8 +20,8 @@ from .land import (
     region_potential,
 )
 from .layout import Layout, build_layout, optimal_tilt
-from .shading import GroundGrid, ShadingState, ground_irradiance_map, row_shading
-from .sky import IrradianceSample, PlaneIrradiance, plane_irradiance
+from .shading import GroundGrid, RowShading, ground_irradiance_map, row_shading
+from .sky import IrradianceSample, PlaneIrradiance, SkyYear, plane_irradiance, sky_year
 from .solar import (
     GeoLocation,
     PlaneOrientation,
@@ -49,9 +49,10 @@ __all__ = [
     "PlaneIrradiance",
     "PlaneOrientation",
     "RegionPotential",
+    "RowShading",
     "ScenarioConfig",
-    "ShadingState",
     "SimulationResult",
+    "SkyYear",
     "SolarPosition",
     "aggregate_potential",
     "build_layout",
@@ -70,6 +71,7 @@ __all__ = [
     "report",
     "row_shading",
     "simulate_year",
+    "sky_year",
     "solar_position",
     "tracking_orientation",
 ]

@@ -25,8 +25,8 @@ from . import land, outputs, scenario
 from .config import ScenarioConfig, load_config
 from .errors import ComputationError, InputError
 from .layout import MOUNT_KINDS
-from .sky import IrradianceSample, sky_year
-from .weather import _parse_float, _records, check_full_year, ingest_prices, ingest_weather
+from .sky import IrradianceSample, check_full_year, sky_year
+from .weather import _parse_float, _records, ingest_prices, ingest_weather
 
 log = logging.getLogger(__name__)
 

@@ -25,10 +25,9 @@ from datetime import datetime
 import numpy as np
 
 from .layout import Layout
-from .sky import PlaneIrradiance, SkyHour, plane_irradiance
-from .solar import incidence_angle, sun_vector
-from .shading import ShadingState, UNSHADED, row_shading
-from .weather import check_full_year
+from .shading import row_shading
+from .sky import PlaneIrradiance, SkyYear, plane_irradiance
+from .solar import SolarPosition, incidence_angle, math_map, sun_vector
 
 #: Relative-efficiency coefficients for crystalline silicon modules
 #: (irradiance/temperature fit, dimensionless).
@@ -71,17 +70,17 @@ class PanelModel:
             raise ValueError("u0 must be positive, u1 non-negative")
 
 
-def angular_loss(incidence: float, alpha_r: float = 0.17) -> float:
+def angular_loss(incidence, alpha_r: float = 0.17):
     """Reflection loss of beam irradiance at the given incidence angle.
 
     Zero at normal incidence, exactly 1 at grazing incidence (>= pi/2):
 
         AL = 1 - (1 - exp(-cos(theta)/alpha_r)) / (1 - exp(-1/alpha_r))
     """
-    if incidence >= 0.5 * math.pi:
-        return 1.0
+    grazing = np.asarray(incidence) >= 0.5 * math.pi
     scale = 1.0 - math.exp(-1.0 / alpha_r)
-    return 1.0 - (1.0 - math.exp(-math.cos(incidence) / alpha_r)) / scale
+    decay = math_map(math.exp, np.where(grazing, 0.0, -np.cos(incidence) / alpha_r))
+    return np.where(grazing, 1.0, 1.0 - (1.0 - decay) / scale)[()]
 
 
 def wind_at_module(wind10: float, module_height: float, exponent: float = 2.0) -> float:
@@ -94,49 +93,39 @@ def wind_at_module(wind10: float, module_height: float, exponent: float = 2.0) -
         raise ValueError(f"(h/10)^exp overflows at h = {module_height:g} m, exp = {exponent:g}")
 
 
-def cell_temperature(
-    temp_air: float, g_eff: float, wind_module: float, u0: float = 26.92, u1: float = 6.24
-) -> float:
+def cell_temperature(temp_air, g_eff, wind_module, u0: float = 26.92, u1: float = 6.24):
     """Cell temperature in degC: T_amb + G_eff / (u0 + u1 * wind)."""
     return temp_air + g_eff / (u0 + u1 * wind_module)
 
 
-def relative_efficiency(g_eff: float, t_cell: float, panel: PanelModel) -> float:
+def relative_efficiency(g_eff, t_cell, panel: PanelModel):
     """Efficiency relative to STC; clamped at zero, exactly 1 at STC."""
-    ratio = g_eff / panel.g_stc
+    ratio = np.asarray(g_eff, dtype=float) / panel.g_stc
     # checked post-division: a subnormal g_eff can underflow the ratio to 0
-    if ratio <= 0.0:
-        return 0.0
+    dark = ratio <= 0.0
     k1, k2, k3, k4, k5, k6 = panel.huld
-    lg = math.log(ratio)
+    lg = math_map(math.log, np.where(dark, 1.0, ratio))
     dt = t_cell - panel.t_stc
     eta = 1.0 + k1 * lg + k2 * lg * lg + dt * (k3 + k4 * lg + k5 * lg * lg) + k6 * dt * dt
-    return max(0.0, eta)
+    return np.where(dark | ~(eta > 0.0), 0.0, eta)[()]
 
 
-def effective_irradiance(
-    poa: PlaneIrradiance, shading: ShadingState, incidence: float, alpha_r: float
-) -> float:
-    """One face's contribution to G_eff: shadows and reflection losses hit
-    only the beam-like components, diffuse sky and ground light pass."""
+def effective_irradiance(poa: PlaneIrradiance, f_es, incidence, alpha_r: float):
+    """One face's contribution to G_eff: shadows (effective shading factor
+    ``f_es``) and reflection losses hit only the beam-like components,
+    diffuse sky and ground light pass."""
     al = angular_loss(incidence, alpha_r)
-    return poa.beamlike * (1.0 - shading.f_es) * (1.0 - al) + poa.isotropic + poa.reflected
+    return poa.beamlike * (1.0 - f_es) * (1.0 - al) + poa.isotropic + poa.reflected
 
 
-def power_output(
-    g_eff: float,
-    temp_air: float,
-    wind_module: float,
-    p_stc: float,
-    panel: PanelModel,
-) -> tuple[float, float, float]:
-    """(power W, cell temperature degC, relative efficiency) for one collector."""
-    if g_eff <= 0.0:
-        return 0.0, temp_air, 0.0
+def power_output(g_eff, temp_air, wind_module, p_stc: float, panel: PanelModel):
+    """(power W, cell temperature degC, relative efficiency) for one collector;
+    a collector without light sits at ambient temperature."""
+    dark = np.asarray(g_eff) <= 0.0
     t_cell = cell_temperature(temp_air, g_eff, wind_module, panel.u0, panel.u1)
     eta = relative_efficiency(g_eff, t_cell, panel)
-    power = p_stc * eta * panel.eta_system * g_eff / panel.g_stc
-    return power, t_cell, eta
+    power = np.where(dark, 0.0, p_stc * eta * panel.eta_system * g_eff / panel.g_stc)
+    return power[()], np.where(dark, temp_air, t_cell)[()], np.where(dark, 0.0, eta)[()]
 
 
 @dataclass
@@ -176,93 +165,80 @@ class SimulationResult:
 
 def simulate_year(
     layout: Layout,
-    sky: list[SkyHour],
+    sky: SkyYear,
     panel: PanelModel | None = None,
     albedo: float = 0.2,
 ) -> SimulationResult:
-    """Hourly field production for one complete year of sky hours.
+    """Hourly field production for one complete sky year, all lit hours at once.
 
     Rows fall into at most two shading classes per hour (the sun-side edge
     row is never shaded; all others share the nearest-neighbour shadow), so
-    each hour evaluates the module model once per class and weighs by row
-    count. The open rows' output is also the shading counterfactual of
+    the module model runs once per class over the lit hours and weighs by
+    row count. The open rows' output is also the shading counterfactual of
     every row.
     """
     panel = panel or PanelModel()
-    times = [hour.sample.time for hour in sky]
-    check_full_year(times)
-
-    n = len(sky)
-    p_w = np.zeros(n)
-    p_ns_w = np.zeros(n)
-    t_cell = np.zeros(n)
-    f_front = np.zeros(n)
-    f_rear = np.zeros(n)
-    g_eff_out = np.zeros(n)
-
+    sky.check_full_year()
+    lit = ~((sky.ghi <= 0.0) | (sky.altitude <= 0.0))
+    day = sky.take(lit)
+    sun = SolarPosition(day.altitude, day.azimuth)
     rows = layout.row_count
-    row_area = layout.row_length * layout.height
-    p_stc_row = panel.stc_efficiency * panel.g_stc * row_area
+    p_stc_row = panel.stc_efficiency * panel.g_stc * (layout.row_length * layout.height)
     bifacial = layout.bifaciality > 0.0
     wind_factor = wind_at_module(1.0, layout.mid_height, panel.wind_shear_exponent)
 
-    for i, hour in enumerate(sky):
-        sample, sun = hour.sample, hour.sun
-        t_cell[i] = sample.temp_air
-        if sample.ghi <= 0.0 or sun.altitude <= 0.0:
-            continue
-
+    # numpy follows IEEE arithmetic silently, as Python floats do
+    with np.errstate(all="ignore"):
+        w_mod = wind_factor * day.wind10
         front = layout.orientation(sun)
         inc_front = incidence_angle(sun, front)
-        poa_front = plane_irradiance(hour, front, inc_front, albedo)
+        poa_front = plane_irradiance(day, front, inc_front, albedo)
+        lights_front, lights_rear = poa_front.beamlike > 0.0, False
         if bifacial:
             rear = layout.rear_orientation(front)
             inc_rear = incidence_angle(sun, rear)
-            poa_rear = plane_irradiance(hour, rear, inc_rear, albedo)
-        else:
-            poa_rear = PlaneIrradiance(0.0, 0.0, 0.0, 0.0)
-            inc_rear = 0.5 * math.pi
-
+            poa_rear = plane_irradiance(day, rear, inc_rear, albedo)
+            lights_rear = poa_rear.beamlike > 0.0
         # geometric shadows exist regardless of face; they only act on the
         # face the beam currently lights, and a face without beam-like light
         # loses nothing to them
-        if poa_front.beamlike > 0.0 or (bifacial and poa_rear.beamlike > 0.0):
-            geom = layout.row_geometry(front)
-            n_open, n_shaded, state = row_shading(geom, sun_vector(sun), panel.blocks)
-        else:
-            n_open, n_shaded, state = rows, 0, UNSHADED
+        shading = row_shading(layout.row_geometry(front), sun_vector(sun), panel.blocks)
+        n_shaded = np.where(lights_front | lights_rear, shading.shaded_rows, 0)
+        shaded = n_shaded > 0
+        f_es = np.where(shaded, shading.f_es, 0.0)
 
-        w_mod = wind_factor * sample.wind10
-        phi = layout.bifaciality
-        p_sum = t_sum = g_sum = 0.0
-        for count, st in ((n_open, UNSHADED), (n_shaded, state)):
-            if count == 0:
-                continue
-            g = effective_irradiance(poa_front, st, inc_front, panel.alpha_r)
+        def rows_output(f):
+            g = effective_irradiance(poa_front, f, inc_front, panel.alpha_r)
             if bifacial:
-                g += phi * effective_irradiance(poa_rear, st, inc_rear, panel.alpha_r)
-            p_row, t_row, _ = power_output(g, sample.temp_air, w_mod, p_stc_row, panel)
-            p_sum += count * p_row
-            t_sum += count * t_row
-            g_sum += count * g
-            if st is UNSHADED:
-                # without shadows every row would produce what the open rows do
-                p_ns_w[i] = p_sum + n_shaded * p_row
-        p_w[i], t_cell[i], g_eff_out[i] = p_sum, t_sum / rows, g_sum / rows
-        share = n_shaded / rows
-        if poa_front.beamlike > 0.0:
-            f_front[i] = share * state.f_es
-        if poa_rear.beamlike > 0.0:
-            f_rear[i] = share * state.f_es
+                rear_g = effective_irradiance(poa_rear, f, inc_rear, panel.alpha_r)
+                g = g + layout.bifaciality * rear_g
+            p, t, _ = power_output(g, day.temp_air, w_mod, p_stc_row, panel)
+            return p, t, g
+
+        n_open = rows - n_shaded
+        p_open, t_open, g_open = rows_output(0.0)
+        p_sum, t_sum, g_sum = (0.0 + n_open * x for x in (p_open, t_open, g_open))
+        # without shadows every row would produce what the open rows do
+        p_noshadow = p_sum + n_shaded * p_open
+        p_sum, t_sum, g_sum = (
+            np.where(shaded, total + n_shaded * x, total)
+            for total, x in zip((p_sum, t_sum, g_sum), rows_output(f_es))
+        )
+        share_es = n_shaded / rows * f_es
+
+    def hourly(values, idle=None):
+        out = np.zeros(len(sky)) if idle is None else idle.copy()
+        out[lit] = values
+        return out
 
     return SimulationResult(
         layout=layout,
         panel=panel,
-        times=times,
-        p_w=p_w,
-        p_noshadow_w=p_ns_w,
-        t_cell_c=t_cell,
-        f_es_front=f_front,
-        f_es_rear=f_rear,
-        g_eff_wm2=g_eff_out,
+        times=sky.times,
+        p_w=hourly(p_sum),
+        p_noshadow_w=hourly(p_noshadow),
+        t_cell_c=hourly(t_sum / rows, sky.temp_air),
+        f_es_front=hourly(np.where(lights_front, share_es, 0.0)),
+        f_es_rear=hourly(np.where(lights_rear, share_es, 0.0)),
+        g_eff_wm2=hourly(g_sum / rows),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +59,8 @@ class RowGeometry:
     Row ``i`` is the parallelogram spanned by ``along`` and ``rise`` from
     ``origin + i * pitch``. ``along`` runs the row length, ``rise`` crosses
     the collector short axis (length = collector height), ``normal`` is the
-    front-face unit normal.
+    front-face unit normal. A tracker over H hours has (H, 3) ``origin``,
+    ``rise`` and ``normal``; fixed rows have one (3,) row for every hour.
     """
 
     origin: np.ndarray
@@ -74,8 +75,15 @@ class RowGeometry:
         return float(np.linalg.norm(self.along))
 
     @cached_property
-    def height(self) -> float:
-        return float(np.linalg.norm(self.rise))
+    def height(self):
+        """Collector height, per hour for (H, 3) rows."""
+        return np.sqrt(np.vecdot(self.rise, self.rise))[()]
+
+    def hour(self, i: int) -> RowGeometry:
+        """The rows at hour ``i`` of an hourly geometry; fixed rows are their own."""
+        if self.normal.ndim == 1:
+            return self
+        return replace(self, origin=self.origin[i], rise=self.rise[i], normal=self.normal[i])
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ class Layout:
         return self.clearance + 0.5 * self.height
 
     def orientation(self, sun: SolarPosition | None = None) -> PlaneOrientation:
-        """Front-face orientation, which for trackers depends on the sun."""
+        """Front-face orientation; a tracker's follows the sun, hour by hour."""
         if self.kind == "tilt":
             return PlaneOrientation(tilt=self.tilt, azimuth=0.0)
         if self.kind == "vertical":
@@ -160,8 +168,7 @@ class Layout:
     def rear_orientation(self, front: PlaneOrientation) -> PlaneOrientation:
         """Mirrored orientation of the rear face (azimuth rotated by pi)."""
         azimuth = front.azimuth + math.pi
-        if azimuth > math.pi:
-            azimuth -= 2.0 * math.pi
+        azimuth = np.where(azimuth > math.pi, azimuth - 2.0 * math.pi, azimuth)[()]
         return PlaneOrientation(tilt=front.tilt, azimuth=azimuth)
 
     def row_geometry(self, orientation: PlaneOrientation) -> RowGeometry:
@@ -182,10 +189,9 @@ class Layout:
             pitch = np.array([self.spacing, 0.0, 0.0])
         else:
             # rotation R about the n-s axis: R > 0 faces west (azimuth +pi/2)
-            rot = orientation.tilt
-            if orientation.tilt > 0.0 and orientation.azimuth < 0.0:
-                rot = -rot
-            cross = np.array([math.cos(rot), 0.0, math.sin(rot)])
+            tilt = orientation.tilt
+            rot = np.where((tilt > 0.0) & (orientation.azimuth < 0.0), -tilt, tilt)
+            cross = np.stack([np.cos(rot), np.zeros_like(rot), np.sin(rot)], axis=-1)
             axis_z = self.clearance + 0.5 * h
             origin = np.array([0.0, 0.0, axis_z]) - 0.5 * h * cross
             along = np.array([0.0, length, 0.0])

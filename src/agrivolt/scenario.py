@@ -28,7 +28,7 @@ from . import agronomy, indicators, outputs
 from .config import ScenarioConfig, case_layout
 from .electrical import SimulationResult, simulate_year
 from .shading import GroundGrid, ground_irradiance_map
-from .sky import IrradianceSample, SkyHour, sky_year
+from .sky import IrradianceSample, SkyYear, sky_year
 
 log = logging.getLogger(__name__)
 
@@ -74,8 +74,8 @@ def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
 def run_case(
     config: ScenarioConfig,
     spec: CaseSpec,
-    sky: list[SkyHour],
-    monthly: dict[int, list[SkyHour]],
+    sky: SkyYear,
+    monthly: dict[int, SkyYear],
 ) -> CaseResult:
     """Simulate one grid case: electricity year plus ground grids.
 
@@ -123,7 +123,7 @@ def run_cases(
     """
     cases = expand_cases(config)
     sky = sky_year(config.location, weather)
-    monthly = {m: [h for h in sky if h.sample.time.month == m] for m in sorted(set(months))}
+    monthly = {m: sky.take(sky.month == m) for m in sorted(set(months))}
     if threads <= 1 or len(cases) == 1:
         return [run_case(config, spec, sky, monthly) for spec in cases]
     workers = min(threads, len(cases))

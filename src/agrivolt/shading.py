@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import Layout, RowGeometry
-from .sky import MIN_SUN_ALTITUDE, SkyHour
-from .solar import sun_vector
+from .sky import MIN_SUN_ALTITUDE, SkyYear
+from .solar import SolarPosition, sun_vector
 
 #: A shadow must cover more than this fraction of a block's area to count
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
@@ -38,44 +38,39 @@ MIN_BLOCK_SHADOW_FRACTION = 1.0e-3
 
 
 @dataclass(frozen=True)
-class ShadingState:
-    """Shading of one collector for one hour.
+class RowShading:
+    """Shading of a layout's rows, one entry per sun position.
 
-    f_gs is the shaded area fraction, n_sb the number of shaded electrical
-    blocks out of n_tb, f_es the effective shading factor applied to the
-    beam-like irradiance.
+    ``shaded_rows`` rows share the shadow of their nearest sun-side neighbour,
+    the others are open. A shaded row loses the area fraction ``f_gs`` and
+    ``n_sb`` of its electrical blocks, so that the beam-like irradiance on it
+    drops by the effective shading factor ``f_es``. All zero where no row is
+    shaded.
     """
 
-    f_gs: float
-    n_sb: int
-    f_es: float
+    shaded_rows: np.ndarray
+    f_gs: np.ndarray
+    n_sb: np.ndarray
+    f_es: np.ndarray
 
 
-UNSHADED = ShadingState(f_gs=0.0, n_sb=0, f_es=0.0)
-
-
-def effective_shading_factor(f_gs: float, n_sb: int, n_tb: int = 3) -> float:
+def effective_shading_factor(f_gs, n_sb, n_tb: int = 3):
     """Electrical shading factor: 1 - (1 - F_GS) * (1 - N_SB / (N_TB + 1)).
 
     Blocks react to partial shading much harder than the shaded area alone
     suggests; with no shaded block this degrades gracefully to F_GS.
     """
-    if not 0.0 <= f_gs <= 1.0:
+    if not np.all((0.0 <= f_gs) & (f_gs <= 1.0)):
         raise ValueError(f"f_gs out of range [0, 1]: {f_gs}")
-    if not 0 <= n_sb <= n_tb:
+    if not np.all((0 <= n_sb) & (n_sb <= n_tb)):
         raise ValueError(f"n_sb out of range [0, {n_tb}]: {n_sb}")
     return 1.0 - (1.0 - f_gs) * (1.0 - n_sb / (n_tb + 1.0))
 
 
 def shaded_blocks(
-    u_extent: float,
-    v_lo: float,
-    v_hi: float,
-    length: float,
-    height: float,
-    n_tb: int = 3,
+    u_extent, v_lo, v_hi, length: float, height, n_tb: int = 3,
     min_fraction: float = MIN_BLOCK_SHADOW_FRACTION,
-) -> int:
+):
     """Count shaded blocks for a rectangular shadow on one collector.
 
     Blocks are n_tb equal strips stacked across the collector short axis
@@ -83,72 +78,59 @@ def shaded_blocks(
     (u extent ``u_extent``, v span [v_lo, v_hi]) overlaps more than
     ``min_fraction`` of the strip area.
     """
-    if u_extent <= 0.0 or v_hi <= v_lo:
-        return 0
     strip = height / n_tb
     min_area = min_fraction * length * strip
     count = 0
     for k in range(n_tb):
-        overlap_v = min(v_hi, (k + 1) * strip) - max(v_lo, k * strip)
-        if overlap_v > 0.0 and u_extent * overlap_v > min_area:
-            count += 1
-    return count
+        top, bottom = (k + 1) * strip, k * strip
+        overlap_v = np.where(top < v_hi, top, v_hi) - np.where(bottom > v_lo, bottom, v_lo)
+        count = count + ((overlap_v > 0.0) & (u_extent * overlap_v > min_area))
+    return np.where((u_extent <= 0.0) | (v_hi <= v_lo), 0, count)[()]
 
 
-def _shadow_rectangle(
-    geom: RowGeometry, sun_vec3: np.ndarray
-) -> tuple[float, float, int] | None:
-    """In-plane shadow offset (du, dv) of the nearest sun-side neighbour.
+def _shadow_rectangle(geom: RowGeometry, sun_vecs: np.ndarray):
+    """In-plane shadow offsets (du, dv) of the nearest sun-side neighbour,
+    and where one exists.
 
-    Returns None when no neighbour can shade (sun parallel to the plane,
-    rows coplanar with the sun, or a single-row layout). The int is the
-    pitch direction (+1/-1) of the shading neighbours; the row at the
-    opposite end of the field has none and stays unshaded.
+    None exists when the sun is parallel to the plane, the rows are coplanar
+    with the sun, or the layout has a single row. The row at the far end of
+    the field from the sun has no sun-side neighbour and stays unshaded.
     """
-    if geom.count < 2:
-        return None
-    normal = geom.normal
-    s_dot_n = float(np.dot(sun_vec3, normal))
-    if abs(s_dot_n) < 1.0e-12:
-        return None
+    s_dot_n = np.vecdot(sun_vecs, geom.normal)
     # neighbour at offset d casts onto the plane only if it sits sun-side,
     # i.e. d * (pitch . n) / (s . n) > 0
-    tau = float(np.dot(geom.pitch, normal)) / s_dot_n
-    if abs(tau) < 1.0e-12:
-        return None
-    direction = 1 if tau > 0.0 else -1
-    shift = direction * geom.pitch - (direction * tau) * sun_vec3
+    tau = np.vecdot(geom.pitch, geom.normal) / s_dot_n
+    casts = ~(np.abs(s_dot_n) < 1.0e-12) & ~(np.abs(tau) < 1.0e-12) & (geom.count >= 2)
+    direction = np.where(tau > 0.0, 1.0, -1.0)[..., None]
+    shift = direction * geom.pitch - (direction * tau[..., None]) * sun_vecs
     u_hat = geom.along / geom.length
-    v_hat = geom.rise / geom.height
-    return float(np.dot(shift, u_hat)), float(np.dot(shift, v_hat)), direction
+    v_hat = geom.rise / np.asarray(geom.height)[..., None]
+    return np.vecdot(shift, u_hat), np.vecdot(shift, v_hat), casts
 
 
-def row_shading(
-    geom: RowGeometry, sun_vec3: np.ndarray, n_tb: int = 3
-) -> tuple[int, int, ShadingState]:
-    """Shading state of the rows of a layout for one sun position.
+def row_shading(geom: RowGeometry, sun_vecs: np.ndarray, n_tb: int = 3) -> RowShading:
+    """Shading of the rows of a layout for each sun vector ((3,) or (H, 3)).
 
-    Returns ``(unshaded_rows, shaded_rows, state)``: the row on the sun
-    side of the field has no sun-side neighbour and stays unshaded; all
-    remaining rows share the state cast by their nearest sun-side
-    neighbour (which contains every farther neighbour's shadow).
+    The row on the sun side of the field has no sun-side neighbour and stays
+    unshaded; all remaining rows share the state cast by their nearest
+    sun-side neighbour (which contains every farther neighbour's shadow).
 
     The state is purely geometric and face independent: the same shadow
     applies to whichever collector face the beam currently lights.
     """
-    rect = _shadow_rectangle(geom, sun_vec3)
-    if rect is None:
-        return geom.count, 0, UNSHADED
-    du, dv, _ = rect
-    length, height = geom.length, geom.height
-    u_lo, u_hi = max(0.0, du), min(length, du + length)
-    v_lo, v_hi = max(0.0, dv), min(height, dv + height)
-    if u_hi <= u_lo or v_hi <= v_lo:
-        return geom.count, 0, UNSHADED
-    f_gs = (u_hi - u_lo) * (v_hi - v_lo) / (length * height)
-    n_sb = shaded_blocks(u_hi - u_lo, v_lo, v_hi, length, height, n_tb)
-    state = ShadingState(f_gs=f_gs, n_sb=n_sb, f_es=effective_shading_factor(f_gs, n_sb, n_tb))
-    return 1, geom.count - 1, state
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du, dv, casts = _shadow_rectangle(geom, sun_vecs)
+        length, height = geom.length, geom.height
+        # Python's max(0, x) and min(side, x + side), bit for bit
+        u_lo, u_hi = np.where(du > 0.0, du, 0.0), du + length
+        u_hi = np.where(u_hi < length, u_hi, length)
+        v_lo, v_hi = np.where(dv > 0.0, dv, 0.0), dv + height
+        v_hi = np.where(v_hi < height, v_hi, height)
+        shaded = casts & ~(u_hi <= u_lo) & ~(v_hi <= v_lo)
+        f_gs = np.where(shaded, (u_hi - u_lo) * (v_hi - v_lo) / (length * height), 0.0)
+        n_sb = np.where(shaded, shaded_blocks(u_hi - u_lo, v_lo, v_hi, length, height, n_tb), 0)
+        f_es = effective_shading_factor(f_gs, n_sb, n_tb)
+    return RowShading(np.where(shaded, geom.count - 1, 0)[()], f_gs[()], n_sb[()], f_es[()])
 
 
 def ground_shadow_mask(
@@ -225,7 +207,7 @@ class GroundGrid:
 
 
 def ground_irradiance_map(
-    layout: Layout, hours: list[SkyHour], cell_size: float = 0.5
+    layout: Layout, hours: SkyYear, cell_size: float = 0.5
 ) -> GroundGrid:
     """Accumulate the ground-level shadow map over the given sky hours.
 
@@ -247,19 +229,21 @@ def ground_irradiance_map(
     unshaded_total = 0.0
     daylight_hours = 0
 
-    for hour in hours:
-        sample, sun = hour.sample, hour.sun
-        if sample.ghi <= 0.0:
+    sun = SolarPosition(hours.altitude, hours.azimuth)
+    geoms = layout.row_geometry(layout.orientation(sun))
+    sun_vecs = sun_vector(sun)
+    columns = (hours.ghi, hours.bhi, hours.dhi, hours.k1, hours.k_hori, hours.altitude)
+    for i, (ghi, bhi, dhi, k1, k_hori, altitude) in enumerate(zip(*(c.tolist() for c in columns))):
+        if ghi <= 0.0:
             continue
         daylight_hours += 1
-        direct_h = sample.bhi
-        circ_h = hour.k1 * sample.dhi
-        iso_h = hour.k_hori * (1.0 - hour.k1) * sample.dhi
+        direct_h = bhi
+        circ_h = k1 * dhi
+        iso_h = k_hori * (1.0 - k1) * dhi
         unshaded_total += direct_h + circ_h + iso_h
-        if sun.altitude <= MIN_SUN_ALTITUDE or direct_h + circ_h <= 0.0:
+        if altitude <= MIN_SUN_ALTITUDE or direct_h + circ_h <= 0.0:
             continue
-        geom = layout.row_geometry(layout.orientation(sun))
-        mask = ground_shadow_mask(geom, sun_vector(sun), xx, yy)
+        mask = ground_shadow_mask(geoms.hour(i), sun_vecs[i], xx, yy)
         if direct_h > 0.0:
             blocked_direct += direct_h * mask
         if circ_h > 0.0:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 
-from .errors import listed
-from .solar import GeoLocation, PlaneOrientation, SolarPosition, solar_position, toa_horizontal
+import numpy as np
+
+from .errors import InputError, listed
+from .solar import GeoLocation, PlaneOrientation, solar_position, toa_horizontal
 
 log = logging.getLogger(__name__)
 
@@ -43,53 +45,93 @@ class IrradianceSample:
     wind10: float
 
 
-@dataclass(frozen=True, slots=True)
-class SkyHour:
-    """The sky of one hour, shared by every plane and ground cell.
+def check_full_year(times: list[datetime]) -> None:
+    """Require one full year (8760 or 8784) of consecutive hourly timestamps."""
+    if len(times) not in (8760, 8784):
+        raise InputError(
+            f"weather must cover one full year of hourly samples, got {len(times)} rows"
+        )
+    step = times[1] - times[0]
+    if step.total_seconds() != 3600.0:
+        raise InputError(f"weather must be hourly, got step {step}")
+    for prev, cur in zip(times, times[1:]):
+        if (cur - prev).total_seconds() != 3600.0:
+            raise InputError(f"gap in weather series after {prev.isoformat()}")
 
-    ``toa`` is the top-of-atmosphere horizontal irradiance in W/m2, ``k1``
-    the anisotropy index and ``k_hori`` the horizon brightening factor.
+
+@dataclass(frozen=True, eq=False)
+class SkyYear:
+    """The sky of every hour of a year as columns, shared by every plane and
+    ground cell.
+
+    ``times`` and ``month`` give each hour's UTC timestamp and calendar month;
+    ``bhi``/``dhi``/``ghi``, ``temp_air`` and ``wind10`` are the measured
+    weather (see :class:`IrradianceSample`), ``altitude`` and ``azimuth`` the
+    sun in radians, ``toa`` the top-of-atmosphere horizontal irradiance in
+    W/m2, ``k1`` the anisotropy index and ``k_hori`` the horizon brightening
+    factor.
     """
 
-    sample: IrradianceSample
-    sun: SolarPosition
-    toa: float
-    k1: float
-    k_hori: float
+    times: list[datetime]
+    month: np.ndarray
+    bhi: np.ndarray
+    dhi: np.ndarray
+    ghi: np.ndarray
+    temp_air: np.ndarray
+    wind10: np.ndarray
+    altitude: np.ndarray
+    azimuth: np.ndarray
+    toa: np.ndarray
+    k1: np.ndarray
+    k_hori: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def take(self, index) -> SkyYear:
+        """The hours a boolean mask, slice or index array selects, in its order."""
+        rows = np.arange(len(self))[index]
+        columns = {f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "times"}
+        return SkyYear(times=[self.times[i] for i in rows.tolist()], **columns)
+
+    def check_full_year(self) -> None:
+        """Require one full year of consecutive hours; a sky year that passed
+        is not checked again."""
+        if "full_year" not in self.__dict__:
+            check_full_year(self.times)
+            self.__dict__["full_year"] = True
 
 
 @dataclass(frozen=True)
 class PlaneIrradiance:
-    """Irradiance components on a collector plane, all W/m2."""
+    """Irradiance components on a collector plane, all W/m2, one entry per hour."""
 
-    direct: float
-    circumsolar: float
-    isotropic: float
-    reflected: float
+    direct: np.ndarray
+    circumsolar: np.ndarray
+    isotropic: np.ndarray
+    reflected: np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return self.direct + self.circumsolar + self.isotropic + self.reflected
 
     @property
-    def beamlike(self) -> float:
+    def beamlike(self) -> np.ndarray:
         """The part that shadows can block."""
         return self.direct + self.circumsolar
 
 
-def direct_on_plane(sample: IrradianceSample, sun: SolarPosition, incidence: float) -> float:
+def direct_on_plane(bhi, altitude, incidence):
     """Beam irradiance on a plane: B0 * cos(incidence) / sin(altitude).
 
     ``incidence`` is the plane's :func:`~agrivolt.solar.incidence_angle`.
-    Returns 0 for sun at or below ``MIN_SUN_ALTITUDE`` or behind the plane.
+    Zero for sun at or below ``MIN_SUN_ALTITUDE`` or behind the plane.
     At tilt 0 this reduces exactly to the horizontal beam input.
     """
-    if sun.altitude <= MIN_SUN_ALTITUDE:
-        return 0.0
-    cos_inc = math.cos(incidence)
-    if cos_inc <= 0.0:
-        return 0.0
-    return sample.bhi * cos_inc / math.sin(sun.altitude)
+    cos_inc = np.cos(incidence)
+    lit = (altitude > MIN_SUN_ALTITUDE) & (cos_inc > 0.0)
+    out = np.zeros(np.broadcast(bhi, lit).shape)
+    return np.divide(bhi * cos_inc, np.sin(altitude), out=out, where=lit)[()]
 
 
 def anisotropy_index(sample: IrradianceSample, toa_horizontal: float) -> float:
@@ -118,14 +160,7 @@ def horizon_brightening(diffuse_frac: float, altitude: float) -> float:
     return 1.0 + math.sqrt(1.0 - f) * math.sin(0.5 * alt) ** 3
 
 
-def diffuse_on_plane(
-    sample: IrradianceSample,
-    sun: SolarPosition,
-    plane: PlaneOrientation,
-    incidence: float,
-    k1: float,
-    k_hori: float,
-) -> tuple[float, float]:
+def diffuse_on_plane(dhi, altitude, tilt, incidence, k1, k_hori):
     """Circumsolar and isotropic diffuse components on the plane.
 
     Circumsolar follows the beam direction at the plane's ``incidence``
@@ -135,55 +170,54 @@ def diffuse_on_plane(
 
     Returns
     -------
-    (circumsolar, isotropic) : tuple of float, W/m2
+    (circumsolar, isotropic) : W/m2
     """
-    circumsolar = 0.0
-    if sun.altitude > MIN_SUN_ALTITUDE:
-        cos_inc = math.cos(incidence)
-        if cos_inc > 0.0:
-            circumsolar = k1 * sample.dhi * cos_inc / math.sin(sun.altitude)
-    sky_view = 0.5 * (1.0 + math.cos(plane.tilt))
-    isotropic = k_hori * (1.0 - k1) * sample.dhi * sky_view
+    circumsolar = direct_on_plane(k1 * dhi, altitude, incidence)
+    sky_view = 0.5 * (1.0 + np.cos(tilt))
+    isotropic = k_hori * (1.0 - k1) * dhi * sky_view
     return circumsolar, isotropic
 
 
-def albedo_on_plane(
-    sample: IrradianceSample, plane: PlaneOrientation, albedo: float = DEFAULT_ALBEDO
-) -> float:
+def albedo_on_plane(ghi, tilt, albedo: float = DEFAULT_ALBEDO):
     """Ground-reflected irradiance: rho * GHI * (1 - cos(tilt)) / 2."""
-    return albedo * sample.ghi * 0.5 * (1.0 - math.cos(plane.tilt))
+    return albedo * ghi * 0.5 * (1.0 - np.cos(tilt))
 
 
-def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> list[SkyHour]:
+def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> SkyYear:
     """The sky of every weather hour, each hour's sun computed once. Hours whose
     beam exceeds the top-of-atmosphere irradiance by over 1 W/m2 are kept and logged."""
-    hours = []
-    for sample in weather:
-        sun = solar_position(location, sample.time)
-        toa = toa_horizontal(sun, sample.time)
-        k_hori = horizon_brightening(diffuse_fraction(sample), sun.altitude)
-        hours.append(SkyHour(sample, sun, toa, anisotropy_index(sample, toa), k_hori))
-    over_toa = [h.sample.time.isoformat() for h in hours if h.sample.bhi > h.toa + 1.0]
+    rows = []
+    for s in weather:
+        sun = solar_position(location, s.time)
+        toa = toa_horizontal(sun, s.time)
+        k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
+        k1 = anisotropy_index(s, toa)
+        rows.append(
+            (s.bhi, s.dhi, s.ghi, s.temp_air, s.wind10, sun.altitude, sun.azimuth, toa, k1, k_hori)
+        )
+    columns = np.ascontiguousarray(np.array(rows, dtype=float).reshape(-1, 10).T)
+    times = [s.time for s in weather]
+    year = SkyYear(times, np.array([t.month for t in times], dtype=np.int64), *columns)
+    over_toa = [times[i].isoformat() for i in np.flatnonzero(year.bhi > year.toa + 1.0)]
     if over_toa:
         log.warning(
             "beam exceeds top-of-atmosphere irradiance in %d hours (%s)",
             len(over_toa),
             listed(over_toa),
         )
-    return hours
+    return year
 
 
 def plane_irradiance(
-    hour: SkyHour, plane: PlaneOrientation, incidence: float, albedo: float = DEFAULT_ALBEDO
+    sky: SkyYear, plane: PlaneOrientation, incidence, albedo: float = DEFAULT_ALBEDO
 ) -> PlaneIrradiance:
-    """Full transposition pipeline for one plane and one hour, given the
-    plane's incidence angle."""
-    sample, sun = hour.sample, hour.sun
-    direct = direct_on_plane(sample, sun, incidence)
+    """Full transposition pipeline for one plane over the hours of ``sky``,
+    given the plane's incidence angle per hour."""
+    direct = direct_on_plane(sky.bhi, sky.altitude, incidence)
     circumsolar, isotropic = diffuse_on_plane(
-        sample, sun, plane, incidence, hour.k1, hour.k_hori
+        sky.dhi, sky.altitude, plane.tilt, incidence, sky.k1, sky.k_hori
     )
-    reflected = albedo_on_plane(sample, plane, albedo)
+    reflected = albedo_on_plane(sky.ghi, plane.tilt, albedo)
     return PlaneIrradiance(
         direct=direct, circumsolar=circumsolar, isotropic=isotropic, reflected=reflected
     )

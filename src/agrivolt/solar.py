@@ -8,12 +8,17 @@ Angle conventions used throughout the package:
 
 All timestamps are UTC ``datetime`` objects; naive datetimes are rejected.
 World coordinates are right handed with x pointing east, y north, z up.
+
+The geometry functions take floats or arrays of hours alike: a
+:class:`SolarPosition` or :class:`PlaneOrientation` may hold one value or
+one value per hour.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,6 +29,18 @@ _J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 #: Years the ephemeris of :func:`solar_position` covers.
 SUPPORTED_YEARS = range(1950, 2101)
+
+
+def math_map(fn: Callable[..., float], *args):
+    """``fn`` from :mod:`math` applied element by element over broadcast arrays.
+
+    numpy's exp, log, acos and atan2 may differ from the C library's in the
+    last bit; these terms go through ``math`` so that every result keeps the
+    bits of the per-hour formulas. A float in gives a float out.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, dtype=float, count=arrays[0].size).reshape(arrays[0].shape)[()]
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,7 @@ class PlaneOrientation:
     azimuth: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tilt <= 0.5 * math.pi:
+        if not np.all((0.0 <= self.tilt) & (self.tilt <= 0.5 * math.pi)):
             raise ValueError(f"tilt out of range [0, pi/2]: {self.tilt}")
 
 
@@ -120,26 +137,22 @@ def solar_position(location: GeoLocation, time: datetime) -> SolarPosition:
 
 
 def sun_vector(sun: SolarPosition) -> np.ndarray:
-    """Unit vector pointing from the ground toward the sun, (east, north, up)."""
-    cos_alt = math.cos(sun.altitude)
-    return np.array(
-        [
-            -cos_alt * math.sin(sun.azimuth),
-            -cos_alt * math.cos(sun.azimuth),
-            math.sin(sun.altitude),
-        ]
+    """Unit vector pointing from the ground toward the sun, (east, north, up);
+    shape (3,), or (H, 3) for H hours."""
+    cos_alt = np.cos(sun.altitude)
+    return np.stack(
+        [-cos_alt * np.sin(sun.azimuth), -cos_alt * np.cos(sun.azimuth), np.sin(sun.altitude)],
+        axis=-1,
     )
 
 
 def plane_normal(plane: PlaneOrientation) -> np.ndarray:
-    """Unit normal of the collector front face, (east, north, up)."""
-    sin_tilt = math.sin(plane.tilt)
-    return np.array(
-        [
-            -sin_tilt * math.sin(plane.azimuth),
-            -sin_tilt * math.cos(plane.azimuth),
-            math.cos(plane.tilt),
-        ]
+    """Unit normal of the collector front face, (east, north, up); shape (3,),
+    or (H, 3) for H hours."""
+    sin_tilt = np.sin(plane.tilt)
+    return np.stack(
+        [-sin_tilt * np.sin(plane.azimuth), -sin_tilt * np.cos(plane.azimuth), np.cos(plane.tilt)],
+        axis=-1,
     )
 
 
@@ -149,12 +162,11 @@ def incidence_angle(sun: SolarPosition, plane: PlaneOrientation) -> float:
     Values above pi/2 mean the sun is behind the plane.
     """
     cos_inc = (
-        math.sin(sun.altitude) * math.cos(plane.tilt)
-        + math.cos(sun.altitude)
-        * math.sin(plane.tilt)
-        * math.cos(sun.azimuth - plane.azimuth)
+        np.sin(sun.altitude) * np.cos(plane.tilt)
+        + np.cos(sun.altitude) * np.sin(plane.tilt) * np.cos(sun.azimuth - plane.azimuth)
     )
-    return math.acos(min(1.0, max(-1.0, cos_inc)))
+    cos_inc = np.where(cos_inc > -1.0, cos_inc, -1.0)
+    return math_map(math.acos, np.where(cos_inc < 1.0, cos_inc, 1.0))
 
 
 def eccentricity_correction(time: datetime) -> float:
@@ -201,13 +213,12 @@ def tracking_orientation(
     PlaneOrientation
         Tilt = |R| with azimuth +-pi/2 (west/east), or flat at R = 0.
     """
-    if sun.altitude <= 0.0:
-        return PlaneOrientation(tilt=0.0, azimuth=0.0)
-    rotation = math.atan2(
-        math.cos(sun.altitude) * math.sin(sun.azimuth), math.sin(sun.altitude)
+    rotation = math_map(
+        math.atan2, np.cos(sun.altitude) * np.sin(sun.azimuth), np.sin(sun.altitude)
     )
     if max_rotation is not None:
-        rotation = min(max_rotation, max(-max_rotation, rotation))
-    if rotation == 0.0:
-        return PlaneOrientation(tilt=0.0, azimuth=0.0)
-    return PlaneOrientation(tilt=abs(rotation), azimuth=math.copysign(0.5 * math.pi, rotation))
+        rotation = np.where(rotation > -max_rotation, rotation, -max_rotation)
+        rotation = np.where(rotation < max_rotation, rotation, max_rotation)
+    rotation = np.where(sun.altitude <= 0.0, 0.0, rotation)
+    azimuth = np.where(rotation == 0.0, 0.0, np.copysign(0.5 * math.pi, rotation))
+    return PlaneOrientation(tilt=np.abs(rotation)[()], azimuth=azimuth[()])

@@ -144,20 +144,6 @@ def _check_hourly(samples: list[IrradianceSample], path: Path) -> None:
         raise InputError(f"{path}: missing hours: {listed(missing, n_missing)}")
 
 
-def check_full_year(times: list[datetime]) -> None:
-    """Require one full year (8760 or 8784) of consecutive hourly timestamps."""
-    if len(times) not in (8760, 8784):
-        raise InputError(
-            f"weather must cover one full year of hourly samples, got {len(times)} rows"
-        )
-    step = times[1] - times[0]
-    if step.total_seconds() != 3600.0:
-        raise InputError(f"weather must be hourly, got step {step}")
-    for prev, cur in zip(times, times[1:]):
-        if (cur - prev).total_seconds() != 3600.0:
-            raise InputError(f"gap in weather series after {prev.isoformat()}")
-
-
 def ingest_prices(path: str | Path, times: list[datetime]) -> np.ndarray:
     """Read an hourly price CSV (``time,price``) aligned to a weather timeline.
 

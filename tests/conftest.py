@@ -96,7 +96,7 @@ def annual_reports(annual_sims, prices):
 @pytest.fixture(scope="session")
 def july_maps(sky):
     """July ground irradiance maps per kind (s=6, h=2, 50 m field, 0.5 m)."""
-    july = [hour for hour in sky if hour.sample.time.month == 7]
+    july = sky.take(sky.month == 7)
     return {
         kind: ground_irradiance_map(reference_layout(kind, 50.0), july, cell_size=0.5)
         for kind in MOUNT_KINDS

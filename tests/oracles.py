@@ -9,6 +9,11 @@ is the one exception: it spreads the production shading state over the
 rows so that it can be compared with the per-row oracle. The reference
 artifact writers format one value at a time; the bulk writers of
 ``agrivolt.outputs`` must match them byte for byte.
+
+``reference_field_year`` runs the yield model one hour at a time, with
+scalar ``math`` copies of the transposition, row shading and module
+formulas; the production model evaluates all hours as arrays and must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,17 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from agrivolt.electrical import (
-    PanelModel,
-    SimulationResult,
-    effective_irradiance,
-    power_output,
-    wind_at_module,
-)
+from agrivolt.electrical import PanelModel, SimulationResult, wind_at_module
 from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
-from agrivolt.shading import UNSHADED, GroundGrid, ShadingState, row_shading
-from agrivolt.sky import PlaneIrradiance, SkyHour, plane_irradiance
+from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, row_shading
+from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
 from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle, sun_vector
 
 _EPS = 1.0e-9
@@ -51,10 +50,10 @@ def row_shading_fractions(geom: RowGeometry, sun_vec3: np.ndarray) -> np.ndarray
     the edge row on the sun side has zero.
     """
     fractions = np.zeros(geom.count)
-    _, shaded, state = row_shading(geom, sun_vec3)
-    if shaded == 0:
+    shading = row_shading(geom, sun_vec3)
+    if shading.shaded_rows == 0:
         return fractions
-    fractions[:] = state.f_gs
+    fractions[:] = shading.f_gs
     # neighbours shade from the +pitch side when pitch and normal point the
     # same way relative to the sun; the last row in that direction has none
     tau = float(np.dot(geom.pitch, geom.normal)) / float(np.dot(sun_vec3, geom.normal))
@@ -254,10 +253,94 @@ def sweep_min_incidence(
     return best_rot, best_inc
 
 
+def _incidence(sun: SolarPosition, plane: PlaneOrientation) -> float:
+    cos_inc = math.sin(sun.altitude) * math.cos(plane.tilt) + math.cos(sun.altitude) * math.sin(
+        plane.tilt
+    ) * math.cos(sun.azimuth - plane.azimuth)
+    return math.acos(min(1.0, max(-1.0, cos_inc)))
+
+
+def _plane_irradiance(
+    bhi: float, dhi: float, ghi: float, altitude: float, k1: float, k_hori: float,
+    tilt: float, incidence: float, albedo: float,
+) -> tuple[float, float, float]:
+    """(beam-like, isotropic, reflected) irradiance on a plane in one hour."""
+    direct = circumsolar = 0.0
+    if altitude > MIN_SUN_ALTITUDE:
+        cos_inc = math.cos(incidence)
+        if cos_inc > 0.0:
+            direct = bhi * cos_inc / math.sin(altitude)
+            circumsolar = k1 * dhi * cos_inc / math.sin(altitude)
+    sky_view = 0.5 * (1.0 + math.cos(tilt))
+    isotropic = k_hori * (1.0 - k1) * dhi * sky_view
+    reflected = albedo * ghi * 0.5 * (1.0 - math.cos(tilt))
+    return direct + circumsolar, isotropic, reflected
+
+
+def _effective_irradiance(
+    poa: tuple[float, float, float], f_es: float, incidence: float, alpha_r: float
+) -> float:
+    beamlike, isotropic, reflected = poa
+    al = 1.0
+    if incidence < 0.5 * math.pi:
+        scale = 1.0 - math.exp(-1.0 / alpha_r)
+        al = 1.0 - (1.0 - math.exp(-math.cos(incidence) / alpha_r)) / scale
+    return beamlike * (1.0 - f_es) * (1.0 - al) + isotropic + reflected
+
+
+def _power_output(
+    g_eff: float, temp_air: float, wind_module: float, p_stc: float, panel: PanelModel
+) -> tuple[float, float]:
+    """(power W, cell temperature degC) of one collector."""
+    if g_eff <= 0.0:
+        return 0.0, temp_air
+    t_cell = temp_air + g_eff / (panel.u0 + panel.u1 * wind_module)
+    ratio = g_eff / panel.g_stc
+    eta = 0.0
+    if ratio > 0.0:
+        k1, k2, k3, k4, k5, k6 = panel.huld
+        lg = math.log(ratio)
+        dt = t_cell - panel.t_stc
+        eta = max(
+            0.0, 1.0 + k1 * lg + k2 * lg * lg + dt * (k3 + k4 * lg + k5 * lg * lg) + k6 * dt * dt
+        )
+    return p_stc * eta * panel.eta_system * g_eff / panel.g_stc, t_cell
+
+
+def _row_shading(geom: RowGeometry, sun_vec3: np.ndarray, n_tb: int) -> tuple[int, float]:
+    """(shaded rows, effective shading factor) for one sun position."""
+    if geom.count < 2:
+        return 0, 0.0
+    s_dot_n = float(np.dot(sun_vec3, geom.normal))
+    if abs(s_dot_n) < 1.0e-12:
+        return 0, 0.0
+    tau = float(np.dot(geom.pitch, geom.normal)) / s_dot_n
+    if abs(tau) < 1.0e-12:
+        return 0, 0.0
+    direction = 1 if tau > 0.0 else -1
+    shift = direction * geom.pitch - (direction * tau) * sun_vec3
+    length, height = float(np.linalg.norm(geom.along)), float(np.linalg.norm(geom.rise))
+    du = float(np.dot(shift, geom.along / length))
+    dv = float(np.dot(shift, geom.rise / height))
+    u_lo, u_hi = max(0.0, du), min(length, du + length)
+    v_lo, v_hi = max(0.0, dv), min(height, dv + height)
+    if u_hi <= u_lo or v_hi <= v_lo:
+        return 0, 0.0
+    f_gs = (u_hi - u_lo) * (v_hi - v_lo) / (length * height)
+    strip = height / n_tb
+    min_area = MIN_BLOCK_SHADOW_FRACTION * length * strip
+    n_sb = 0
+    for k in range(n_tb):
+        overlap_v = min(v_hi, (k + 1) * strip) - max(v_lo, k * strip)
+        if overlap_v > 0.0 and (u_hi - u_lo) * overlap_v > min_area:
+            n_sb += 1
+    return geom.count - 1, 1.0 - (1.0 - f_gs) * (1.0 - n_sb / (n_tb + 1.0))
+
+
 def reference_field_year(
-    layout: Layout, sky: list[SkyHour], panel: PanelModel | None = None, albedo: float = 0.2
+    layout: Layout, sky: SkyYear, panel: PanelModel | None = None, albedo: float = 0.2
 ) -> tuple[np.ndarray, ...]:
-    """Hourly field output in the plain two-evaluation form.
+    """Hourly field output in the plain per-hour, two-evaluation form.
 
     Each hour derives each face's incidence angle anew for every use, gates
     the shading state per face on that face's beam-like light, and runs
@@ -273,53 +356,56 @@ def reference_field_year(
     rows = layout.row_count
     p_stc_row = panel.stc_efficiency * panel.g_stc * (layout.row_length * layout.height)
     bifacial = layout.bifaciality > 0.0
+    columns = (sky.bhi, sky.dhi, sky.ghi, sky.temp_air, sky.wind10, sky.altitude, sky.azimuth,
+               sky.k1, sky.k_hori)
 
-    for i, hour in enumerate(sky):
-        sample, sun = hour.sample, hour.sun
-        t_cell[i] = sample.temp_air
-        if sample.ghi <= 0.0 or sun.altitude <= 0.0:
+    for i, (bhi, dhi, ghi, temp_air, wind10, alt, az, k1, k_hori) in enumerate(
+        zip(*(c.tolist() for c in columns))
+    ):
+        t_cell[i] = temp_air
+        if ghi <= 0.0 or alt <= 0.0:
             continue
+        sun = SolarPosition(alt, az)
         front = layout.orientation(sun)
-        poa_front = plane_irradiance(hour, front, incidence_angle(sun, front), albedo)
+        hour = (bhi, dhi, ghi, alt, k1, k_hori)
+        poa_front = _plane_irradiance(*hour, front.tilt, _incidence(sun, front), albedo)
+        poa_rear = (0.0, 0.0, 0.0)
         if bifacial:
             rear = layout.rear_orientation(front)
-            poa_rear = plane_irradiance(hour, rear, incidence_angle(sun, rear), albedo)
-        else:
-            poa_rear = PlaneIrradiance(0.0, 0.0, 0.0, 0.0)
-        if poa_front.beamlike > 0.0 or poa_rear.beamlike > 0.0:
+            poa_rear = _plane_irradiance(*hour, rear.tilt, _incidence(sun, rear), albedo)
+        n_shaded, f_es = 0, 0.0
+        if poa_front[0] > 0.0 or poa_rear[0] > 0.0:
             geom = layout.row_geometry(front)
-            n_open, n_shaded, state = row_shading(geom, sun_vector(sun), panel.blocks)
-        else:
-            n_open, n_shaded, state = rows, 0, UNSHADED
-        w_mod = wind_at_module(sample.wind10, layout.mid_height, panel.wind_shear_exponent)
+            n_shaded, f_es = _row_shading(geom, sun_vector(sun), panel.blocks)
+        w_mod = wind_at_module(wind10, layout.mid_height, panel.wind_shear_exponent)
 
-        def field_power(shaded_state: ShadingState) -> tuple[float, float, float]:
+        def field_power(shaded_f_es: float) -> tuple[float, float, float]:
             p_sum = t_sum = g_sum = 0.0
-            for count, st in ((n_open, UNSHADED), (n_shaded, shaded_state)):
+            for count, fs in ((rows - n_shaded, 0.0), (n_shaded, shaded_f_es)):
                 if count == 0:
                     continue
-                fs = st if poa_front.beamlike > 0.0 else UNSHADED
-                g = effective_irradiance(
-                    poa_front, fs, incidence_angle(sun, front), panel.alpha_r
+                g = _effective_irradiance(
+                    poa_front, fs if poa_front[0] > 0.0 else 0.0, _incidence(sun, front),
+                    panel.alpha_r,
                 )
                 if bifacial:
-                    rs = st if poa_rear.beamlike > 0.0 else UNSHADED
-                    g += layout.bifaciality * effective_irradiance(
-                        poa_rear, rs, incidence_angle(sun, rear), panel.alpha_r
+                    g += layout.bifaciality * _effective_irradiance(
+                        poa_rear, fs if poa_rear[0] > 0.0 else 0.0, _incidence(sun, rear),
+                        panel.alpha_r,
                     )
-                p_row, t_row, _ = power_output(g, sample.temp_air, w_mod, p_stc_row, panel)
+                p_row, t_row = _power_output(g, temp_air, w_mod, p_stc_row, panel)
                 p_sum += count * p_row
                 t_sum += count * t_row
                 g_sum += count * g
             return p_sum, t_sum / rows, g_sum / rows
 
-        p_w[i], t_cell[i], g_eff_out[i] = field_power(state)
-        p_ns_w[i] = field_power(UNSHADED)[0]
+        p_w[i], t_cell[i], g_eff_out[i] = field_power(f_es)
+        p_ns_w[i] = field_power(0.0)[0]
         share = n_shaded / rows
-        if poa_front.beamlike > 0.0:
-            f_front[i] = share * state.f_es
-        if poa_rear.beamlike > 0.0:
-            f_rear[i] = share * state.f_es
+        if poa_front[0] > 0.0:
+            f_front[i] = share * f_es
+        if poa_rear[0] > 0.0:
+            f_rear[i] = share * f_es
     return p_w, p_ns_w, t_cell, f_front, f_rear, g_eff_out
 
 

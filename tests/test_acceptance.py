@@ -36,7 +36,6 @@ from agrivolt.land import (
 from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.outputs import monthly_daily_yield
 from agrivolt.shading import (
-    UNSHADED,
     effective_shading_factor,
     ground_shadow_mask,
     row_shading,
@@ -56,7 +55,7 @@ def test_criterion_01_stc_identity():
     """Standard test conditions reproduce the nameplate power exactly."""
     panel = replace(PanelModel(), eta_system=1.0)
     poa = PlaneIrradiance(direct=1000.0, circumsolar=0.0, isotropic=0.0, reflected=0.0)
-    g_eff = effective_irradiance(poa, UNSHADED, 0.0, panel.alpha_r)
+    g_eff = effective_irradiance(poa, 0.0, 0.0, panel.alpha_r)
     assert g_eff == pytest.approx(1000.0, rel=1e-12)
     wind = 1.0
     temp_air = 25.0 - 1000.0 / (panel.u0 + panel.u1 * wind)  # cell lands at 25 degC

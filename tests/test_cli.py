@@ -241,7 +241,7 @@ class TestDecisionMap:
         mapper = scenario.ground_irradiance_map
 
         def counting(*args, **kwargs):
-            calls.append(args[1][0].sample.time.month)
+            calls.append(int(args[1].month[0]))
             return mapper(*args, **kwargs)
 
         monkeypatch.setattr(scenario, "ground_irradiance_map", counting)

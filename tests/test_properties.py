@@ -182,3 +182,40 @@ class TestConversions:
         part = full * scale
         loss = shadow_losses(part, full)
         assert -1e-9 <= loss <= 100.0 + 1e-9
+
+
+class TestHostNumerics:
+    """The array yield model keeps the bits of the per-hour model only while
+    these hold for the installed numpy and BLAS; a change that breaks one
+    fails here by name, not only in the golden digests."""
+
+    @staticmethod
+    def vectors(rng, n):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        return rng.standard_normal((n, 3)) * scale
+
+    def test_vecdot_equals_dot_on_3_vectors(self):
+        rng = np.random.default_rng(20150101)
+        a, b = self.vectors(rng, 20000), self.vectors(rng, 20000)
+        rows = np.vecdot(a, b)
+        broadcast = np.vecdot(a, b[0])
+        for i in range(len(a)):
+            assert rows[i] == np.dot(a[i], b[i]), i
+            assert broadcast[i] == np.dot(a[i], b[0]), i
+            assert np.vecdot(a[i], b[i]) == np.dot(a[i], b[i]), i
+
+    def test_sqrt_vecdot_equals_norm(self):
+        rng = np.random.default_rng(7)
+        a = self.vectors(rng, 20000)
+        norms = np.sqrt(np.vecdot(a, a))
+        for i in range(len(a)):
+            assert norms[i] == np.linalg.norm(a[i]), i
+
+    def test_sin_cos_equal_math(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 100000), rng.uniform(-1e6, 1e6, 20000)]
+        )
+        values = x.tolist()
+        assert np.sin(x).tolist() == [math.sin(v) for v in values]
+        assert np.cos(x).tolist() == [math.cos(v) for v in values]

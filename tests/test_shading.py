@@ -93,9 +93,9 @@ class TestRowShading:
         """
         sun = SolarPosition(altitude=math.radians(20.0), azimuth=0.0)
         _, geom = layout_geometry("tilt", 3.0, 2.0, sun, tilt=math.radians(45.0))
-        unshaded, shaded, state = row_shading(geom, sun_vector(sun))
-        assert unshaded == 1
-        assert shaded == geom.count - 1
+        state = row_shading(geom, sun_vector(sun))
+        assert geom.count - state.shaded_rows == 1
+        assert state.shaded_rows == geom.count - 1
         assert state.f_gs == pytest.approx(0.4339337890, abs=1e-9)
         assert state.n_sb == 2
         assert state.f_es == pytest.approx(
@@ -108,22 +108,21 @@ class TestRowShading:
         sun = SolarPosition(altitude=math.radians(15.0), azimuth=0.0)
         _, geom = layout_geometry("tilt", 12.0, 2.0, sun, field=(10.0, 10.0))
         assert geom.count == 1
-        unshaded, shaded, state = row_shading(geom, sun_vector(sun))
-        assert (unshaded, shaded) == (1, 0)
+        state = row_shading(geom, sun_vector(sun))
+        assert (geom.count - state.shaded_rows, state.shaded_rows) == (1, 0)
         assert state.f_gs == 0.0
 
     def test_high_sun_clears_all_rows(self):
         sun = SolarPosition(altitude=math.radians(75.0), azimuth=0.0)
         _, geom = layout_geometry("tilt", 6.0, 1.0, sun)
-        _, shaded, state = row_shading(geom, sun_vector(sun))
-        assert shaded == 0 or state.f_gs == 0.0
+        state = row_shading(geom, sun_vector(sun))
+        assert state.shaded_rows == 0 or state.f_gs == 0.0
 
     def test_sun_along_vertical_planes_casts_nothing(self):
         """Sun due south grazes north-south vertical rows edge-on."""
         sun = SolarPosition(altitude=math.radians(30.0), azimuth=0.0)
         _, geom = layout_geometry("vertical", 6.0, 2.0, sun)
-        unshaded, shaded, _ = row_shading(geom, sun_vector(sun))
-        assert shaded == 0
+        assert row_shading(geom, sun_vector(sun)).shaded_rows == 0
 
     def test_fractions_leave_sun_side_edge_row_open(self):
         sun = SolarPosition(altitude=math.radians(15.0), azimuth=math.radians(-60.0))
@@ -139,9 +138,9 @@ class TestRowShading:
     def test_fractions_match_shared_state(self):
         sun = SolarPosition(altitude=math.radians(22.0), azimuth=math.radians(30.0))
         _, geom = layout_geometry("tilt", 4.5, 2.0, sun)
-        _, shaded, state = row_shading(geom, sun_vector(sun))
+        state = row_shading(geom, sun_vector(sun))
         fractions = row_shading_fractions(geom, sun_vector(sun))
-        if shaded:
+        if state.shaded_rows:
             assert np.sort(fractions)[-1] == pytest.approx(state.f_gs, rel=1e-12)
             assert np.count_nonzero(fractions == 0.0) == 1
 
@@ -258,7 +257,7 @@ class TestGroundIrradianceMap:
         assert grid.xs[-1] == pytest.approx(49.75)
 
     def test_denser_rows_remove_more_light(self, sky):
-        july = [hour for hour in sky if hour.sample.time.month == 7]
+        july = sky.take(sky.month == 7)
         means = []
         for spacing in (12.0, 6.0, 3.0):
             layout = build_layout(
@@ -270,7 +269,7 @@ class TestGroundIrradianceMap:
 
     def test_empty_period_is_fully_lit(self, sky):
         layout = build_layout("tilt", 6.0, 2.0, field=(10.0, 10.0), latitude_deg=56.49)
-        dark = [hour for hour in sky if hour.sample.ghi <= 0.0][:48]
+        dark = sky.take(np.flatnonzero(sky.ghi <= 0.0)[:48])
         grid = ground_irradiance_map(layout, dark, cell_size=1.0)
         assert grid.daylight_hours == 0
         assert grid.unshaded_total == 0.0

@@ -11,7 +11,7 @@ import pytest
 from agrivolt.sky import (
     MIN_SUN_ALTITUDE,
     IrradianceSample,
-    SkyHour,
+    SkyYear,
     albedo_on_plane,
     anisotropy_index,
     diffuse_fraction,
@@ -38,10 +38,12 @@ def sample(bhi: float, dhi: float, ghi: float | None = None) -> IrradianceSample
     )
 
 
-def hour(s: IrradianceSample, sun: SolarPosition, toa: float) -> SkyHour:
+def hour(s: IrradianceSample, sun: SolarPosition, toa: float) -> SkyYear:
     """The sky of one hour for a given sun, derived as ``sky_year`` does."""
     k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
-    return SkyHour(s, sun, toa, anisotropy_index(s, toa), k_hori)
+    values = (s.bhi, s.dhi, s.ghi, s.temp_air, s.wind10, sun.altitude, sun.azimuth, toa,
+              anisotropy_index(s, toa), k_hori)
+    return SkyYear([s.time], np.array([s.time.month]), *(np.array([v]) for v in values))
 
 
 class TestComponents:
@@ -83,27 +85,28 @@ class TestComponents:
             * math.cos(sun.azimuth - plane.azimuth)
         )
         expected = 500.0 * cos_inc / math.sin(sun.altitude)
-        assert direct_on_plane(s, sun, incidence_angle(sun, plane)) == pytest.approx(
+        assert direct_on_plane(s.bhi, sun.altitude, incidence_angle(sun, plane)) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_direct_zero_below_altitude_guard(self):
         sun = SolarPosition(altitude=MIN_SUN_ALTITUDE * 0.5, azimuth=0.0)
         plane = PlaneOrientation(tilt=math.radians(30.0), azimuth=0.0)
-        assert direct_on_plane(sample(200.0, 50.0), sun, incidence_angle(sun, plane)) == 0.0
+        incidence = incidence_angle(sun, plane)
+        assert direct_on_plane(sample(200.0, 50.0).bhi, sun.altitude, incidence) == 0.0
 
     def test_direct_zero_behind_plane(self):
         sun = SolarPosition(altitude=math.radians(10.0), azimuth=0.0)
         north_wall = PlaneOrientation(tilt=0.5 * math.pi, azimuth=math.pi)
         incidence = incidence_angle(sun, north_wall)
-        assert direct_on_plane(sample(400.0, 50.0), sun, incidence) == 0.0
+        assert direct_on_plane(sample(400.0, 50.0).bhi, sun.altitude, incidence) == 0.0
 
     def test_albedo_on_plane(self):
         s = sample(400.0, 100.0)
         flat = PlaneOrientation(tilt=0.0, azimuth=0.0)
         wall = PlaneOrientation(tilt=0.5 * math.pi, azimuth=0.0)
-        assert albedo_on_plane(s, flat, albedo=0.2) == 0.0
-        assert albedo_on_plane(s, wall, albedo=0.2) == pytest.approx(
+        assert albedo_on_plane(s.ghi, flat.tilt, albedo=0.2) == 0.0
+        assert albedo_on_plane(s.ghi, wall.tilt, albedo=0.2) == pytest.approx(
             0.2 * 500.0 * 0.5, rel=1e-12
         )
 
@@ -136,7 +139,8 @@ class TestDiffuseOnPlane:
         plane = PlaneOrientation(tilt=math.radians(45.0), azimuth=0.0)
         s = sample(300.0, 200.0)
         k1 = 0.4
-        circ, _ = diffuse_on_plane(s, sun, plane, incidence_angle(sun, plane), k1, 1.0)
+        incidence = incidence_angle(sun, plane)
+        circ, _ = diffuse_on_plane(s.dhi, sun.altitude, plane.tilt, incidence, k1, 1.0)
         cos_inc = math.cos(
             math.acos(
                 math.sin(sun.altitude) * math.cos(plane.tilt)
@@ -152,7 +156,8 @@ class TestDiffuseOnPlane:
         s = sample(300.0, 200.0)
         for tilt_deg in (0.0, 45.0, 90.0):
             plane = PlaneOrientation(tilt=math.radians(tilt_deg), azimuth=0.0)
-            _, iso = diffuse_on_plane(s, sun, plane, incidence_angle(sun, plane), 0.0, 1.0)
+            incidence = incidence_angle(sun, plane)
+            _, iso = diffuse_on_plane(s.dhi, sun.altitude, plane.tilt, incidence, 0.0, 1.0)
             sky_view = 0.5 * (1.0 + math.cos(plane.tilt))
             assert iso == pytest.approx(200.0 * sky_view, rel=1e-12)
 
@@ -179,11 +184,50 @@ class TestDiffuseOnPlane:
             assert poa.reflected >= 0.0
 
 
+COLUMNS = ("month", "bhi", "dhi", "ghi", "temp_air", "wind10", "altitude", "azimuth", "toa",
+           "k1", "k_hori")
+
+
 class TestSkyYear:
     def test_each_hour_matches_its_own_derivation(self, sky, weather, foulum):
         """One sun per hour, and the TOA, k1 and k_hori it implies."""
-        assert [h.sample for h in sky] == weather
-        for h in sky[::7]:
-            sun = solar_position(foulum, h.sample.time)
-            toa = extraterrestrial_horizontal(foulum, h.sample.time)
-            assert h == hour(h.sample, sun, toa)
+        assert sky.times == [s.time for s in weather]
+        for i in range(0, len(sky), 7):
+            s = weather[i]
+            sun = solar_position(foulum, s.time)
+            toa = extraterrestrial_horizontal(foulum, s.time)
+            derived = hour(s, sun, toa)
+            for name in COLUMNS:
+                assert getattr(sky, name)[i] == getattr(derived, name)[0], (i, name)
+
+    def test_columns_are_float64_per_hour(self, sky):
+        assert len(sky) == len(sky.times) == 8760
+        assert sky.month.dtype == np.int64
+        for name in COLUMNS[1:]:
+            column = getattr(sky, name)
+            assert column.dtype == np.float64 and column.shape == (8760,), name
+
+    def test_take_selects_rows_in_order(self, sky):
+        """A mask, a slice and an index array pick the same hours of every column."""
+        july = sky.take(sky.month == 7)
+        assert len(july) == 31 * 24
+        assert {t.month for t in july.times} == {7}
+        by_slice = sky.take(slice(4344, 4344 + 744))
+        reordered = sky.take(np.arange(4344 + 743, 4343, -1))
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(july, name), getattr(by_slice, name))
+            np.testing.assert_array_equal(getattr(reordered, name), getattr(july, name)[::-1])
+        assert reordered.times == july.times[::-1]
+
+    def test_full_year_checked_once(self, sky, monkeypatch):
+        """A sky year that passed the full-year check is not checked again; a
+        subset of it is checked on its own."""
+        import agrivolt.sky as sky_module
+
+        calls = []
+        monkeypatch.setattr(sky_module, "check_full_year", calls.append)
+        year = sky.take(slice(None))
+        year.check_full_year()
+        year.check_full_year()
+        year.take(slice(0, 100)).check_full_year()
+        assert [len(times) for times in calls] == [8760, 100]
