@@ -178,7 +178,7 @@ def simulate_year(
     every row.
     """
     panel = panel or PanelModel()
-    sky.check_full_year()
+    sky.full_year  # InputError unless one full year of consecutive hours
     lit = ~((sky.ghi <= 0.0) | (sky.altitude <= 0.0))
     day = sky.take(lit)
     sun = SolarPosition(day.altitude, day.azimuth)

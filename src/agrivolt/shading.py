@@ -229,6 +229,7 @@ def ground_irradiance_map(
     unshaded_total = 0.0
     daylight_hours = 0
 
+    # one array pass for the period: numpy calls on one hour's scalars cost more
     sun = SolarPosition(hours.altitude, hours.azimuth)
     geoms = layout.row_geometry(layout.orientation(sun))
     sun_vecs = sun_vector(sun)

@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +95,11 @@ class SkyYear:
         columns = {f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "times"}
         return SkyYear(times=[self.times[i] for i in rows.tolist()], **columns)
 
-    def check_full_year(self) -> None:
-        """Require one full year of consecutive hours; a sky year that passed
-        is not checked again."""
-        if "full_year" not in self.__dict__:
-            check_full_year(self.times)
-            self.__dict__["full_year"] = True
+    @cached_property
+    def full_year(self) -> bool:
+        """Require one full year of consecutive hours, once per sky year."""
+        check_full_year(self.times)
+        return True
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,8 @@ class TestSkyYear:
     def test_each_hour_matches_its_own_derivation(self, sky, weather, foulum):
         """One sun per hour, and the TOA, k1 and k_hori it implies."""
         assert sky.times == [s.time for s in weather]
+        for name in ("bhi", "dhi", "ghi", "temp_air", "wind10"):
+            assert getattr(sky, name).tolist() == [getattr(s, name) for s in weather], name
         for i in range(0, len(sky), 7):
             s = weather[i]
             sun = solar_position(foulum, s.time)
@@ -227,7 +229,6 @@ class TestSkyYear:
         calls = []
         monkeypatch.setattr(sky_module, "check_full_year", calls.append)
         year = sky.take(slice(None))
-        year.check_full_year()
-        year.check_full_year()
-        year.take(slice(0, 100)).check_full_year()
+        assert year.full_year and year.full_year
+        assert year.take(slice(0, 100)).full_year
         assert [len(times) for times in calls] == [8760, 100]
