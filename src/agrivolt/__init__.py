@@ -21,7 +21,7 @@ from .land import (
 )
 from .layout import Layout, build_layout, optimal_tilt
 from .shading import GroundGrid, RowShading, ground_irradiance_map, row_shading
-from .sky import IrradianceSample, PlaneIrradiance, SkyYear, plane_irradiance, sky_year
+from .sky import PlaneIrradiance, SkyYear, plane_irradiance, sky_year
 from .solar import (
     GeoLocation,
     PlaneOrientation,
@@ -30,7 +30,7 @@ from .solar import (
     solar_position,
     tracking_orientation,
 )
-from .weather import ingest_prices, ingest_weather
+from .weather import Weather, ingest_prices, ingest_weather
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "GroundGrid",
     "IndicatorReport",
     "InputError",
-    "IrradianceSample",
     "LandRaster",
     "Layout",
     "PanelModel",
@@ -54,6 +53,7 @@ __all__ = [
     "SimulationResult",
     "SkyYear",
     "SolarPosition",
+    "Weather",
     "aggregate_potential",
     "build_layout",
     "crop_fraction",

@@ -25,8 +25,8 @@ from . import land, outputs, scenario
 from .config import ScenarioConfig, load_config
 from .errors import ComputationError, InputError
 from .layout import MOUNT_KINDS
-from .sky import IrradianceSample, check_full_year, sky_year
-from .weather import _parse_float, _records, ingest_prices, ingest_weather
+from .sky import check_full_year, sky_year
+from .weather import Weather, _parse_float, _records, ingest_prices, ingest_weather
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,10 @@ def _check_numbers(args: argparse.Namespace) -> None:
     """Reject a numeric flag of the command outside its range, ``nan`` included."""
     for dest, valid, requirement in _NUMERIC_FLAGS:
         value = getattr(args, dest, None)
-        if value is not None and not (math.isfinite(value) and valid(value)):
+        if value is None:
+            continue
+        # an int is finite, and one past the float range overflows math.isfinite
+        if not ((isinstance(value, int) or math.isfinite(value)) and valid(value)):
             raise InputError(f"--{dest.replace('_', '-')} must be {requirement}, got {value}")
 
 
@@ -111,7 +114,7 @@ def _out_dir(path: str) -> Path:
 
 def _load_run_inputs(
     args: argparse.Namespace,
-) -> tuple[ScenarioConfig | None, list[IrradianceSample] | None, np.ndarray | None]:
+) -> tuple[ScenarioConfig | None, Weather | None, np.ndarray | None]:
     """The checked inputs of ``simulate``, ``decision-map`` and ``validate``, None
     where not passed, in one order: the config with the ``--wind-shear-exponent``
     override, the weather, its prices, then the full-year check (last, so that a
@@ -121,13 +124,12 @@ def _load_run_inputs(
         config = load_config(args.config, getattr(args, "wind_shear_exponent", None))
     if args.weather:
         weather = ingest_weather(args.weather)
-    times = [s.time for s in weather or ()]
     if getattr(args, "prices", None):
         if weather is None:
             raise InputError("--prices validation needs --weather for the timeline")
-        prices = ingest_prices(args.prices, times)
+        prices = ingest_prices(args.prices, weather.times)
     if weather is not None:
-        check_full_year(times)
+        check_full_year(weather.times)
     return config, weather, prices
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-# imported eagerly: deferring it measured slower simulate runs (more page faults)
+# imported eagerly: deferring it measured slower simulate runs with the per-hour
+# yield model, faster ones with the array model (ROADMAP: "the scipy import")
 from scipy.ndimage import distance_transform_edt
 
 from .errors import InputError

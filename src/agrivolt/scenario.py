@@ -28,7 +28,8 @@ from . import agronomy, indicators, outputs
 from .config import ScenarioConfig, case_layout
 from .electrical import SimulationResult, simulate_year
 from .shading import GroundGrid, ground_irradiance_map
-from .sky import IrradianceSample, SkyYear, sky_year
+from .sky import SkyYear, sky_year
+from .weather import Weather
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +111,7 @@ def _run_case_worker(spec: CaseSpec) -> CaseResult:
 
 def run_cases(
     config: ScenarioConfig,
-    weather: list[IrradianceSample],
+    weather: Weather,
     months: tuple[int, ...],
     threads: int = 1,
 ) -> list[CaseResult]:
@@ -188,7 +189,7 @@ def _artifacts(
 
 
 def _sweep(
-    config: ScenarioConfig, weather: list[IrradianceSample], prices: np.ndarray | None,
+    config: ScenarioConfig, weather: Weather, prices: np.ndarray | None,
     out_dir: str | Path, threads: int, only: str | None,
 ) -> list[Path]:
     """Run the grid once and write its artifact table in order, or only the
@@ -210,7 +211,7 @@ def _sweep(
 
 def run_scenario(
     config: ScenarioConfig,
-    weather: list[IrradianceSample],
+    weather: Weather,
     prices: np.ndarray | None,
     out_dir: str | Path,
     threads: int = 1,
@@ -221,7 +222,7 @@ def run_scenario(
 
 def run_decision_map(
     config: ScenarioConfig,
-    weather: list[IrradianceSample],
+    weather: Weather,
     out_dir: str | Path,
     threads: int = 1,
 ) -> Path:

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, listed
-from .solar import GeoLocation, PlaneOrientation, solar_position, toa_horizontal
+from .solar import GeoLocation, PlaneOrientation, math_map, solar_position, toa_horizontal
+from .weather import Weather
 
 log = logging.getLogger(__name__)
 
@@ -30,64 +31,34 @@ MIN_SUN_ALTITUDE = math.radians(1.0)
 DEFAULT_ALBEDO = 0.2
 
 
-@dataclass(frozen=True)
-class IrradianceSample:
-    """One hour of measured weather.
-
-    bhi/dhi/ghi are beam, diffuse and global irradiance on the horizontal
-    plane in W/m2; temp_air in degC; wind10 is wind speed at 10 m in m/s.
-    """
-
-    time: datetime
-    bhi: float
-    dhi: float
-    ghi: float
-    temp_air: float
-    wind10: float
-
-
 def check_full_year(times: list[datetime]) -> None:
     """Require one full year (8760 or 8784) of consecutive hourly timestamps."""
     if len(times) not in (8760, 8784):
         raise InputError(
             f"weather must cover one full year of hourly samples, got {len(times)} rows"
         )
-    step = times[1] - times[0]
-    if step.total_seconds() != 3600.0:
-        raise InputError(f"weather must be hourly, got step {step}")
     for prev, cur in zip(times, times[1:]):
         if (cur - prev).total_seconds() != 3600.0:
-            raise InputError(f"gap in weather series after {prev.isoformat()}")
+            raise InputError(f"weather not hourly after {prev.isoformat()}: step {cur - prev}")
 
 
 @dataclass(frozen=True, eq=False)
-class SkyYear:
-    """The sky of every hour of a year as columns, shared by every plane and
-    ground cell.
+class SkyYear(Weather):
+    """The weather of every hour of a year and its sun and sky as columns,
+    shared by every plane and ground cell.
 
-    ``times`` and ``month`` give each hour's UTC timestamp and calendar month;
-    ``bhi``/``dhi``/``ghi``, ``temp_air`` and ``wind10`` are the measured
-    weather (see :class:`IrradianceSample`), ``altitude`` and ``azimuth`` the
-    sun in radians, ``toa`` the top-of-atmosphere horizontal irradiance in
-    W/m2, ``k1`` the anisotropy index and ``k_hori`` the horizon brightening
-    factor.
+    ``month`` gives each hour's calendar month, ``altitude`` and ``azimuth``
+    the sun in radians, ``toa`` the top-of-atmosphere horizontal irradiance
+    in W/m2, ``k1`` the anisotropy index and ``k_hori`` the horizon
+    brightening factor.
     """
 
-    times: list[datetime]
     month: np.ndarray
-    bhi: np.ndarray
-    dhi: np.ndarray
-    ghi: np.ndarray
-    temp_air: np.ndarray
-    wind10: np.ndarray
     altitude: np.ndarray
     azimuth: np.ndarray
     toa: np.ndarray
     k1: np.ndarray
     k_hori: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def take(self, index) -> SkyYear:
         """The hours a boolean mask, slice or index array selects, in its order."""
@@ -134,30 +105,34 @@ def direct_on_plane(bhi, altitude, incidence):
     return np.divide(bhi * cos_inc, np.sin(altitude), out=out, where=lit)[()]
 
 
-def anisotropy_index(sample: IrradianceSample, toa_horizontal: float) -> float:
+@np.errstate(over="ignore")  # a ratio past the float range clamps to 1
+def anisotropy_index(bhi, toa):
     """Fraction of diffuse treated as circumsolar: measured beam over
-    top-of-atmosphere beam, clamped to [0, 1]. Zero for dark hours."""
-    if toa_horizontal <= 0.0 or sample.bhi <= 0.0:
-        return 0.0
-    return min(1.0, sample.bhi / toa_horizontal)
+    top-of-atmosphere beam ``toa``, clamped to [0, 1]. Zero for dark hours."""
+    lit = np.logical_not((toa <= 0.0) | (bhi <= 0.0))
+    ratio = np.divide(bhi, toa, out=np.zeros(np.broadcast(bhi, toa).shape), where=lit)
+    return np.where(ratio < 1.0, ratio, 1.0)[()]
 
 
-def diffuse_fraction(sample: IrradianceSample) -> float:
+@np.errstate(over="ignore")  # a ratio past the float range clamps to 1
+def diffuse_fraction(dhi, ghi):
     """Diffuse share of global horizontal irradiance, in [0, 1]; 1 when dark."""
-    if sample.ghi <= 0.0:
-        return 1.0
-    return min(1.0, max(0.0, sample.dhi / sample.ghi))
+    lit = np.logical_not(ghi <= 0.0)
+    share = np.divide(dhi, ghi, out=np.ones(np.broadcast(dhi, ghi).shape), where=lit)
+    share = np.where(share > 0.0, share, 0.0)
+    return np.where(share < 1.0, share, 1.0)[()]
 
 
-def horizon_brightening(diffuse_frac: float, altitude: float) -> float:
+def horizon_brightening(diffuse_frac, altitude):
     """Horizon brightening factor >= 1, strongest for clear skies.
 
     ``1 + sqrt(1 - F) * sin^3(altitude / 2)`` with F the diffuse fraction;
     negative altitudes are treated as 0 so the factor is then exactly 1.
     """
-    f = min(1.0, max(0.0, diffuse_frac))
-    alt = max(0.0, altitude)
-    return 1.0 + math.sqrt(1.0 - f) * math.sin(0.5 * alt) ** 3
+    f = np.where(diffuse_frac > 0.0, diffuse_frac, 0.0)
+    f = np.where(f < 1.0, f, 1.0)
+    alt = np.where(altitude > 0.0, altitude, 0.0)
+    return (1.0 + np.sqrt(1.0 - f) * math_map(math.pow, np.sin(0.5 * alt), 3.0))[()]
 
 
 def diffuse_on_plane(dhi, altitude, tilt, incidence, k1, k_hori):
@@ -183,21 +158,21 @@ def albedo_on_plane(ghi, tilt, albedo: float = DEFAULT_ALBEDO):
     return albedo * ghi * 0.5 * (1.0 - np.cos(tilt))
 
 
-def sky_year(location: GeoLocation, weather: list[IrradianceSample]) -> SkyYear:
+def sky_year(location: GeoLocation, weather: Weather) -> SkyYear:
     """The sky of every weather hour, each hour's sun computed once. Hours whose
     beam exceeds the top-of-atmosphere irradiance by over 1 W/m2 are kept and logged."""
-    rows = []
-    for s in weather:
-        sun = solar_position(location, s.time)
-        toa = toa_horizontal(sun, s.time)
-        k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
-        k1 = anisotropy_index(s, toa)
-        rows.append(
-            (s.bhi, s.dhi, s.ghi, s.temp_air, s.wind10, sun.altitude, sun.azimuth, toa, k1, k_hori)
-        )
-    columns = np.ascontiguousarray(np.array(rows, dtype=float).reshape(-1, 10).T)
-    times = [s.time for s in weather]
-    year = SkyYear(times, np.array([t.month for t in times], dtype=np.int64), *columns)
+    times = weather.times
+    sun = solar_position(location, times)
+    toa = toa_horizontal(sun, times)
+    year = SkyYear(
+        **{f.name: getattr(weather, f.name) for f in fields(Weather)},
+        month=np.array([t.month for t in times], dtype=np.int64),
+        altitude=sun.altitude,
+        azimuth=sun.azimuth,
+        toa=toa,
+        k1=anisotropy_index(weather.bhi, toa),
+        k_hori=horizon_brightening(diffuse_fraction(weather.dhi, weather.ghi), sun.altitude),
+    )
     over_toa = [times[i].isoformat() for i in np.flatnonzero(year.bhi > year.toa + 1.0)]
     if over_toa:
         log.warning(

@@ -9,16 +9,16 @@ Angle conventions used throughout the package:
 All timestamps are UTC ``datetime`` objects; naive datetimes are rejected.
 World coordinates are right handed with x pointing east, y north, z up.
 
-The geometry functions take floats or arrays of hours alike: a
-:class:`SolarPosition` or :class:`PlaneOrientation` may hold one value or
-one value per hour.
+The functions take one hour or arrays of hours alike: a timestamp or a
+sequence of them, and a :class:`SolarPosition` or :class:`PlaneOrientation`
+that holds one value or one value per hour.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,12 +80,22 @@ class PlaneOrientation:
 
 
 def _days_since_j2000(time: datetime) -> float:
+    if time.year not in SUPPORTED_YEARS:
+        raise ValueError(f"timestamp outside supported range 1950-2100: {time.isoformat()}")
     if time.tzinfo is None:
         raise ValueError("naive datetime given; timestamps must be UTC-aware")
     return (time - _J2000).total_seconds() / 86400.0
 
 
-def solar_position(location: GeoLocation, time: datetime) -> SolarPosition:
+def _each(fn: Callable[[datetime], float], times: datetime | Sequence[datetime]) -> np.ndarray:
+    """``fn`` of every timestamp as float64, one value per hour; 0-d for one
+    timestamp."""
+    if isinstance(times, datetime):
+        return np.array(fn(times), dtype=float)
+    return np.array([fn(t) for t in times], dtype=float)
+
+
+def solar_position(location: GeoLocation, times: datetime | Sequence[datetime]) -> SolarPosition:
     """Sun altitude and azimuth from a low-accuracy analytic ephemeris.
 
     Uses the Astronomical Almanac approximate solar coordinates (mean
@@ -96,42 +106,41 @@ def solar_position(location: GeoLocation, time: datetime) -> SolarPosition:
     Parameters
     ----------
     location : GeoLocation
-    time : datetime
-        UTC-aware timestamp between years 1950 and 2100.
+    times : datetime or sequence of datetime
+        UTC-aware timestamps between years 1950 and 2100.
 
     Returns
     -------
     SolarPosition
-        Altitude above horizon and azimuth (0 = south, + = west), radians.
+        Altitude above horizon and azimuth (0 = south, + = west), radians;
+        one value per timestamp, or floats for one timestamp.
     """
-    if time.year not in SUPPORTED_YEARS:
-        raise ValueError(f"timestamp outside supported range 1950-2100: {time.isoformat()}")
-    n = _days_since_j2000(time)
+    n = _each(_days_since_j2000, times)
 
-    mean_lon = (280.460 + 0.9856474 * n) % 360.0
-    mean_anom = math.radians((357.528 + 0.9856003 * n) % 360.0)
-    ecl_lon = math.radians(
-        mean_lon + 1.915 * math.sin(mean_anom) + 0.020 * math.sin(2.0 * mean_anom)
-    )
-    obliquity = math.radians(23.439 - 4.0e-7 * n)
+    mean_lon = np.remainder(280.460 + 0.9856474 * n, 360.0)
+    mean_anom = np.radians(np.remainder(357.528 + 0.9856003 * n, 360.0))
+    ecl_lon = np.radians(mean_lon + 1.915 * np.sin(mean_anom) + 0.020 * np.sin(2.0 * mean_anom))
+    obliquity = np.radians(23.439 - 4.0e-7 * n)
 
-    right_asc = math.atan2(math.cos(obliquity) * math.sin(ecl_lon), math.cos(ecl_lon))
-    declination = math.asin(math.sin(obliquity) * math.sin(ecl_lon))
+    right_asc = math_map(math.atan2, np.cos(obliquity) * np.sin(ecl_lon), np.cos(ecl_lon))
+    declination = math_map(math.asin, np.sin(obliquity) * np.sin(ecl_lon))
 
-    gmst_deg = (280.46061837 + 360.98564736629 * n) % 360.0
-    hour_angle = math.radians(gmst_deg + location.longitude) - right_asc
-    hour_angle = math.atan2(math.sin(hour_angle), math.cos(hour_angle))
+    gmst_deg = np.remainder(280.46061837 + 360.98564736629 * n, 360.0)
+    hour_angle = np.radians(gmst_deg + location.longitude) - right_asc
+    hour_angle = math_map(math.atan2, np.sin(hour_angle), np.cos(hour_angle))
 
     lat = math.radians(location.latitude)
     sin_alt = (
-        math.sin(lat) * math.sin(declination)
-        + math.cos(lat) * math.cos(declination) * math.cos(hour_angle)
+        math.sin(lat) * np.sin(declination)
+        + math.cos(lat) * np.cos(declination) * np.cos(hour_angle)
     )
-    altitude = math.asin(min(1.0, max(-1.0, sin_alt)))
+    sin_alt = np.where(sin_alt > -1.0, sin_alt, -1.0)
+    altitude = math_map(math.asin, np.where(sin_alt < 1.0, sin_alt, 1.0))
     # measured from south, positive toward west (afternoon hour angles > 0)
-    azimuth = math.atan2(
-        math.sin(hour_angle),
-        math.cos(hour_angle) * math.sin(lat) - math.tan(declination) * math.cos(lat),
+    azimuth = math_map(
+        math.atan2,
+        np.sin(hour_angle),
+        np.cos(hour_angle) * math.sin(lat) - math_map(math.tan, declination) * math.cos(lat),
     )
     return SolarPosition(altitude=altitude, azimuth=azimuth)
 
@@ -169,32 +178,26 @@ def incidence_angle(sun: SolarPosition, plane: PlaneOrientation) -> float:
     return math_map(math.acos, np.where(cos_inc < 1.0, cos_inc, 1.0))
 
 
-def eccentricity_correction(time: datetime) -> float:
-    """Sun-earth distance correction factor for the day of year (dimensionless)."""
-    doy = time.timetuple().tm_yday
-    x = 2.0 * math.pi * (doy - 1 + (time.hour - 12) / 24.0) / 365.0
+def eccentricity_correction(times: datetime | Sequence[datetime]):
+    """Sun-earth distance correction factor for the day of year (dimensionless),
+    one per timestamp."""
+    doy = _each(lambda t: t.timetuple().tm_yday, times)
+    hour = _each(lambda t: t.hour, times)
+    x = 2.0 * math.pi * (doy - 1 + (hour - 12) / 24.0) / 365.0
     return (
         1.00011
-        + 0.034221 * math.cos(x)
-        + 0.00128 * math.sin(x)
-        + 0.000719 * math.cos(2.0 * x)
-        + 0.000077 * math.sin(2.0 * x)
-    )
+        + 0.034221 * np.cos(x)
+        + 0.00128 * np.sin(x)
+        + 0.000719 * np.cos(2.0 * x)
+        + 0.000077 * np.sin(2.0 * x)
+    )[()]
 
 
-def extraterrestrial_horizontal(location: GeoLocation, time: datetime) -> float:
-    """Top-of-atmosphere direct irradiance on a horizontal surface, W/m2.
-
-    Zero whenever the sun is at or below the horizon.
-    """
-    return toa_horizontal(solar_position(location, time), time)
-
-
-def toa_horizontal(sun: SolarPosition, time: datetime) -> float:
-    """:func:`extraterrestrial_horizontal` for an already computed sun."""
-    if sun.altitude <= 0.0:
-        return 0.0
-    return SOLAR_CONSTANT * eccentricity_correction(time) * math.sin(sun.altitude)
+def toa_horizontal(sun: SolarPosition, times: datetime | Sequence[datetime]):
+    """Top-of-atmosphere direct irradiance on a horizontal surface, W/m2, for
+    the sun of each timestamp; zero whenever the sun is at or below the horizon."""
+    toa = SOLAR_CONSTANT * eccentricity_correction(times) * np.sin(sun.altitude)
+    return np.where(sun.altitude <= 0.0, 0.0, toa)[()]
 
 
 def tracking_orientation(

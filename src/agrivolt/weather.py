@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import logging
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MAX_LISTED, InputError, listed
-from .sky import IrradianceSample
 from .solar import SUPPORTED_YEARS
 
 log = logging.getLogger(__name__)
@@ -28,6 +28,27 @@ PRICE_COLUMNS = ("time", "price")
 
 #: Tolerated gap between ghi and bhi + dhi before the row is repaired.
 CLOSURE_TOLERANCE_WM2 = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class Weather:
+    """Measured weather as columns, one entry per hour.
+
+    ``times`` are the UTC timestamps; ``bhi``/``dhi``/``ghi`` are beam,
+    diffuse and global irradiance on the horizontal plane in W/m2,
+    ``temp_air`` in degC and ``wind10`` the wind speed at 10 m in m/s, each
+    a float64 array.
+    """
+
+    times: list[datetime]
+    bhi: np.ndarray
+    dhi: np.ndarray
+    ghi: np.ndarray
+    temp_air: np.ndarray
+    wind10: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 def _records(path: Path, columns: tuple[str, ...], what: str):
@@ -68,7 +89,7 @@ def _parse_float(text: str, column: str, path: Path, row: int) -> float:
     return value
 
 
-def ingest_weather(path: str | Path) -> list[IrradianceSample]:
+def ingest_weather(path: str | Path) -> Weather:
     """Read and validate an hourly weather CSV.
 
     Raises :class:`InputError` on an unreadable file, missing columns,
@@ -79,61 +100,49 @@ def ingest_weather(path: str | Path) -> list[IrradianceSample]:
     flags it.
     """
     path = Path(path)
-    samples: list[IrradianceSample] = []
-    negative_rows: list[int] = []
-    repaired_rows: list[int] = []
+    times: list[datetime] = []
+    values: list[list[float]] = []
     for row_num, record in _records(path, WEATHER_COLUMNS, "weather"):
         time = _parse_time(record["time"], path, row_num)
         if time.year not in SUPPORTED_YEARS:
             raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
-        bhi = _parse_float(record["bhi"], "bhi", path, row_num)
-        dhi = _parse_float(record["dhi"], "dhi", path, row_num)
-        ghi = _parse_float(record["ghi"], "ghi", path, row_num)
-        temp = _parse_float(record["temp_air"], "temp_air", path, row_num)
-        wind = _parse_float(record["wind10"], "wind10", path, row_num)
-        if bhi < 0.0 or dhi < 0.0 or ghi < 0.0 or wind < 0.0:
-            negative_rows.append(row_num)
-            continue
-        if abs(ghi - (bhi + dhi)) > CLOSURE_TOLERANCE_WM2:
-            ghi = bhi + dhi
-            repaired_rows.append(row_num)
-        samples.append(
-            IrradianceSample(
-                time=time, bhi=bhi, dhi=dhi, ghi=ghi, temp_air=temp, wind10=wind
-            )
-        )
-    if negative_rows:
-        raise InputError(
-            f"{path}: negative irradiance or wind in rows {listed(negative_rows)}"
-        )
-    if not samples:
+        times.append(time)
+        values.append([_parse_float(record[c], c, path, row_num) for c in WEATHER_COLUMNS[1:]])
+    if not times:
         raise InputError(f"{path}: no data rows")
-    if repaired_rows:
+    bhi, dhi, ghi, temp_air, wind10 = np.array(values).T.copy()
+    # record i is row i + 2, as ``_records`` numbers them
+    negative = np.flatnonzero((bhi < 0.0) | (dhi < 0.0) | (ghi < 0.0) | (wind10 < 0.0)) + 2
+    if negative.size:
+        raise InputError(
+            f"{path}: negative irradiance or wind in rows {listed(negative.tolist())}"
+        )
+    repaired = np.abs(ghi - (bhi + dhi)) > CLOSURE_TOLERANCE_WM2
+    ghi = np.where(repaired, bhi + dhi, ghi)
+    if repaired.any():
         log.warning(
             "%s: repaired ghi to bhi + dhi in %d rows (rows %s)",
             path,
-            len(repaired_rows),
-            listed(repaired_rows),
+            int(repaired.sum()),
+            listed((np.flatnonzero(repaired) + 2).tolist()),
         )
-    _check_hourly(samples, path)
-    return samples
+    _check_hourly(times, path)
+    return Weather(times, bhi, dhi, ghi, temp_air, wind10)
 
 
-def _check_hourly(samples: list[IrradianceSample], path: Path) -> None:
+def _check_hourly(times: list[datetime], path: Path) -> None:
     hour = timedelta(hours=1)
     missing: list[str] = []  # the first few of ``n_missing``
     n_missing = 0
     duplicates: list[str] = []
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.time == prev.time:
-            duplicates.append(cur.time.isoformat())
+    for prev, cur in zip(times, times[1:]):
+        if cur == prev:
+            duplicates.append(cur.isoformat())
             continue
-        if cur.time < prev.time:
-            raise InputError(
-                f"{path}: timestamps not increasing at {cur.time.isoformat()}"
-            )
-        expect = prev.time + hour
-        while expect < cur.time:
+        if cur < prev:
+            raise InputError(f"{path}: timestamps not increasing at {cur.isoformat()}")
+        expect = prev + hour
+        while expect < cur:
             n_missing += 1
             if n_missing <= MAX_LISTED:
                 missing.append(expect.isoformat())

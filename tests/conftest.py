@@ -36,8 +36,15 @@ def foulum():
 
 
 @pytest.fixture(scope="session")
-def weather():
+def weather_rows():
+    """The generated weather year, one row per hour."""
     return fixturegen.synthetic_weather()
+
+
+@pytest.fixture(scope="session")
+def weather(weather_rows):
+    """The generated weather year as the columns the program reads."""
+    return fixturegen.weather_columns(weather_rows)
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +55,7 @@ def sky(foulum, weather):
 
 @pytest.fixture(scope="session")
 def times(weather):
-    return [s.time for s in weather]
+    return weather.times
 
 
 @pytest.fixture(scope="session")
@@ -57,10 +64,10 @@ def prices(times):
 
 
 @pytest.fixture(scope="session")
-def data_dir(tmp_path_factory, weather, times, prices):
+def data_dir(tmp_path_factory, weather_rows, times, prices):
     """Directory with the weather and price fixtures written as CSV."""
     directory = tmp_path_factory.mktemp("inputs")
-    fixturegen.write_weather_csv(directory / "weather.csv", weather)
+    fixturegen.write_weather_csv(directory / "weather.csv", weather_rows)
     fixturegen.write_price_csv(directory / "prices.csv", times, prices)
     return directory
 

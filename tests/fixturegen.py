@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from agrivolt.land import LandRaster
-from agrivolt.sky import IrradianceSample
-from agrivolt.solar import GeoLocation, extraterrestrial_horizontal, solar_position
+from agrivolt.solar import GeoLocation
+from agrivolt.weather import WEATHER_COLUMNS, Weather
+from oracles import IrradianceSample, solar_position, toa_horizontal
 
 FOULUM = GeoLocation(latitude=56.49, longitude=9.57)
 WEATHER_SEED = 20150101
@@ -99,7 +100,7 @@ def synthetic_weather(
         d = i // 24
         doy = t.timetuple().tm_yday
         sun = solar_position(location, t)
-        toa = extraterrestrial_horizontal(location, t)
+        toa = toa_horizontal(sun, t)
         if toa > 0.0 and sun.altitude > 0.0:
             # mornings trade clearer than afternoons: convective cloud
             # builds over the day in maritime summers
@@ -132,6 +133,14 @@ def synthetic_weather(
             )
         )
     return samples
+
+
+def weather_columns(samples: list[IrradianceSample]) -> Weather:
+    """Weather rows as the columns :func:`agrivolt.weather.ingest_weather` returns."""
+    return Weather(
+        [s.time for s in samples],
+        *(np.array([getattr(s, c) for s in samples], dtype=float) for c in WEATHER_COLUMNS[1:]),
+    )
 
 
 def synthetic_prices(

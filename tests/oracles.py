@@ -13,12 +13,18 @@ artifact writers format one value at a time; the bulk writers of
 ``reference_field_year`` runs the yield model one hour at a time, with
 scalar ``math`` copies of the transposition, row shading and module
 formulas; the production model evaluates all hours as arrays and must
-match it bit for bit.
+match it bit for bit. ``reference_sky_columns`` does the same for the sky
+year, with the per-hour sun and sky forms below (``solar_position``,
+``eccentricity_correction``, ``toa_horizontal``, ``anisotropy_index``,
+``diffuse_fraction``, ``horizon_brightening``) over weather rows; the
+fixture generator computes its sun with them too.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +34,16 @@ from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
 from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, row_shading
 from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
-from agrivolt.solar import PlaneOrientation, SolarPosition, incidence_angle, sun_vector
+from agrivolt.solar import (
+    _J2000,
+    SOLAR_CONSTANT,
+    SUPPORTED_YEARS,
+    GeoLocation,
+    PlaneOrientation,
+    SolarPosition,
+    incidence_angle,
+    sun_vector,
+)
 
 _EPS = 1.0e-9
 
@@ -407,6 +422,129 @@ def reference_field_year(
         if poa_rear[0] > 0.0:
             f_rear[i] = share * f_es
     return p_w, p_ns_w, t_cell, f_front, f_rear, g_eff_out
+
+
+@dataclass(frozen=True)
+class IrradianceSample:
+    """One hour of measured weather.
+
+    bhi/dhi/ghi are beam, diffuse and global irradiance on the horizontal
+    plane in W/m2; temp_air in degC; wind10 is wind speed at 10 m in m/s.
+    """
+
+    time: datetime
+    bhi: float
+    dhi: float
+    ghi: float
+    temp_air: float
+    wind10: float
+
+
+def _days_since_j2000(time: datetime) -> float:
+    if time.tzinfo is None:
+        raise ValueError("naive datetime given; timestamps must be UTC-aware")
+    return (time - _J2000).total_seconds() / 86400.0
+
+
+def solar_position(location: GeoLocation, time: datetime) -> SolarPosition:
+    """Sun altitude and azimuth of one timestamp (see :func:`agrivolt.solar.solar_position`)."""
+    if time.year not in SUPPORTED_YEARS:
+        raise ValueError(f"timestamp outside supported range 1950-2100: {time.isoformat()}")
+    n = _days_since_j2000(time)
+
+    mean_lon = (280.460 + 0.9856474 * n) % 360.0
+    mean_anom = math.radians((357.528 + 0.9856003 * n) % 360.0)
+    ecl_lon = math.radians(
+        mean_lon + 1.915 * math.sin(mean_anom) + 0.020 * math.sin(2.0 * mean_anom)
+    )
+    obliquity = math.radians(23.439 - 4.0e-7 * n)
+
+    right_asc = math.atan2(math.cos(obliquity) * math.sin(ecl_lon), math.cos(ecl_lon))
+    declination = math.asin(math.sin(obliquity) * math.sin(ecl_lon))
+
+    gmst_deg = (280.46061837 + 360.98564736629 * n) % 360.0
+    hour_angle = math.radians(gmst_deg + location.longitude) - right_asc
+    hour_angle = math.atan2(math.sin(hour_angle), math.cos(hour_angle))
+
+    lat = math.radians(location.latitude)
+    sin_alt = (
+        math.sin(lat) * math.sin(declination)
+        + math.cos(lat) * math.cos(declination) * math.cos(hour_angle)
+    )
+    altitude = math.asin(min(1.0, max(-1.0, sin_alt)))
+    # measured from south, positive toward west (afternoon hour angles > 0)
+    azimuth = math.atan2(
+        math.sin(hour_angle),
+        math.cos(hour_angle) * math.sin(lat) - math.tan(declination) * math.cos(lat),
+    )
+    return SolarPosition(altitude=altitude, azimuth=azimuth)
+
+
+def eccentricity_correction(time: datetime) -> float:
+    """Sun-earth distance correction factor for the day of year (dimensionless)."""
+    doy = time.timetuple().tm_yday
+    x = 2.0 * math.pi * (doy - 1 + (time.hour - 12) / 24.0) / 365.0
+    return (
+        1.00011
+        + 0.034221 * math.cos(x)
+        + 0.00128 * math.sin(x)
+        + 0.000719 * math.cos(2.0 * x)
+        + 0.000077 * math.sin(2.0 * x)
+    )
+
+
+def toa_horizontal(sun: SolarPosition, time: datetime) -> float:
+    """Top-of-atmosphere direct irradiance on a horizontal surface, W/m2, for
+    an already computed sun; zero whenever the sun is at or below the horizon."""
+    if sun.altitude <= 0.0:
+        return 0.0
+    return SOLAR_CONSTANT * eccentricity_correction(time) * math.sin(sun.altitude)
+
+
+def anisotropy_index(sample: IrradianceSample, toa_horizontal: float) -> float:
+    """Fraction of diffuse treated as circumsolar: measured beam over
+    top-of-atmosphere beam, clamped to [0, 1]. Zero for dark hours."""
+    if toa_horizontal <= 0.0 or sample.bhi <= 0.0:
+        return 0.0
+    return min(1.0, sample.bhi / toa_horizontal)
+
+
+def diffuse_fraction(sample: IrradianceSample) -> float:
+    """Diffuse share of global horizontal irradiance, in [0, 1]; 1 when dark."""
+    if sample.ghi <= 0.0:
+        return 1.0
+    return min(1.0, max(0.0, sample.dhi / sample.ghi))
+
+
+def horizon_brightening(diffuse_frac: float, altitude: float) -> float:
+    """Horizon brightening factor >= 1, strongest for clear skies."""
+    f = min(1.0, max(0.0, diffuse_frac))
+    alt = max(0.0, altitude)
+    return 1.0 + math.sqrt(1.0 - f) * math.sin(0.5 * alt) ** 3
+
+
+#: The columns of :class:`agrivolt.sky.SkyYear` besides ``times``.
+SKY_COLUMNS = ("month", "bhi", "dhi", "ghi", "temp_air", "wind10", "altitude", "azimuth", "toa",
+               "k1", "k_hori")
+
+
+def reference_sky_columns(
+    location: GeoLocation, weather: list[IrradianceSample]
+) -> dict[str, np.ndarray]:
+    """The columns of :func:`agrivolt.sky.sky_year`, each hour's sun and sky
+    derived on its own with the scalar forms above."""
+    rows = []
+    for s in weather:
+        sun = solar_position(location, s.time)
+        toa = toa_horizontal(sun, s.time)
+        k_hori = horizon_brightening(diffuse_fraction(s), sun.altitude)
+        k1 = anisotropy_index(s, toa)
+        rows.append((s.time.month, s.bhi, s.dhi, s.ghi, s.temp_air, s.wind10, sun.altitude,
+                     sun.azimuth, toa, k1, k_hori))
+    return {
+        name: np.array(column, dtype=np.int64 if name == "month" else float)
+        for name, column in zip(SKY_COLUMNS, zip(*rows))
+    }
 
 
 def _fmt(value: float) -> str:

@@ -135,8 +135,8 @@ class TestSeasonalParOnRealMaps:
         """With no panels at all, the growing-season daytime PAR at this site
         averages around 476 umol/m2/s, comfortably above the default low and
         medium demands but below the high one."""
-        ghi = np.array([s.ghi for s in weather])
-        months = np.array([s.time.month for s in weather])
+        ghi = weather.ghi
+        months = np.array([t.month for t in weather.times])
         mask = (ghi > 0.0) & np.isin(months, GROWING_MONTHS)
         open_par = float(np.mean(par_flux(ghi[mask])))
         assert open_par == pytest.approx(476.0, abs=15.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import agrivolt
@@ -34,6 +34,20 @@ EXPECTED_ARTIFACTS = {
     "decision_map.csv",
     "comparisons.csv",
 }
+
+
+#: Flag values: any float as Python prints it, and the edges of each range.
+FLAG_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-5", "0", "-0.0", "1e308", "5e-324"]),
+)
+
+#: Values of the run commands' flags: any int too, past the float range included.
+RUN_FLAG_NUMBERS = st.one_of(
+    FLAG_NUMBERS,
+    st.integers().map(str),
+    st.sampled_from(["1", "2", "0.2", str(10**400), str(-(10**400))]),
+)
 
 
 class TestSimulate:
@@ -170,6 +184,41 @@ class TestSimulate:
         assert not (tmp_path / "sim").exists()
         assert taken.read_text() == "not a directory\n"
 
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(threads=RUN_FLAG_NUMBERS, exponent=RUN_FLAG_NUMBERS)
+    @example(threads=str(10**400), exponent="0.2")
+    @example(threads=str(-(10**400)), exponent=str(10**400))
+    def test_numeric_flags_exit_0_or_2(
+        self, cli_config, data_dir, tmp_path, capsys, threads, exponent
+    ):
+        """Whatever numbers ``--threads`` and ``--wind-shear-exponent`` take,
+        ``simulate`` and ``decision-map`` exit 0, or 2 with an ``error:`` line.
+        The config has one case, so no worker pool starts whatever ``--threads``."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        config = work / "one_case.ini"
+        config.write_text(
+            cli_config.read_text()
+            .replace("tilt, vertical", "tilt")
+            .replace("ground_m = 20", "ground_m = 10")
+            .replace("ground_cell_m = 1.0", "ground_cell_m = 2")
+        )
+        inputs = ["--config", str(config), "--weather", str(data_dir / "weather.csv")]
+        for command in (
+            ["simulate", *inputs, f"--threads={threads}", f"--wind-shear-exponent={exponent}"],
+            ["decision-map", *inputs, f"--threads={threads}"],
+        ):
+            try:
+                code = main([*command, "--out", str(work / "out")])
+            except SystemExit as exc:  # argparse refuses a --threads that is no int
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 2), (command, err)
+            assert code == 0 or "error:" in err, (command, err)
+
     def test_impossible_layout_exits_2(self, data_dir, tmp_path, capsys):
         config = tmp_path / "overlap.ini"
         config.write_text(
@@ -296,13 +345,6 @@ POTENTIAL_FLAGS = (
     "--yield-tracking",
     "--demand-twh",
 )
-
-#: Flag values: any float as Python prints it, and the edges of each range.
-FLAG_NUMBERS = st.one_of(
-    st.floats().map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "-5", "0", "-0.0", "1e308", "5e-324"]),
-)
-
 
 class TestPotential:
     def test_constant_yields_arithmetic(self, potential_inputs, tmp_path, capsys):

@@ -229,6 +229,17 @@ class TestValidation:
             with pytest.raises(InputError, match=key):
                 load_config(write(tmp_path, text))
 
+    def test_blocks_out_of_range(self, tmp_path):
+        """The shading model passes over the lit hours once per block, so a
+        count past the maximum is refused before any run, by ``validate`` too."""
+        for value in ("0", "101", "1000000000"):
+            path = write(tmp_path, MINIMAL + f"\n[panel]\nblocks = {value}\n")
+            with pytest.raises(InputError, match="blocks must be between 1 and 100"):
+                load_config(path)
+            assert main(["validate", "--config", str(path)]) == 2
+        path = write(tmp_path, MINIMAL + "\n[panel]\nblocks = 100\n")
+        assert load_config(path).panel.blocks == 100
+
     def test_zero_ground_cell(self, tmp_path):
         for section, key in (("field", "ground_cell_m"), ("panel", "alpha_r")):
             text = MINIMAL + f"\n[{section}]\n{key} = 0\n"

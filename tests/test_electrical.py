@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from agrivolt.electrical import (
     HULD_COEFFICIENTS_CSI,
+    MAX_BLOCKS,
     PanelModel,
     angular_loss,
     cell_temperature,
@@ -159,8 +160,10 @@ class TestPanelModel:
             PanelModel(stc_efficiency=0.0)
         with pytest.raises(ValueError):
             PanelModel(eta_system=1.5)
-        with pytest.raises(ValueError):
-            PanelModel(blocks=0)
+        for blocks in (0, MAX_BLOCKS + 1, 10**9):
+            with pytest.raises(ValueError, match="blocks"):
+                PanelModel(blocks=blocks)
+        assert PanelModel(blocks=MAX_BLOCKS).blocks == MAX_BLOCKS
         with pytest.raises(ValueError):
             PanelModel(u0=-1.0)
 
@@ -187,17 +190,17 @@ class TestSimulateYear:
 
     def test_night_hours_idle(self, annual_sims, weather):
         sim = annual_sims["tilt"]
-        dark = np.array([s.ghi <= 0.0 for s in weather])
+        dark = weather.ghi <= 0.0
         assert np.all(sim.p_w[dark] == 0.0)
         assert np.all(sim.g_eff_wm2[dark] == 0.0)
         # idle cells sit at ambient temperature
-        ambient = np.array([s.temp_air for s in weather])
+        ambient = weather.temp_air
         np.testing.assert_allclose(sim.t_cell_c[dark], ambient[dark])
 
     def test_cells_warm_in_the_sun(self, annual_sims, weather):
         sim = annual_sims["tilt"]
-        bright = np.array([s.ghi > 200.0 for s in weather])
-        ambient = np.array([s.temp_air for s in weather])
+        bright = weather.ghi > 200.0
+        ambient = weather.temp_air
         assert np.all(sim.t_cell_c[bright] > ambient[bright])
 
     def test_shading_fractions_bounded(self, annual_sims):

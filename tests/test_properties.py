@@ -25,12 +25,8 @@ from agrivolt.electrical import (
 )
 from agrivolt.indicators import shadow_losses
 from agrivolt.shading import effective_shading_factor
-from agrivolt.sky import (
-    IrradianceSample,
-    anisotropy_index,
-    diffuse_fraction,
-    horizon_brightening,
-)
+import oracles
+from agrivolt.sky import anisotropy_index, diffuse_fraction, horizon_brightening
 from agrivolt.solar import (
     PlaneOrientation,
     SolarPosition,
@@ -46,9 +42,9 @@ fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 irradiance = st.floats(min_value=0.0, max_value=1400.0, allow_nan=False)
 
 
-def sample(bhi: float, dhi: float) -> IrradianceSample:
-    return IrradianceSample(
-        time=NOON, bhi=bhi, dhi=dhi, ghi=bhi + dhi, temp_air=15.0, wind10=3.0
+def sample(bhi: float, dhi: float, ghi: float) -> oracles.IrradianceSample:
+    return oracles.IrradianceSample(
+        time=NOON, bhi=bhi, dhi=dhi, ghi=ghi, temp_air=15.0, wind10=3.0
     )
 
 
@@ -119,14 +115,14 @@ class TestThermal:
 
 
 class TestSkyFactors:
-    @given(bhi=irradiance, dhi=irradiance, toa=st.floats(min_value=0.0, max_value=1400.0, allow_nan=False))
-    def test_anisotropy_bounded(self, bhi, dhi, toa):
-        k1 = anisotropy_index(sample(bhi, dhi), toa)
+    @given(bhi=irradiance, toa=st.floats(min_value=0.0, max_value=1400.0, allow_nan=False))
+    def test_anisotropy_bounded(self, bhi, toa):
+        k1 = anisotropy_index(bhi, toa)
         assert 0.0 <= k1 <= 1.0
 
     @given(bhi=irradiance, dhi=irradiance)
     def test_diffuse_fraction_bounded(self, bhi, dhi):
-        k_d = diffuse_fraction(sample(bhi, dhi))
+        k_d = diffuse_fraction(dhi, bhi + dhi)
         assert 0.0 <= k_d <= 1.0
 
     @given(
@@ -136,6 +132,35 @@ class TestSkyFactors:
     def test_horizon_brightening_bounded(self, k_d, alt):
         k = horizon_brightening(k_d, alt)
         assert 1.0 <= k <= 2.0
+
+    @given(
+        hours=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1e-300]) | irradiance,
+                st.sampled_from([0.0, -0.0, 1e-300]) | irradiance,
+                st.sampled_from([0.0, -0.0, 1e-300]) | irradiance,
+                st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1.0, max_value=1400.0),
+                st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_array_forms_keep_the_bits_of_each_hour(self, hours):
+        """The array forms give every hour the bits of the per-hour forms,
+        signed zeros and out-of-range diffuse fractions included."""
+        bhi, dhi, ghi, toa, k_d, alt = (np.array(c) for c in zip(*hours))
+        rows = [sample(*h[:3]) for h in hours]
+        got = np.concatenate(
+            [anisotropy_index(bhi, toa), diffuse_fraction(dhi, ghi), horizon_brightening(k_d, alt)]
+        )
+        want = np.array(
+            [oracles.anisotropy_index(r, h[3]) for r, h in zip(rows, hours)]
+            + [oracles.diffuse_fraction(r) for r in rows]
+            + [oracles.horizon_brightening(h[4], h[5]) for h in hours]
+        )
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestGeometry:
@@ -210,6 +235,28 @@ class TestHostNumerics:
         norms = np.sqrt(np.vecdot(a, a))
         for i in range(len(a)):
             assert norms[i] == np.linalg.norm(a[i]), i
+
+    def test_remainder_and_radians_equal_python(self):
+        """The sun's mean longitude, anomaly and sidereal time: ``%`` and
+        ``math.radians`` over the day numbers of 1950-2100, and beyond."""
+        rng = np.random.default_rng(13)
+        days = np.concatenate(
+            [rng.uniform(-18300.0, 36900.0, 100000), rng.uniform(-1e7, 1e7, 20000),
+             [-720.0, -360.0, -0.0, 0.0, 360.0]]
+        )
+        bits = np.int64
+        for x in (280.460 + 0.9856474 * days, 280.46061837 + 360.98564736629 * days, days):
+            values = x.tolist()
+            remainders = np.array([v % 360.0 for v in values])
+            assert (np.remainder(x, 360.0).view(bits) == remainders.view(bits)).all()
+            radians = np.array([math.radians(v) for v in values])
+            assert (np.radians(x).view(bits) == radians.view(bits)).all()
+
+    def test_sqrt_equals_math(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 100000), [0.0, -0.0, 1.0, 5e-324]])
+        roots = np.array([math.sqrt(v) for v in x.tolist()])
+        assert (np.sqrt(x).view(np.int64) == roots.view(np.int64)).all()
 
     def test_sin_cos_equal_math(self):
         rng = np.random.default_rng(11)

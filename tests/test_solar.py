@@ -14,11 +14,11 @@ from agrivolt.solar import (
     PlaneOrientation,
     SolarPosition,
     eccentricity_correction,
-    extraterrestrial_horizontal,
     incidence_angle,
     plane_normal,
     solar_position,
     sun_vector,
+    toa_horizontal,
     tracking_orientation,
 )
 from oracles import sweep_min_incidence
@@ -80,6 +80,11 @@ class TestSolarPosition:
     def test_out_of_range_year_rejected(self):
         with pytest.raises(ValueError, match="1950-2100"):
             solar_position(FOULUM, utc(1900, 6, 21, 12, 0))
+        # one such hour among good ones, and a naive one
+        with pytest.raises(ValueError, match="2101-01-01T00:00:00"):
+            solar_position(FOULUM, [utc(2100, 12, 31, 23, 0), utc(2101, 1, 1, 0, 0)])
+        with pytest.raises(ValueError, match="naive"):
+            solar_position(FOULUM, [utc(2015, 6, 21, 12, 0), datetime(2015, 6, 21, 13, 0)])
 
     def test_bad_location_rejected(self):
         with pytest.raises(ValueError, match="latitude"):
@@ -162,15 +167,28 @@ class TestTopOfAtmosphere:
         )
 
     def test_zero_at_night(self):
-        assert extraterrestrial_horizontal(FOULUM, utc(2015, 6, 21, 0, 0)) == 0.0
+        midnight = utc(2015, 6, 21, 0, 0)
+        assert toa_horizontal(solar_position(FOULUM, midnight), midnight) == 0.0
 
     def test_composes_position_and_distance_correction(self):
         when = utc(2015, 7, 1, 12, 0)
         sun = solar_position(FOULUM, when)
         expected = SOLAR_CONSTANT * eccentricity_correction(when) * math.sin(sun.altitude)
-        assert extraterrestrial_horizontal(FOULUM, when) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert toa_horizontal(sun, when) == pytest.approx(expected, rel=1e-12)
+
+    def test_hours_as_arrays(self):
+        """A sequence of timestamps gives one value per hour, each the value
+        of its own timestamp; one timestamp gives floats."""
+        hours = [utc(2015, 6, 21, h, 0) for h in range(24)]
+        sun = solar_position(FOULUM, hours)
+        toa = toa_horizontal(sun, hours)
+        assert sun.altitude.shape == sun.azimuth.shape == toa.shape == (24,)
+        for i, when in enumerate(hours):
+            one = solar_position(FOULUM, when)
+            assert isinstance(one.altitude, float) and isinstance(one.azimuth, float)
+            assert (one.altitude, one.azimuth) == (sun.altitude[i], sun.azimuth[i])
+            assert toa_horizontal(one, when) == toa[i]
+        assert (toa == 0.0).any() and (toa > 0.0).any()
 
     def test_eccentricity_range_and_phase(self):
         january = eccentricity_correction(utc(2015, 1, 3, 12, 0))

@@ -42,15 +42,14 @@ def unreadable_files(tmp_path, text):
 
 class TestIngestWeather:
     def test_round_trip_of_generated_year(self, data_dir, weather):
+        """The written fixture reads back as the generator's columns, bit for bit."""
         back = ingest_weather(data_dir / "weather.csv")
         assert len(back) == len(weather) == 8760
-        assert [s.time for s in back] == [s.time for s in weather]
-        np.testing.assert_allclose(
-            [s.ghi for s in back], [s.ghi for s in weather], rtol=0, atol=5e-3
-        )
-        np.testing.assert_allclose(
-            [s.temp_air for s in back], [s.temp_air for s in weather], atol=5e-3
-        )
+        assert back.times == weather.times
+        for name in WEATHER_COLUMNS[1:]:
+            column = getattr(back, name)
+            assert column.dtype == np.float64 and column.shape == (8760,), name
+            np.testing.assert_array_equal(column, getattr(weather, name), err_msg=name)
 
     def test_columns_constant(self):
         assert WEATHER_COLUMNS == ("time", "bhi", "dhi", "ghi", "temp_air", "wind10")
@@ -60,17 +59,17 @@ class TestIngestWeather:
         path.write_text(HEADER + row(T0) + row(T1, bhi=0.0, dhi=0.0))
         samples = ingest_weather(path)
         assert len(samples) == 2
-        assert samples[0].time == datetime(2015, 6, 1, 0, tzinfo=timezone.utc)
-        assert samples[0].bhi == 100.0
-        assert samples[0].ghi == 150.0
-        assert samples[1].ghi == 0.0
+        assert samples.times[0] == datetime(2015, 6, 1, 0, tzinfo=timezone.utc)
+        assert samples.bhi[0] == 100.0
+        assert samples.ghi[0] == 150.0
+        assert samples.ghi[1] == 0.0
 
     def test_naive_timestamps_assumed_utc(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text(HEADER + row("2015-06-01T00:00:00") + row("2015-06-01T01:00:00"))
         samples = ingest_weather(path)
-        assert samples[0].time.tzinfo is not None
-        assert samples[0].time == datetime(2015, 6, 1, 0, tzinfo=timezone.utc)
+        assert samples.times[0].tzinfo is not None
+        assert samples.times[0] == datetime(2015, 6, 1, 0, tzinfo=timezone.utc)
 
     def test_zulu_suffix_accepted(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -93,18 +92,19 @@ class TestIngestWeather:
         )
         with pytest.raises(InputError, match="negative") as err:
             ingest_weather(path)
-        assert "3" in str(err.value)
-        assert "5" in str(err.value)
+        assert str(err.value).endswith("negative irradiance or wind in rows 3, 5")
 
     def test_closure_gap_repaired_with_warning(self, tmp_path, caplog):
         path = tmp_path / "w.csv"
         path.write_text(HEADER + row(T0, ghi=120.0) + row(T1))
         with caplog.at_level("WARNING", logger="agrivolt.weather"):
             samples = ingest_weather(path)
-        assert samples[0].ghi == 150.0  # repaired to bhi + dhi
-        assert samples[1].ghi == 150.0  # consistent row untouched
+        assert samples.ghi[0] == 150.0  # repaired to bhi + dhi
+        assert samples.ghi[1] == 150.0  # consistent row untouched
         assert any("repaired" in rec.message for rec in caplog.records)
-        assert any("2" in rec.getMessage() for rec in caplog.records)
+        assert [rec.getMessage().split(": ", 1)[1] for rec in caplog.records] == [
+            "repaired ghi to bhi + dhi in 1 rows (rows 2)"
+        ]
 
     def test_small_closure_gap_kept(self, tmp_path, caplog):
         assert CLOSURE_TOLERANCE_WM2 == 1.0
@@ -112,7 +112,7 @@ class TestIngestWeather:
         path.write_text(HEADER + row(T0, ghi=150.9) + row(T1))
         with caplog.at_level("WARNING", logger="agrivolt.weather"):
             samples = ingest_weather(path)
-        assert samples[0].ghi == 150.9
+        assert samples.ghi[0] == 150.9
         assert not caplog.records
 
     def test_missing_hours_listed(self, tmp_path):
@@ -199,7 +199,7 @@ class TestIngestWeather:
         with caplog.at_level("WARNING", logger="agrivolt.sky"):
             sky_year(foulum, samples)
         assert len(samples) == 2
-        assert samples[0].bhi == 1500.0  # kept as measured
+        assert samples.bhi[0] == 1500.0  # kept as measured
         assert any("top-of-atmosphere" in rec.message for rec in caplog.records)
 
     def test_plausible_beam_not_flagged(self, tmp_path, caplog, foulum):
@@ -277,8 +277,8 @@ class TestIngestPrices:
 
 
 class TestFixtureWriters:
-    def test_weather_writer_emits_expected_header(self, tmp_path, weather):
-        path = fixturegen.write_weather_csv(tmp_path / "w.csv", weather[:48])
+    def test_weather_writer_emits_expected_header(self, tmp_path, weather_rows):
+        path = fixturegen.write_weather_csv(tmp_path / "w.csv", weather_rows[:48])
         first = path.read_text().splitlines()[0]
         assert first == "time,bhi,dhi,ghi,temp_air,wind10"
 
