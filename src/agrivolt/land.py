@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-# imported eagerly: deferring it measured slower simulate runs with the per-hour
-# yield model, faster ones with the array model (ROADMAP: "the scipy import")
-from scipy.ndimage import distance_transform_edt
 
 from .errors import InputError
 
@@ -185,6 +182,9 @@ def eligibility_mask(
     warning and are treated as excluded; NODATA pixels are outside the
     study area and neither eligible nor excluding.
     """
+    # Here and first: simulate and validate never get here, and scipy is most of their start-up;
+    # imported under the masks below it raised peak RSS (ROADMAP: "the scipy import").
+    from scipy.ndimage import distance_transform_edt
     codes = raster.codes
     known = classes.include | classes.exclude | classes.neutral
     unknown = ~np.isin(codes, sorted(known)) & (codes != raster.nodata)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -78,12 +78,6 @@ class RowGeometry:
     def height(self):
         """Collector height, per hour for (H, 3) rows."""
         return np.sqrt(np.vecdot(self.rise, self.rise))[()]
-
-    def hour(self, i: int) -> RowGeometry:
-        """The rows at hour ``i`` of an hourly geometry; fixed rows are their own."""
-        if self.normal.ndim == 1:
-            return self
-        return replace(self, origin=self.origin[i], rise=self.rise[i], normal=self.normal[i])
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,9 @@ from .solar import SolarPosition, sun_vector
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
 MIN_BLOCK_SHADOW_FRACTION = 1.0e-3
 
+#: Hours whose ground masks are built at once; bounds the (hours, cells) arrays.
+_MASK_CHUNK_HOURS = 64
+
 
 @dataclass(frozen=True)
 class RowShading:
@@ -133,42 +136,94 @@ def row_shading(geom: RowGeometry, sun_vecs: np.ndarray, n_tb: int = 3) -> RowSh
     return RowShading(np.where(shaded, geom.count - 1, 0)[()], f_gs[()], n_sb[()], f_es[()])
 
 
-def ground_shadow_mask(
-    geom: RowGeometry, sun_vec3: np.ndarray, xx: np.ndarray, yy: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of ground cells whose view of the sun a row blocks.
+def _first_passing(value_at, bound, strict: bool, guess: np.ndarray, n: int) -> np.ndarray:
+    """Least index in [0, n] where non-decreasing ``value_at`` passes ``bound`` (``>`` if
+    ``strict``, else ``>=``; n passes), walked to from ``guess`` until both sides decide it."""
+    def passes(i):
+        value = value_at(np.clip(i, 0, n - 1))
+        return (i >= n) | ((value > bound) if strict else (value >= bound))
 
-    Each row rectangle projects along the sun vector onto z = 0 as a
-    parallelogram; a cell is blocked when its centre falls inside any
-    row's parallelogram. Projection uses the affine inverse of the
-    parallelogram edges, evaluated vectorized over the whole grid.
+    i = np.clip(guess, 0, n)
+    while (step := ~passes(i) * 1 - ((i > 0) & passes(i - 1))).any():
+        i = i + step
+    return i
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def ground_shadow_masks(
+    geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Masks of the ground cells whose view of the sun a row blocks: (H, ny, nx)
+    for (H, 3) sun vectors, (ny, nx) for one, over cell centres ``xs`` by ``ys``.
+
+    Each row projects along the sun onto z = 0 as a parallelogram with edges
+    ``a`` and ``b``; a cell is blocked when its affine coordinates (u, v) in
+    any row's lie in [0, 1]. Rows run along x or y, so ``a`` has a component
+    exactly 0 and ``v`` takes one value per cell line along the rows. On a
+    line that a row's v range covers, ``u`` is a chain of correctly rounded
+    monotone operations of the cell, so its cells with 0 <= u <= 1 form one
+    interval. Each end is placed analytically, then decided by the same ``u``
+    expression on both sides: the masks match the per-cell test bit for bit.
     """
-    blocked = np.zeros(xx.shape, dtype=bool)
-    sz = sun_vec3[2]
-    if sz <= 0.0:
-        return blocked
+    if geom.along[2] != 0.0 or np.count_nonzero(geom.along) != 1:
+        raise ValueError(f"rows must run along x or y, not along {geom.along}")
+    sun = np.atleast_2d(sun_vecs)
+    sz = sun[:, 2]
+    along_x = geom.along[0] != 0.0
 
     def project(point: np.ndarray) -> np.ndarray:
-        return point[:2] - (point[2] / sz) * sun_vec3[:2]
+        return point[..., :2] - (point[..., 2] / sz)[:, None] * sun[:, :2]
 
     g0 = project(geom.origin)
-    a = project(geom.origin + geom.along) - g0
-    b = project(geom.origin + geom.rise) - g0
-    det = a[0] * b[1] - a[1] * b[0]
-    if abs(det) < 1.0e-12:
-        return blocked  # edge-on shadow with zero area
-    dx = xx - g0[0]
-    dy = yy - g0[1]
-    u0 = (dx * b[1] - dy * b[0]) / det
-    v0 = (a[0] * dy - a[1] * dx) / det
+    a0, a1 = (project(geom.origin + geom.along) - g0).T
+    b0, b1 = (project(geom.origin + geom.rise) - g0).T
+    det = a0 * b1 - a1 * b0
+    dx, dy = xs - g0[:, :1], ys - g0[:, 1:]
     # the pitch is horizontal, so row d just translates the parallelogram
-    pu = (geom.pitch[0] * b[1] - geom.pitch[1] * b[0]) / det
-    pv = (a[0] * geom.pitch[1] - a[1] * geom.pitch[0]) / det
-    for d in range(geom.count):
-        u = u0 - d * pu
-        v = v0 - d * pv
-        blocked |= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
-    return blocked
+    pu = (geom.pitch[0] * b1 - geom.pitch[1] * b0) / det
+    pv = (a0 * geom.pitch[1] - a1 * geom.pitch[0]) / det
+    # a1 (rows along x) or a0 (along y) is exactly 0, so v0 is one value per grid
+    # row or column, up to the sign of a zero: take it at the line's first cell
+    line_dx, line_dy = (dx[:, :1], dy) if along_x else (dx, dy[:, :1])
+    v0 = (a0[:, None] * line_dy - a1[:, None] * line_dx) / det[:, None]
+    v = v0[:, :, None] - np.arange(geom.count) * pv[:, None, None]
+    # no shadow below the horizon, nor an edge-on one with zero area
+    casts = (sz > 0.0) & ~(np.abs(det) < 1.0e-12)
+    h, line, d = np.nonzero((v >= 0.0) & (v <= 1.0) & casts[:, None, None])
+
+    run, b0, b1, det, pu = (xs if along_x else ys), b0[h], b1[h], det[h], pu[h]
+    line_d = (dy if along_x else dx)[h, line]
+    slope = (b1 if along_x else -b0) / det  # du per unit run, never 0 where |det| >= 1e-12
+    sign = np.where(slope < 0.0, -1.0, 1.0)
+
+    def signed_u(r: np.ndarray) -> np.ndarray:  # sign * u at run index r: non-decreasing
+        dx_c, dy_c = (dx[h, r], line_d) if along_x else (line_d, dy[h, r])
+        return sign * ((dx_c * b1 - dy_c * b0) / det - d * pu)
+
+    # 0 <= u <= 1 is bound <= sign * u <= bound + 1
+    w0, bound = signed_u(np.zeros_like(h)), np.where(sign > 0.0, 0.0, -1.0)
+    start = run.searchsorted(run[0] + (bound - w0) / np.abs(slope), "left")
+    stop = run.searchsorted(run[0] + (bound + 1.0 - w0) / np.abs(slope), "right")
+    start = _first_passing(signed_u, bound, False, start, run.size)
+    stop = _first_passing(signed_u, bound + 1.0, True, stop, run.size)
+
+    # merge each (hour, line)'s intervals where consecutive ones overlap or touch
+    group = h * v.shape[1] + line  # hits come sorted by hour, line and row
+    same = group[1:] == group[:-1]
+    joined = same & (np.maximum(start[1:], start[:-1]) <= np.minimum(stop[1:], stop[:-1]))
+    first = np.flatnonzero(np.r_[True, ~joined])[: group.size]
+    start, stop = np.minimum.reduceat(start, first), np.maximum.reduceat(stop, first)
+    group = group[first]
+    rank = np.arange(group.size) - group.searchsorted(group)
+    r = np.arange(run.size, dtype=np.min_scalar_type(run.size))
+    r, axis = (r, 2) if along_x else (r[:, None], 1)
+    masks = np.zeros((len(sun), ys.size, xs.size), dtype=bool)
+    for k in range(rank.max(initial=-1) + 1):  # the k-th merged interval of each line
+        ends = np.zeros((2, len(sun) * v.shape[1]), dtype=r.dtype)
+        ends[:, group[rank == k]] = start[rank == k], stop[rank == k]
+        lo, hi = np.expand_dims(ends.reshape(2, len(sun), -1), axis + 1)
+        masks |= (r >= lo) & (r < hi)
+    return masks if sun_vecs.ndim == 2 else masks[0]
 
 
 @dataclass
@@ -222,40 +277,30 @@ def ground_irradiance_map(
     ny = max(1, int(round(layout.field[1] / cell_size)))
     xs = (np.arange(nx) + 0.5) * cell_size
     ys = (np.arange(ny) + 0.5) * cell_size
-    xx, yy = np.meshgrid(xs, ys)
 
-    blocked_direct = np.zeros((ny, nx))
-    blocked_circ = np.zeros((ny, nx))
-    unshaded_total = 0.0
-    daylight_hours = 0
+    direct, circ, iso = hours.bhi, hours.k1 * hours.dhi, hours.k_hori * (1.0 - hours.k1) * hours.dhi
+    daylight = hours.ghi > 0.0
+    # a running sum in hour order (np.sum would add pairwise and round differently)
+    unshaded_total = float(np.cumsum(np.append(0.0, (direct + circ + iso)[daylight]))[-1])
+    lit = np.flatnonzero(daylight & (hours.altitude > MIN_SUN_ALTITUDE) & (direct + circ > 0.0))
 
-    # one array pass for the period: numpy calls on one hour's scalars cost more
-    sun = SolarPosition(hours.altitude, hours.azimuth)
-    geoms = layout.row_geometry(layout.orientation(sun))
-    sun_vecs = sun_vector(sun)
-    columns = (hours.ghi, hours.bhi, hours.dhi, hours.k1, hours.k_hori, hours.altitude)
-    for i, (ghi, bhi, dhi, k1, k_hori, altitude) in enumerate(zip(*(c.tolist() for c in columns))):
-        if ghi <= 0.0:
-            continue
-        daylight_hours += 1
-        direct_h = bhi
-        circ_h = k1 * dhi
-        iso_h = k_hori * (1.0 - k1) * dhi
-        unshaded_total += direct_h + circ_h + iso_h
-        if altitude <= MIN_SUN_ALTITUDE or direct_h + circ_h <= 0.0:
-            continue
-        mask = ground_shadow_mask(geoms.hour(i), sun_vecs[i], xx, yy)
-        if direct_h > 0.0:
-            blocked_direct += direct_h * mask
-        if circ_h > 0.0:
-            blocked_circ += circ_h * mask
+    # direct and circumsolar; an hour without one adds +0.0 to its grid: no change
+    weights = np.maximum(np.stack([direct, circ], axis=-1)[lit], 0.0)[:, :, None, None]
+    blocked = np.zeros((2, ny, nx))
+    for first in range(0, lit.size, _MASK_CHUNK_HOURS):
+        chunk = lit[first:first + _MASK_CHUNK_HOURS]
+        sun = SolarPosition(hours.altitude[chunk], hours.azimuth[chunk])
+        geoms = layout.row_geometry(layout.orientation(sun))
+        masks = ground_shadow_masks(geoms, sun_vector(sun), xs, ys)
+        for mask, weight in zip(masks, weights[first:first + _MASK_CHUNK_HOURS]):
+            blocked += weight * mask  # hour by hour, in order: never a pairwise sum
 
     return GroundGrid(
         cell_size=cell_size,
         xs=xs,
         ys=ys,
-        blocked_direct=blocked_direct,
-        blocked_circumsolar=blocked_circ,
+        blocked_direct=blocked[0],
+        blocked_circumsolar=blocked[1],
         unshaded_total=unshaded_total,
-        daylight_hours=daylight_hours,
+        daylight_hours=int(np.count_nonzero(daylight)),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -84,7 +85,7 @@ def _parse_float(text: str, column: str, path: Path, row: int) -> float:
         raise InputError(
             f"{path}: row {row}: column {column!r} is not a number: {text!r}"
         ) from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputError(f"{path}: row {row}: column {column!r} is not finite: {text!r}")
     return value
 

@@ -17,13 +17,17 @@ match it bit for bit. ``reference_sky_columns`` does the same for the sky
 year, with the per-hour sun and sky forms below (``solar_position``,
 ``eccentricity_correction``, ``toa_horizontal``, ``anisotropy_index``,
 ``diffuse_fraction``, ``horizon_brightening``) over weather rows; the
-fixture generator computes its sun with them too.
+fixture generator computes its sun with them too. ``ground_shadow_mask``
+and ``reference_ground_irradiance_map`` build the ground shadow map one
+hour at a time, testing every cell against every row; the production
+masks are built over the hour axis, one interval per shaded cell line,
+and must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -173,6 +177,98 @@ def rasterized_ground_mask(
         mask[candidates] = inside
         blocked |= mask
     return blocked
+
+
+def ground_shadow_mask(
+    geom: RowGeometry, sun_vec3: np.ndarray, xx: np.ndarray, yy: np.ndarray
+) -> np.ndarray:
+    """Boolean mask of ground cells whose view of the sun a row blocks.
+
+    Each row rectangle projects along the sun vector onto z = 0 as a
+    parallelogram; a cell is blocked when its centre falls inside any
+    row's parallelogram. Projection uses the affine inverse of the
+    parallelogram edges, evaluated vectorized over the whole grid.
+    """
+    blocked = np.zeros(xx.shape, dtype=bool)
+    sz = sun_vec3[2]
+    if sz <= 0.0:
+        return blocked
+
+    def project(point: np.ndarray) -> np.ndarray:
+        return point[:2] - (point[2] / sz) * sun_vec3[:2]
+
+    g0 = project(geom.origin)
+    a = project(geom.origin + geom.along) - g0
+    b = project(geom.origin + geom.rise) - g0
+    det = a[0] * b[1] - a[1] * b[0]
+    if abs(det) < 1.0e-12:
+        return blocked  # edge-on shadow with zero area
+    dx = xx - g0[0]
+    dy = yy - g0[1]
+    u0 = (dx * b[1] - dy * b[0]) / det
+    v0 = (a[0] * dy - a[1] * dx) / det
+    # the pitch is horizontal, so row d just translates the parallelogram
+    pu = (geom.pitch[0] * b[1] - geom.pitch[1] * b[0]) / det
+    pv = (a[0] * geom.pitch[1] - a[1] * geom.pitch[0]) / det
+    for d in range(geom.count):
+        u = u0 - d * pu
+        v = v0 - d * pv
+        blocked |= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
+    return blocked
+
+
+def rows_at_hour(geom: RowGeometry, i: int) -> RowGeometry:
+    """The rows at hour ``i`` of an hourly geometry; fixed rows are their own."""
+    if geom.normal.ndim == 1:
+        return geom
+    return replace(geom, origin=geom.origin[i], rise=geom.rise[i], normal=geom.normal[i])
+
+
+def reference_ground_irradiance_map(
+    layout: Layout, hours: SkyYear, cell_size: float = 0.5
+) -> GroundGrid:
+    """Ground shadow map in the per-hour form: one :func:`ground_shadow_mask`
+    per lit hour, added into the grids hour by hour."""
+    nx = max(1, int(round(layout.field[0] / cell_size)))
+    ny = max(1, int(round(layout.field[1] / cell_size)))
+    xs = (np.arange(nx) + 0.5) * cell_size
+    ys = (np.arange(ny) + 0.5) * cell_size
+    xx, yy = np.meshgrid(xs, ys)
+
+    blocked_direct = np.zeros((ny, nx))
+    blocked_circ = np.zeros((ny, nx))
+    unshaded_total = 0.0
+    daylight_hours = 0
+
+    sun = SolarPosition(hours.altitude, hours.azimuth)
+    geoms = layout.row_geometry(layout.orientation(sun))
+    sun_vecs = sun_vector(sun)
+    columns = (hours.ghi, hours.bhi, hours.dhi, hours.k1, hours.k_hori, hours.altitude)
+    for i, (ghi, bhi, dhi, k1, k_hori, altitude) in enumerate(zip(*(c.tolist() for c in columns))):
+        if ghi <= 0.0:
+            continue
+        daylight_hours += 1
+        direct_h = bhi
+        circ_h = k1 * dhi
+        iso_h = k_hori * (1.0 - k1) * dhi
+        unshaded_total += direct_h + circ_h + iso_h
+        if altitude <= MIN_SUN_ALTITUDE or direct_h + circ_h <= 0.0:
+            continue
+        mask = ground_shadow_mask(rows_at_hour(geoms, i), sun_vecs[i], xx, yy)
+        if direct_h > 0.0:
+            blocked_direct += direct_h * mask
+        if circ_h > 0.0:
+            blocked_circ += circ_h * mask
+
+    return GroundGrid(
+        cell_size=cell_size,
+        xs=xs,
+        ys=ys,
+        blocked_direct=blocked_direct,
+        blocked_circumsolar=blocked_circ,
+        unshaded_total=unshaded_total,
+        daylight_hours=daylight_hours,
+    )
 
 
 def brute_force_eligibility(

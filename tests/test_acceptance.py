@@ -37,7 +37,7 @@ from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.outputs import monthly_daily_yield
 from agrivolt.shading import (
     effective_shading_factor,
-    ground_shadow_mask,
+    ground_shadow_masks,
     row_shading,
 )
 from agrivolt.sky import PlaneIrradiance
@@ -126,7 +126,7 @@ def test_criterion_04_shadow_geometry_oracle():
                 f"analytic {fractions[row]:.6f} vs rasterized {reference:.6f}"
             )
 
-        impl_mask = ground_shadow_mask(geom, sv, xx, yy)
+        impl_mask = ground_shadow_masks(geom, sv, centers, centers)
         ref_mask = rasterized_ground_mask(geom, sv, xx, yy)
         area_diff = abs(
             float(impl_mask.sum()) - float(ref_mask.sum())

@@ -852,6 +852,18 @@ class TestInstalledEntryPoint:
             assert proc.returncode == 2, (word, proc.stderr)
             assert proc.stderr.startswith("error: "), (word, proc.stderr)
 
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """Only ``land.eligibility_mask`` needs scipy, and importing it is most
+        of a ``simulate`` or ``validate`` process's start-up: the CLI module
+        must not load it."""
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import agrivolt.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.skipif(
         shutil.which("agrivolt") is None,
         reason="no `agrivolt` console script on PATH (package not installed)",

@@ -4,22 +4,35 @@ from __future__ import annotations
 
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixturegen
-from agrivolt.layout import build_layout
+from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.shading import (
     GroundGrid,
+    _first_passing,
     effective_shading_factor,
     ground_irradiance_map,
-    ground_shadow_mask,
+    ground_shadow_masks,
     row_shading,
     shaded_blocks,
 )
+from agrivolt.sky import MIN_SUN_ALTITUDE
 from agrivolt.solar import SolarPosition, sun_vector
-from oracles import rasterized_ground_mask, rasterized_row_shading, row_shading_fractions
+from conftest import reference_layout
+from oracles import (
+    ground_shadow_mask,
+    rasterized_ground_mask,
+    rasterized_row_shading,
+    reference_ground_irradiance_map,
+    row_shading_fractions,
+    rows_at_hour,
+)
 
 
 def layout_geometry(kind, spacing, height, sun, field=(30.0, 30.0), **kwargs):
@@ -169,25 +182,27 @@ class TestRowShading:
 
 
 class TestGroundShadowMask:
+    """One hour's mask, from the same function that builds a chunk of hours."""
+
     def grid(self, extent=30.0, cell=0.5):
-        xs = (np.arange(int(extent / cell)) + 0.5) * cell
-        return np.meshgrid(xs, xs)
+        return (np.arange(int(extent / cell)) + 0.5) * cell
 
     def test_night_mask_empty(self):
         sun = SolarPosition(altitude=math.radians(20.0), azimuth=0.0)
         _, geom = layout_geometry("vertical", 6.0, 2.0, sun)
-        xx, yy = self.grid()
+        xs = self.grid()
         down = np.array([0.3, 0.2, -0.9])
-        assert not ground_shadow_mask(geom, down, xx, yy).any()
+        mask = ground_shadow_masks(geom, down, xs, xs)
+        assert mask.shape == (xs.size, xs.size)
+        assert not mask.any()
 
     def test_vertical_rows_cast_analytic_band(self):
         """Sun due east at 45 deg: each wall (1 m clearance, 2 m tall at
         x = 6k) shades exactly x in [6k - 3, 6k - 1]."""
         sun = SolarPosition(altitude=math.radians(45.0), azimuth=-0.5 * math.pi)
         _, geom = layout_geometry("vertical", 6.0, 2.0, sun)
-        xx, yy = self.grid(cell=0.25)
-        mask = ground_shadow_mask(geom, sun_vector(sun), xx, yy)
-        xs = xx[0]
+        xs = self.grid(cell=0.25)
+        mask = ground_shadow_masks(geom, sun_vector(sun), xs, xs)
         expected_cols = np.zeros_like(xs, dtype=bool)
         for k in range(geom.count):
             x_row = 6.0 * k
@@ -197,18 +212,19 @@ class TestGroundShadowMask:
         assert np.all(mask == mask[0][None, :])
 
     def test_shadow_area_scales_with_sun_altitude(self):
-        xx, yy = self.grid()
+        xs = self.grid()
         areas = []
         for alt_deg in (50.0, 30.0, 15.0):
             sun = SolarPosition(altitude=math.radians(alt_deg), azimuth=0.0)
             _, geom = layout_geometry("tilt", 6.0, 2.0, sun)
-            areas.append(ground_shadow_mask(geom, sun_vector(sun), xx, yy).mean())
+            areas.append(ground_shadow_masks(geom, sun_vector(sun), xs, xs).mean())
         assert areas[0] < areas[1] < areas[2]
 
     @pytest.mark.parametrize("kind", ["tilt", "vertical", "tracking"])
     def test_randomized_against_ray_cast_oracle(self, kind):
         rng = np.random.default_rng(zlib.crc32(kind.encode()))
-        xx, yy = self.grid(extent=20.0, cell=0.5)
+        xs = self.grid(extent=20.0, cell=0.5)
+        xx, yy = np.meshgrid(xs, xs)
         for _ in range(6):
             sun = SolarPosition(
                 altitude=math.radians(rng.uniform(3.0, 55.0)),
@@ -221,9 +237,158 @@ class TestGroundShadowMask:
                 sun,
                 field=(20.0, 20.0),
             )
-            impl = ground_shadow_mask(geom, sun_vector(sun), xx, yy)
+            impl = ground_shadow_masks(geom, sun_vector(sun), xs, xs)
             oracle = rasterized_ground_mask(geom, sun_vector(sun), xx, yy)
             assert np.array_equal(impl, oracle)
+
+
+#: Sun azimuths that put the sun in a row's plane or square to it: the shadow
+#: of a vertical row is then edge-on, or its edges run along a grid axis.
+GRID_AZIMUTHS = (0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi)
+
+
+@st.composite
+def mask_cases(draw):
+    """A layout, a ground grid and a few hours of sun for the hour-axis masks.
+
+    Fields need not be a whole number of cells, and one shorter than the
+    spacing holds a single row. Suns sit anywhere above the horizon, just
+    above ``MIN_SUN_ALTITUDE``, below the horizon, at the azimuths of
+    ``GRID_AZIMUTHS`` or a hair off them. ``edge_on`` swaps an hour's sun for
+    one in the plane of its rows, tipped off it by ``eps`` along the normal,
+    so that the shadow's area (``det``) falls near the 1e-12 cut-off.
+    """
+    height = draw(st.floats(0.5, 3.0))
+    hair = st.sampled_from([-1e-10, -1e-12, -1e-13, 1e-13, 1e-12, 1e-10])
+    altitude = st.one_of(
+        st.floats(MIN_SUN_ALTITUDE, 0.5 * math.pi, exclude_min=True),
+        st.sampled_from([float(np.nextafter(MIN_SUN_ALTITUDE, 1.0)), MIN_SUN_ALTITUDE + 1e-9]),
+        st.floats(-0.5 * math.pi, 0.0),
+    )
+    azimuth = st.one_of(
+        st.floats(-math.pi, math.pi),
+        st.sampled_from(GRID_AZIMUTHS),
+        st.builds(lambda base, off: base + off, st.sampled_from(GRID_AZIMUTHS), hair),
+    )
+    suns = draw(st.lists(st.tuples(altitude, azimuth), min_size=1, max_size=8))
+    edge_on = draw(st.lists(
+        st.tuples(st.integers(0, len(suns) - 1), st.floats(-1.0, 1.0),
+                  st.one_of(hair, st.sampled_from([0.0, 1e-9, -1e-9, 1e-15]))),
+        max_size=3,
+    ))
+    return dict(
+        kind=draw(st.sampled_from(MOUNT_KINDS)),
+        spacing=draw(st.floats(height, 12.0)),  # >= height: no layout kind overlaps
+        height=height,
+        field=(draw(st.floats(0.7, 24.0)), draw(st.floats(0.7, 24.0))),
+        cell=draw(st.floats(0.3, 2.0)),
+        suns=suns,
+        edge_on=edge_on,
+    )
+
+
+class TestGroundShadowMasksOverHours:
+    """The masks of many hours at once equal the per-hour, per-cell, per-row
+    oracle, ``oracles.ground_shadow_mask``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mask_cases())
+    def test_matches_per_hour_oracle(self, case):
+        layout = build_layout(
+            case["kind"], case["spacing"], case["height"], field=case["field"],
+            latitude_deg=56.49,
+        )
+        sun = SolarPosition(*(np.array(c) for c in zip(*case["suns"])))
+        geom = layout.row_geometry(layout.orientation(sun))
+        sun_vecs = sun_vector(sun)
+        for i, mix, eps in case["edge_on"]:
+            rows = rows_at_hour(geom, i)
+            rise = rows.rise / np.linalg.norm(rows.rise)
+            in_plane = mix * rows.along / rows.length + (rise if rise[2] >= 0.0 else -rise)
+            tipped = in_plane + eps * rows.normal
+            sun_vecs[i] = tipped / np.linalg.norm(tipped)
+        cell = case["cell"]
+        nx, ny = (max(1, int(round(extent / cell))) for extent in case["field"])
+        xs, ys = (np.arange(nx) + 0.5) * cell, (np.arange(ny) + 0.5) * cell
+        xx, yy = np.meshgrid(xs, ys)
+
+        masks = ground_shadow_masks(geom, sun_vecs, xs, ys)
+        assert masks.shape == (len(sun_vecs), ny, nx)
+        for i, sun_vec in enumerate(sun_vecs):
+            rows = rows_at_hour(geom, i)
+            expected = ground_shadow_mask(rows, sun_vec, xx, yy)
+            assert np.array_equal(masks[i], expected), i
+            assert np.array_equal(ground_shadow_masks(rows, sun_vec, xs, ys), expected), i
+
+    def test_rows_off_the_grid_axes_rejected(self):
+        sun = SolarPosition(altitude=math.radians(30.0), azimuth=0.0)
+        _, geom = layout_geometry("tilt", 6.0, 2.0, sun)
+        skewed = replace(geom, along=np.array([3.0, 4.0, 0.0]))
+        xs = np.arange(4) + 0.5
+        with pytest.raises(ValueError, match="along x or y"):
+            ground_shadow_masks(skewed, sun_vector(sun), xs, xs)
+
+
+class TestFirstPassing:
+    """The walk that settles each interval end: from any guess, however far
+    off, it lands on the first index whose value passes the bound. The
+    analytic guesses of the masks are rarely off, so the mask tests alone
+    seldom exercise it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+        bound=st.integers(-4, 4),
+        strict=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_guess_lands_on_first_passing_index(self, values, bound, strict, data):
+        ordered = np.sort(np.array(values, dtype=float))  # with plateaus
+        n = ordered.size
+        guesses = np.array(data.draw(st.lists(st.integers(-3, n + 3), min_size=1, max_size=6)))
+        found = _first_passing(lambda r: ordered[r], float(bound), strict, guesses, n)
+        expected = np.searchsorted(ordered, float(bound), "right" if strict else "left")
+        assert np.array_equal(found, np.full(guesses.size, expected))
+
+
+def assert_same_grid_bits(grid: GroundGrid, expected: GroundGrid) -> None:
+    for name in ("xs", "ys", "blocked_direct", "blocked_circumsolar"):
+        assert np.array_equal(
+            getattr(grid, name).view(np.int64), getattr(expected, name).view(np.int64)
+        ), name
+    assert np.float64(grid.unshaded_total).view(np.int64) == np.float64(
+        expected.unshaded_total
+    ).view(np.int64)
+    assert grid.daylight_hours == expected.daylight_hours
+
+
+class TestGroundMapMatchesPerHourReference:
+    """The hour-axis ground map adds the same masks in the same hour order as
+    ``oracles.reference_ground_irradiance_map``, one hour at a time: every
+    accumulated grid keeps its bits."""
+
+    @pytest.mark.parametrize("spacing", [3.0, 6.0])
+    @pytest.mark.parametrize("kind", MOUNT_KINDS)
+    def test_july_reference_field(self, sky, kind, spacing):
+        july = sky.take(sky.month == 7)
+        layout = reference_layout(kind, 50.0, spacing=spacing)
+        assert_same_grid_bits(
+            ground_irradiance_map(layout, july, cell_size=0.5),
+            reference_ground_irradiance_map(layout, july, cell_size=0.5),
+        )
+
+    @pytest.mark.parametrize("kind", MOUNT_KINDS)
+    def test_five_by_five_december_grid(self, sky, kind):
+        """The ground study of the ``hourly-yield`` benchmark: 10 m at 2 m
+        cells, December, spacings 4.5, 7.5 and 12 m."""
+        december = sky.take(sky.month == 12)
+        for spacing in (4.5, 7.5, 12.0):
+            layout = reference_layout(kind, 10.0, spacing=spacing)
+            grid = ground_irradiance_map(layout, december, cell_size=2.0)
+            assert grid.blocked_direct.shape == (5, 5)
+            assert_same_grid_bits(
+                grid, reference_ground_irradiance_map(layout, december, cell_size=2.0)
+            )
 
 
 class TestGroundIrradianceMap:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -183,10 +184,17 @@ class TestIngestWeather:
             ingest_weather(path)
 
     def test_non_finite_value(self, tmp_path):
+        """NaN and either infinity, in any spelling float() takes, in every
+        numeric column."""
         path = tmp_path / "w.csv"
-        path.write_text(HEADER + f"{T0},100,50,150,10,nan\n")
-        with pytest.raises(InputError, match="not finite"):
-            ingest_weather(path)
+        for column in ("bhi", "dhi", "ghi", "temp_air", "wind10"):
+            for text in ("nan", "inf", "-inf", "NaN", "Infinity", "-INF"):
+                values = dict(zip(HEADER.strip().split(","), row(T0).strip().split(",")))
+                values[column] = text
+                path.write_text(HEADER + ",".join(values.values()) + "\n")
+                message = f"row 2: column {column!r} is not finite: {text!r}"
+                with pytest.raises(InputError, match=re.escape(message)):
+                    ingest_weather(path)
 
     def test_beam_above_atmosphere_flagged_not_fatal(self, tmp_path, caplog, foulum):
         path = tmp_path / "w.csv"
