@@ -8,7 +8,7 @@ suitability; regional deployment potential from land-cover rasters.
 from .agronomy import CropThresholds, crop_fraction, par_flux
 from .config import ScenarioConfig, load_config
 from .electrical import PanelModel, SimulationResult, simulate_year
-from .errors import ComputationError, InputError
+from .errors import InputError
 from .indicators import IndicatorReport, report
 from .land import (
     ClassSets,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassSets",
-    "ComputationError",
     "CropThresholds",
     "GeoLocation",
     "GroundGrid",

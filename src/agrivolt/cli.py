@@ -23,7 +23,7 @@ import numpy as np
 
 from . import land, outputs, scenario
 from .config import ScenarioConfig, load_config
-from .errors import ComputationError, InputError
+from .errors import InputError
 from .layout import MOUNT_KINDS
 from .sky import check_full_year, sky_year
 from .weather import Weather, _parse_float, _records, ingest_prices, ingest_weather
@@ -241,9 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code
         log.debug("unexpected failure", exc_info=True)
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)

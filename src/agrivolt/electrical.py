@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
 
 import numpy as np
 
 from .layout import Layout
 from .shading import row_shading
-from .sky import PlaneIrradiance, SkyYear, plane_irradiance
+from .sky import PlaneIrradiance, SkyYear, check_full_year, plane_irradiance
 from .solar import SolarPosition, incidence_angle, math_map, sun_vector
 
 #: Relative-efficiency coefficients for crystalline silicon modules
@@ -145,7 +144,7 @@ class SimulationResult:
 
     layout: Layout
     panel: PanelModel
-    times: list[datetime]
+    times: np.ndarray
     p_w: np.ndarray
     p_noshadow_w: np.ndarray
     t_cell_c: np.ndarray
@@ -183,7 +182,7 @@ def simulate_year(
     every row.
     """
     panel = panel or PanelModel()
-    sky.full_year  # InputError unless one full year of consecutive hours
+    check_full_year(sky.times)
     lit = ~((sky.ghi <= 0.0) | (sky.altitude <= 0.0))
     day = sky.take(lit)
     sun = SolarPosition(day.altitude, day.azimuth)

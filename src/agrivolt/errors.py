@@ -1,8 +1,5 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: invalid input exits with 2, a failure
-during an otherwise valid computation exits with 3.
-"""
+"""The exception type shared across the package: the CLI exits with 2 on
+:class:`InputError` and with 3, a failed computation, on any other exception."""
 
 MAX_LISTED = 8  # cap item listings in messages
 
@@ -17,7 +14,3 @@ def listed(items: list, total: int | None = None) -> str:
 
 class InputError(ValueError):
     """Invalid or inconsistent user input (weather, prices, config, raster)."""
-
-
-class ComputationError(RuntimeError):
-    """A simulation step failed after inputs passed validation."""

@@ -13,13 +13,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from datetime import datetime
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, listed
-from .solar import GeoLocation, PlaneOrientation, math_map, solar_position, toa_horizontal
+from .solar import GeoLocation, PlaneOrientation, math_map, solar_position, stamp_text
+from .solar import toa_horizontal
 from .weather import Weather
 
 log = logging.getLogger(__name__)
@@ -31,15 +30,17 @@ MIN_SUN_ALTITUDE = math.radians(1.0)
 DEFAULT_ALBEDO = 0.2
 
 
-def check_full_year(times: list[datetime]) -> None:
+def check_full_year(times: np.ndarray) -> None:
     """Require one full year (8760 or 8784) of consecutive hourly timestamps."""
     if len(times) not in (8760, 8784):
         raise InputError(
             f"weather must cover one full year of hourly samples, got {len(times)} rows"
         )
-    for prev, cur in zip(times, times[1:]):
-        if (cur - prev).total_seconds() != 3600.0:
-            raise InputError(f"weather not hourly after {prev.isoformat()}: step {cur - prev}")
+    steps = np.diff(times)
+    uneven = np.flatnonzero(steps != np.timedelta64(1, "h"))
+    if uneven.size:  # a step prints as the timedelta it converts to
+        i = uneven[0]
+        raise InputError(f"weather not hourly after {stamp_text(times[i])}: step {steps[i].item()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +63,7 @@ class SkyYear(Weather):
 
     def take(self, index) -> SkyYear:
         """The hours a boolean mask, slice or index array selects, in its order."""
-        rows = np.arange(len(self))[index]
-        columns = {f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "times"}
-        return SkyYear(times=[self.times[i] for i in rows.tolist()], **columns)
-
-    @cached_property
-    def full_year(self) -> bool:
-        """Require one full year of consecutive hours, once per sky year."""
-        check_full_year(self.times)
-        return True
+        return SkyYear(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -166,14 +159,14 @@ def sky_year(location: GeoLocation, weather: Weather) -> SkyYear:
     toa = toa_horizontal(sun, times)
     year = SkyYear(
         **{f.name: getattr(weather, f.name) for f in fields(Weather)},
-        month=np.array([t.month for t in times], dtype=np.int64),
+        month=times.astype("M8[M]").astype(np.int64) % 12 + 1,
         altitude=sun.altitude,
         azimuth=sun.azimuth,
         toa=toa,
         k1=anisotropy_index(weather.bhi, toa),
         k_hori=horizon_brightening(diffuse_fraction(weather.dhi, weather.ghi), sun.altitude),
     )
-    over_toa = [times[i].isoformat() for i in np.flatnonzero(year.bhi > year.toa + 1.0)]
+    over_toa = stamp_text(times[year.bhi > year.toa + 1.0]).tolist()
     if over_toa:
         log.warning(
             "beam exceeds top-of-atmosphere irradiance in %d hours (%s)",

@@ -6,11 +6,11 @@ Angle conventions used throughout the package:
 * ``azimuth``: radians, 0 = due south, positive toward west, east negative,
 * ``tilt``: radians from horizontal.
 
-All timestamps are UTC ``datetime`` objects; naive datetimes are rejected.
+All timestamps are UTC ``datetime64`` values; ``datetime`` objects are rejected.
 World coordinates are right handed with x pointing east, y north, z up.
 
-The functions take one hour or arrays of hours alike: a timestamp or a
-sequence of them, and a :class:`SolarPosition` or :class:`PlaneOrientation`
+The functions take one hour or arrays of hours alike: a ``datetime64``
+scalar or array, and a :class:`SolarPosition` or :class:`PlaneOrientation`
 that holds one value or one value per hour.
 """
 
@@ -18,17 +18,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-from datetime import datetime, timezone
+from collections.abc import Callable
 
 import numpy as np
 
 SOLAR_CONSTANT = 1361.0  # W/m2 at 1 AU
 
-_J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
+#: The time axis of every hourly column: UTC timestamps to the microsecond.
+TIME_DTYPE = np.dtype("M8[us]")
+
+_J2000 = np.datetime64("2000-01-01T12:00:00", "us")
 
 #: Years the ephemeris of :func:`solar_position` covers.
 SUPPORTED_YEARS = range(1950, 2101)
+
+
+def stamp_text(stamps):
+    """``datetime.isoformat()`` of UTC timestamps, as messages print them."""
+    seconds = np.datetime_as_string(stamps, unit="s")
+    text = np.where(stamps == stamps.astype("M8[s]"), seconds, np.datetime_as_string(stamps))
+    return text + "+00:00"
+
+
+def _checked(times) -> np.ndarray:
+    """``times`` as :data:`TIME_DTYPE`; ValueError unless datetime64 within 1950-2100."""
+    stamps = np.asarray(times)
+    if stamps.dtype.kind != "M":
+        raise ValueError(f"timestamps must be numpy datetime64 in UTC, got {stamps.dtype}")
+    stamps = stamps.astype(TIME_DTYPE)
+    outside = stamps[~np.isin(stamps.astype("M8[Y]").astype(np.int64) + 1970, SUPPORTED_YEARS)]
+    if outside.size:
+        raise ValueError(f"timestamp outside supported range 1950-2100: {stamp_text(outside[0])}")
+    return stamps
 
 
 def math_map(fn: Callable[..., float], *args):
@@ -79,23 +100,7 @@ class PlaneOrientation:
             raise ValueError(f"tilt out of range [0, pi/2]: {self.tilt}")
 
 
-def _days_since_j2000(time: datetime) -> float:
-    if time.year not in SUPPORTED_YEARS:
-        raise ValueError(f"timestamp outside supported range 1950-2100: {time.isoformat()}")
-    if time.tzinfo is None:
-        raise ValueError("naive datetime given; timestamps must be UTC-aware")
-    return (time - _J2000).total_seconds() / 86400.0
-
-
-def _each(fn: Callable[[datetime], float], times: datetime | Sequence[datetime]) -> np.ndarray:
-    """``fn`` of every timestamp as float64, one value per hour; 0-d for one
-    timestamp."""
-    if isinstance(times, datetime):
-        return np.array(fn(times), dtype=float)
-    return np.array([fn(t) for t in times], dtype=float)
-
-
-def solar_position(location: GeoLocation, times: datetime | Sequence[datetime]) -> SolarPosition:
+def solar_position(location: GeoLocation, times) -> SolarPosition:
     """Sun altitude and azimuth from a low-accuracy analytic ephemeris.
 
     Uses the Astronomical Almanac approximate solar coordinates (mean
@@ -106,8 +111,8 @@ def solar_position(location: GeoLocation, times: datetime | Sequence[datetime]) 
     Parameters
     ----------
     location : GeoLocation
-    times : datetime or sequence of datetime
-        UTC-aware timestamps between years 1950 and 2100.
+    times : datetime64 scalar or array
+        UTC timestamps between years 1950 and 2100.
 
     Returns
     -------
@@ -115,7 +120,8 @@ def solar_position(location: GeoLocation, times: datetime | Sequence[datetime]) 
         Altitude above horizon and azimuth (0 = south, + = west), radians;
         one value per timestamp, or floats for one timestamp.
     """
-    n = _each(_days_since_j2000, times)
+    # days since J2000: whole microseconds / 1e6 / 86400, as timedelta.total_seconds() rounds them
+    n = (_checked(times) - _J2000) / np.timedelta64(1, "s") / 86400.0
 
     mean_lon = np.remainder(280.460 + 0.9856474 * n, 360.0)
     mean_anom = np.radians(np.remainder(357.528 + 0.9856003 * n, 360.0))
@@ -178,12 +184,12 @@ def incidence_angle(sun: SolarPosition, plane: PlaneOrientation) -> float:
     return math_map(math.acos, np.where(cos_inc < 1.0, cos_inc, 1.0))
 
 
-def eccentricity_correction(times: datetime | Sequence[datetime]):
+def eccentricity_correction(times):
     """Sun-earth distance correction factor for the day of year (dimensionless),
     one per timestamp."""
-    doy = _each(lambda t: t.timetuple().tm_yday, times)
-    hour = _each(lambda t: t.hour, times)
-    x = 2.0 * math.pi * (doy - 1 + (hour - 12) / 24.0) / 365.0
+    stamps = _checked(times)
+    days, hour = np.divmod((stamps.astype("M8[h]") - stamps.astype("M8[Y]")).astype(np.int64), 24)
+    x = 2.0 * math.pi * (days + (hour - 12) / 24.0) / 365.0
     return (
         1.00011
         + 0.034221 * np.cos(x)
@@ -193,7 +199,7 @@ def eccentricity_correction(times: datetime | Sequence[datetime]):
     )[()]
 
 
-def toa_horizontal(sun: SolarPosition, times: datetime | Sequence[datetime]):
+def toa_horizontal(sun: SolarPosition, times):
     """Top-of-atmosphere direct irradiance on a horizontal surface, W/m2, for
     the sun of each timestamp; zero whenever the sun is at or below the horizon."""
     toa = SOLAR_CONSTANT * eccentricity_correction(times) * np.sin(sun.altitude)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MAX_LISTED, InputError, listed
-from .solar import SUPPORTED_YEARS
+from .solar import SUPPORTED_YEARS, TIME_DTYPE, stamp_text
 
 log = logging.getLogger(__name__)
 
@@ -30,18 +30,22 @@ PRICE_COLUMNS = ("time", "price")
 #: Tolerated gap between ghi and bhi + dhi before the row is repaired.
 CLOSURE_TOLERANCE_WM2 = 1.0
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_HOUR = np.timedelta64(1, "h")
+
 
 @dataclass(frozen=True, eq=False)
 class Weather:
     """Measured weather as columns, one entry per hour.
 
-    ``times`` are the UTC timestamps; ``bhi``/``dhi``/``ghi`` are beam,
-    diffuse and global irradiance on the horizontal plane in W/m2,
-    ``temp_air`` in degC and ``wind10`` the wind speed at 10 m in m/s, each
-    a float64 array.
+    ``times`` are the UTC timestamps (:data:`~agrivolt.solar.TIME_DTYPE`);
+    ``bhi``/``dhi``/``ghi`` are beam, diffuse and global irradiance on the
+    horizontal plane in W/m2, ``temp_air`` in degC and ``wind10`` the wind
+    speed at 10 m in m/s, each a float64 array.
     """
 
-    times: list[datetime]
+    times: np.ndarray
     bhi: np.ndarray
     dhi: np.ndarray
     ghi: np.ndarray
@@ -101,16 +105,17 @@ def ingest_weather(path: str | Path) -> Weather:
     flags it.
     """
     path = Path(path)
-    times: list[datetime] = []
+    micros: list[int] = []
     values: list[list[float]] = []
     for row_num, record in _records(path, WEATHER_COLUMNS, "weather"):
         time = _parse_time(record["time"], path, row_num)
         if time.year not in SUPPORTED_YEARS:
             raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
-        times.append(time)
+        micros.append((time - _EPOCH) // _MICROSECOND)
         values.append([_parse_float(record[c], c, path, row_num) for c in WEATHER_COLUMNS[1:]])
-    if not times:
+    if not micros:
         raise InputError(f"{path}: no data rows")
+    times = np.array(micros, dtype=TIME_DTYPE)
     bhi, dhi, ghi, temp_air, wind10 = np.array(values).T.copy()
     # record i is row i + 2, as ``_records`` numbers them
     negative = np.flatnonzero((bhi < 0.0) | (dhi < 0.0) | (ghi < 0.0) | (wind10 < 0.0)) + 2
@@ -131,30 +136,25 @@ def ingest_weather(path: str | Path) -> Weather:
     return Weather(times, bhi, dhi, ghi, temp_air, wind10)
 
 
-def _check_hourly(times: list[datetime], path: Path) -> None:
-    hour = timedelta(hours=1)
-    missing: list[str] = []  # the first few of ``n_missing``
-    n_missing = 0
-    duplicates: list[str] = []
-    for prev, cur in zip(times, times[1:]):
-        if cur == prev:
-            duplicates.append(cur.isoformat())
-            continue
-        if cur < prev:
-            raise InputError(f"{path}: timestamps not increasing at {cur.isoformat()}")
-        expect = prev + hour
-        while expect < cur:
-            n_missing += 1
-            if n_missing <= MAX_LISTED:
-                missing.append(expect.isoformat())
-            expect += hour
+def _check_hourly(times: np.ndarray, path: Path) -> None:
+    steps = np.diff(times)
+    back = np.flatnonzero(steps < np.timedelta64(0))
+    if back.size:
+        raise InputError(f"{path}: timestamps not increasing at {stamp_text(times[back[0] + 1])}")
+    duplicates = stamp_text(times[1:][steps == np.timedelta64(0)]).tolist()
     if duplicates:
         raise InputError(f"{path}: duplicate timestamps: {listed(duplicates)}")
-    if n_missing:
-        raise InputError(f"{path}: missing hours: {listed(missing, n_missing)}")
+    gaps = (steps - np.timedelta64(1, "us")) // _HOUR  # hours missing after each stamp
+    if gaps.any():
+        after = np.flatnonzero(gaps)[:MAX_LISTED]
+        k = np.arange(1, MAX_LISTED + 1)
+        missing = (times[after, None] + k * _HOUR)[k <= gaps[after, None]][:MAX_LISTED]
+        raise InputError(
+            f"{path}: missing hours: {listed(stamp_text(missing).tolist(), int(gaps.sum()))}"
+        )
 
 
-def ingest_prices(path: str | Path, times: list[datetime]) -> np.ndarray:
+def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
     """Read an hourly price CSV (``time,price``) aligned to a weather timeline.
 
     Every weather hour must appear exactly once, in order, with no extras;
@@ -163,23 +163,25 @@ def ingest_prices(path: str | Path, times: list[datetime]) -> np.ndarray:
     price array (currency per MWh, any fixed unit) in timeline order.
     """
     path = Path(path)
-    stamps: list[datetime] = []
+    micros: list[int] = []
     prices: list[float] = []
     for row_num, record in _records(path, PRICE_COLUMNS, "price"):
-        stamps.append(_parse_time(record["time"], path, row_num))
+        micros.append((_parse_time(record["time"], path, row_num) - _EPOCH) // _MICROSECOND)
         prices.append(_parse_float(record["price"], "price", path, row_num))
-    if not stamps:
+    if not micros:
         raise InputError(f"{path}: no data rows")
-    if len(stamps) != len(times):
+    if len(micros) != len(times):
         raise InputError(
-            f"{path}: {len(stamps)} price rows for {len(times)} weather hours"
+            f"{path}: {len(micros)} price rows for {len(times)} weather hours"
         )
-    for i, (got, want) in enumerate(zip(stamps, times)):
-        if got != want:
-            raise InputError(
-                f"{path}: price timeline diverges from weather at row {i + 2}: "
-                f"{got.isoformat()} != {want.isoformat()}"
-            )
+    stamps = np.array(micros, dtype=TIME_DTYPE)
+    diverge = np.flatnonzero(stamps != times)
+    if diverge.size:
+        i = diverge[0]
+        raise InputError(
+            f"{path}: price timeline diverges from weather at row {i + 2}: "
+            f"{stamp_text(stamps[i])} != {stamp_text(times[i])}"
+        )
     series = np.array(prices)
     if float(np.mean(series)) == 0.0:
         raise InputError(f"{path}: mean price is zero, price weighting undefined")

@@ -54,8 +54,9 @@ def sky(foulum, weather):
 
 
 @pytest.fixture(scope="session")
-def times(weather):
-    return weather.times
+def times(weather_rows):
+    """The hours of the weather year as aware datetimes, as the generators take them."""
+    return [s.time for s in weather_rows]
 
 
 @pytest.fixture(scope="session")

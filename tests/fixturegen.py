@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from agrivolt.land import LandRaster
-from agrivolt.solar import GeoLocation
+from agrivolt.solar import TIME_DTYPE, GeoLocation
 from agrivolt.weather import WEATHER_COLUMNS, Weather
 from oracles import IrradianceSample, solar_position, toa_horizontal
 
@@ -135,10 +135,16 @@ def synthetic_weather(
     return samples
 
 
+def utc_stamps(times: list[datetime]) -> np.ndarray:
+    """Aware datetimes as the time column the program reads (UTC datetime64[us])."""
+    naive = [t.astimezone(timezone.utc).replace(tzinfo=None) for t in times]
+    return np.array(naive, dtype=TIME_DTYPE)
+
+
 def weather_columns(samples: list[IrradianceSample]) -> Weather:
     """Weather rows as the columns :func:`agrivolt.weather.ingest_weather` returns."""
     return Weather(
-        [s.time for s in samples],
+        utc_stamps([s.time for s in samples]),
         *(np.array([getattr(s, c) for s in samples], dtype=float) for c in WEATHER_COLUMNS[1:]),
     )
 

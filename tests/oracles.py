@@ -21,14 +21,17 @@ fixture generator computes its sun with them too. ``ground_shadow_mask``
 and ``reference_ground_irradiance_map`` build the ground shadow map one
 hour at a time, testing every cell against every row; the production
 masks are built over the hour axis, one interval per shaded cell line,
-and must match them bit for bit.
+and must match them bit for bit. ``check_hourly``, ``check_full_year`` and
+``check_price_timeline`` are the per-``datetime`` loops that once checked
+the time axis; the production checks run as array expressions over the
+``datetime64`` column and must raise the same messages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +41,8 @@ from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
 from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, row_shading
 from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
+from agrivolt.errors import MAX_LISTED, InputError, listed
 from agrivolt.solar import (
-    _J2000,
     SOLAR_CONSTANT,
     SUPPORTED_YEARS,
     GeoLocation,
@@ -50,6 +53,8 @@ from agrivolt.solar import (
 )
 
 _EPS = 1.0e-9
+
+_J2000 = datetime(2000, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
 def _row_base(geom: RowGeometry, index: int) -> np.ndarray:
@@ -650,7 +655,7 @@ def _fmt(value: float) -> str:
 def reference_write_hourly_csv(path: str | Path, result: SimulationResult) -> None:
     """The hourly CSV, one timestamp and one value at a time."""
     lines = ["time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W"]
-    for i, stamp in enumerate(result.times):
+    for i, stamp in enumerate(result.times.tolist()):
         lines.append(
             f"{stamp.strftime('%Y-%m-%dT%H:%M:%SZ')},{_fmt(result.p_w[i])},"
             f"{_fmt(result.t_cell_c[i])},{_fmt(result.f_es_front[i])},"
@@ -664,3 +669,53 @@ def reference_write_ground_csv(path: str | Path, grid: GroundGrid) -> None:
     """The ground CSV, one numpy value at a time, southern row first."""
     lines = [",".join(_fmt(v) for v in row) for row in grid.normalized]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# The checks of the time column, one timestamp at a time: the production
+# checks run as array expressions and must raise the same messages.
+
+
+def check_hourly(times: list[datetime], path: Path) -> None:
+    """:func:`agrivolt.weather._check_hourly` over aware datetimes."""
+    hour = timedelta(hours=1)
+    missing: list[str] = []  # the first few of ``n_missing``
+    n_missing = 0
+    duplicates: list[str] = []
+    for prev, cur in zip(times, times[1:]):
+        if cur == prev:
+            duplicates.append(cur.isoformat())
+            continue
+        if cur < prev:
+            raise InputError(f"{path}: timestamps not increasing at {cur.isoformat()}")
+        expect = prev + hour
+        while expect < cur:
+            n_missing += 1
+            if n_missing <= MAX_LISTED:
+                missing.append(expect.isoformat())
+            expect += hour
+    if duplicates:
+        raise InputError(f"{path}: duplicate timestamps: {listed(duplicates)}")
+    if n_missing:
+        raise InputError(f"{path}: missing hours: {listed(missing, n_missing)}")
+
+
+def check_full_year(times: list[datetime]) -> None:
+    """:func:`agrivolt.sky.check_full_year` over aware datetimes."""
+    if len(times) not in (8760, 8784):
+        raise InputError(
+            f"weather must cover one full year of hourly samples, got {len(times)} rows"
+        )
+    for prev, cur in zip(times, times[1:]):
+        if (cur - prev).total_seconds() != 3600.0:
+            raise InputError(f"weather not hourly after {prev.isoformat()}: step {cur - prev}")
+
+
+def check_price_timeline(stamps: list[datetime], times: list[datetime], path: Path) -> None:
+    """The alignment check of :func:`agrivolt.weather.ingest_prices` over aware
+    datetimes of equal length."""
+    for i, (got, want) in enumerate(zip(stamps, times)):
+        if got != want:
+            raise InputError(
+                f"{path}: price timeline diverges from weather at row {i + 2}: "
+                f"{got.isoformat()} != {want.isoformat()}"
+            )

@@ -136,7 +136,7 @@ class TestSeasonalParOnRealMaps:
         averages around 476 umol/m2/s, comfortably above the default low and
         medium demands but below the high one."""
         ghi = weather.ghi
-        months = np.array([t.month for t in weather.times])
+        months = np.array([t.month for t in weather.times.tolist()])
         mask = (ghi > 0.0) & np.isin(months, GROWING_MONTHS)
         open_par = float(np.mean(par_flux(ghi[mask])))
         assert open_par == pytest.approx(476.0, abs=15.0)

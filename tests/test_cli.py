@@ -725,6 +725,10 @@ class TestValidate:
             "[layout]\ntracker_max_rotation_deg = -10",
             "[layout]\nkinds = tracking\nspacings_m = 2\nheights_m = 3",
             "[panel]\nwind_shear_exponent = -1000",
+            "[field]\nelectrical_m = 1e20",
+            "[field]\nelectrical_m = 1e300",
+            "[field]\nground_m = 1e300",
+            "[field]\nground_cell_m = 1e-300",
         ],
     )
     def test_invalid_config_rejected_by_validate_and_simulate(

@@ -240,6 +240,23 @@ class TestValidation:
         path = write(tmp_path, MINIMAL + "\n[panel]\nblocks = 100\n")
         assert load_config(path).panel.blocks == 100
 
+    def test_field_size_bounds(self, tmp_path):
+        """Fields hold at most 200 rows and ground maps 500 cells a side; the
+        limits themselves load, one step past them does not."""
+        for field, ok in (
+            ("electrical_m = 1194", True),  # 200 rows at 6 m
+            ("electrical_m = 1200", False),
+            ("ground_m = 250\nground_cell_m = 0.5", True),
+            ("ground_m = 250.5\nground_cell_m = 0.5", False),
+            ("ground_m = 1\nground_cell_m = 0.0019", False),
+        ):
+            path = write(tmp_path, MINIMAL + f"\n[field]\n{field}\n")
+            if ok:
+                load_config(path)
+                continue
+            with pytest.raises(InputError, match="over 200 rows or 500 ground cells a side"):
+                load_config(path)
+
     def test_zero_ground_cell(self, tmp_path):
         for section, key in (("field", "ground_cell_m"), ("panel", "alpha_r")):
             text = MINIMAL + f"\n[{section}]\n{key} = 0\n"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fixturegen
 from agrivolt import outputs
 from agrivolt.agronomy import CropThresholds, decision_point
 from agrivolt.indicators import report
@@ -95,7 +96,7 @@ class TestMonthlyYield:
         daily = outputs.monthly_daily_yield(sim)
         assert len(daily) == 12
         january = sum(
-            p for stamp, p in zip(sim.times, sim.p_w) if stamp.month == 1
+            p for stamp, p in zip(sim.times.tolist(), sim.p_w) if stamp.month == 1
         )
         expected = january / 1000.0 / sim.layout.field_area / 31.0
         assert daily[0] == pytest.approx(expected, rel=1e-12)
@@ -109,7 +110,7 @@ class TestMonthlyYield:
         """A Jul 2015 - Jun 2016 year divides each month by the days it holds,
         29 for February 2016."""
         start = datetime(2015, 7, 1, tzinfo=timezone.utc)
-        times = [start + timedelta(hours=i) for i in range(8784)]
+        times = fixturegen.utc_stamps([start + timedelta(hours=i) for i in range(8784)])
         layout = annual_sims["tilt"].layout
         ones = np.full(len(times), 1000.0)  # 1 kWh in every hour
         sim = SimulationResult(layout, PanelModel(), times, ones, ones, ones, ones, ones, ones)
@@ -293,7 +294,7 @@ AWKWARD = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324, -
 def _hourly_result(layout, values: np.ndarray) -> SimulationResult:
     """Six hourly columns holding ``values`` rolled by one place each."""
     start = datetime(2015, 1, 1, tzinfo=timezone.utc)
-    times = [start + timedelta(hours=i) for i in range(len(values))]
+    times = fixturegen.utc_stamps([start + timedelta(hours=i) for i in range(len(values))])
     columns = [np.roll(values, k) for k in range(6)]
     return SimulationResult(layout, PanelModel(), times, *columns)
 

@@ -442,7 +442,9 @@ class TestGroundIrradianceMap:
 
     def test_daylight_hours_counted(self, weather, foulum, july_maps):
         expected = sum(
-            1 for t, ghi in zip(weather.times, weather.ghi) if t.month == 7 and ghi > 0.0
+            1
+            for t, ghi in zip(weather.times.tolist(), weather.ghi)
+            if t.month == 7 and ghi > 0.0
         )
         assert july_maps["tilt"].daylight_hours == expected
 

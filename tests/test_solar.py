@@ -26,8 +26,8 @@ from oracles import sweep_min_incidence
 FOULUM = GeoLocation(latitude=56.49, longitude=9.57)
 
 
-def utc(*args) -> datetime:
-    return datetime(*args, tzinfo=timezone.utc)
+def utc(*args) -> np.datetime64:
+    return np.datetime64(datetime(*args), "us")
 
 
 class TestSolarPosition:
@@ -74,16 +74,21 @@ class TestSolarPosition:
         assert afternoon.azimuth > 0.0
 
     def test_naive_datetime_rejected(self):
-        with pytest.raises(ValueError, match="naive"):
-            solar_position(FOULUM, datetime(2015, 6, 21, 12, 0))
+        """Timestamps come as datetime64; a datetime, aware or naive, is refused."""
+        naive = datetime(2015, 6, 21, 12, 0)
+        for when in (naive, naive.replace(tzinfo=timezone.utc)):
+            with pytest.raises(ValueError, match="datetime64"):
+                solar_position(FOULUM, when)
+            with pytest.raises(ValueError, match="datetime64"):
+                eccentricity_correction([when])
 
     def test_out_of_range_year_rejected(self):
         with pytest.raises(ValueError, match="1950-2100"):
             solar_position(FOULUM, utc(1900, 6, 21, 12, 0))
-        # one such hour among good ones, and a naive one
-        with pytest.raises(ValueError, match="2101-01-01T00:00:00"):
+        # one such hour among good ones, and a datetime among datetime64s
+        with pytest.raises(ValueError, match=r"2101-01-01T00:00:00\+00:00"):
             solar_position(FOULUM, [utc(2100, 12, 31, 23, 0), utc(2101, 1, 1, 0, 0)])
-        with pytest.raises(ValueError, match="naive"):
+        with pytest.raises(ValueError, match="datetime64"):
             solar_position(FOULUM, [utc(2015, 6, 21, 12, 0), datetime(2015, 6, 21, 13, 0)])
 
     def test_bad_location_rejected(self):
