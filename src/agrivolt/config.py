@@ -28,11 +28,15 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-#: Most rows on a field, floor(side / spacing) + 1, and most cells along a ground
-#: map's side, ground_m / ground_cell_m. A July ground map took 0.08 s and 4 MB
-#: at 100 x 100 cells and 9 rows, 0.9 s and 74 MB at 501 rows, 0.37 s and 30 MB
-#: at 300 x 300 cells: it tests every row against every line of cells each hour.
-MAX_ROWS, MAX_SIDE_CELLS = 200, 500
+#: Most rows, floor(ground_m / spacing) + 1, and cells a side, ground_m / ground_cell_m,
+#: of a ground map: a July map took 0.08 s and 4 MB at 100 x 100 cells and 9 rows,
+#: 0.9 s and 74 MB at 501 rows, 0.37 s and 30 MB at 300 x 300 cells.
+MAX_GROUND_ROWS, MAX_SIDE_CELLS = 200, 500
+#: Most rows of the electrical field, whose cost does not depend on them, and longest
+#: side of its rows: past an int64 of rows numpy raised OverflowError, and past
+#: 1.34e154 m a row's length or height squared in its norm overflowed and the shaded
+#: area f_gs came out NaN.
+MAX_ROWS, MAX_ROW_SIDE_M = 2**63 - 1, 1e154
 
 
 @dataclass(frozen=True)
@@ -195,9 +199,16 @@ def load_config(path: str | Path, wind_shear_exponent: float | None = None) -> S
             layout = case_layout(config, kind, spacing, height, config.electrical_field_m)
             # the wind factor (h/10)^exp must not overflow
             wind_at_module(1.0, layout.mid_height, config.panel.wind_shear_exponent)
-        span = max(config.electrical_field_m, config.ground_field_m) / min(config.spacings)
-        if not (span < MAX_ROWS and config.ground_field_m / config.ground_cell_m <= MAX_SIDE_CELLS):
-            raise ValueError(f"over {MAX_ROWS} rows or {MAX_SIDE_CELLS} ground cells a side")
+        for key, side in (("[field] electrical_m", config.electrical_field_m),
+                          ("[layout] heights_m", max(config.heights))):
+            if not side <= MAX_ROW_SIDE_M:
+                raise ValueError(f"{key} over {MAX_ROW_SIDE_M:g} m")
+        for key, side, most in (("electrical_m", config.electrical_field_m, MAX_ROWS),
+                                ("ground_m", config.ground_field_m, MAX_GROUND_ROWS)):
+            if not side / min(config.spacings) < most:  # floor(side / spacing) + 1 <= most
+                raise ValueError(f"[field] {key} / [layout] spacings_m: over {most} rows")
+        if not config.ground_field_m / config.ground_cell_m <= MAX_SIDE_CELLS:
+            raise ValueError(f"[field] ground_m / ground_cell_m: over {MAX_SIDE_CELLS} cells")
     except ValueError as exc:
         raise InputError(f"{path}: invalid value: {exc}") from exc
     return config

@@ -16,6 +16,7 @@ from .electrical import SimulationResult
 from .indicators import IndicatorReport
 from .land import RegionPotential
 from .shading import GroundGrid
+from .solar import month_index
 
 PGM_MAXVAL = 65535
 
@@ -64,7 +65,7 @@ def monthly_daily_yield(result: SimulationResult) -> list[float]:
     Year divides each month by the days it really holds.
     """
     area = result.layout.field_area
-    months = result.times.astype("M8[M]").astype(np.int64) % 12
+    months = month_index(result.times)
     sums = np.bincount(months, weights=result.p_w, minlength=12)
     days = np.bincount(months, minlength=12) / 24
     return [sums[m] / 1000.0 / area / days[m] for m in range(12)]

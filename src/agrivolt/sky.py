@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError, listed
-from .solar import GeoLocation, PlaneOrientation, math_map, solar_position, stamp_text
-from .solar import toa_horizontal
+from .solar import HOUR, GeoLocation, PlaneOrientation, math_map, month_index, solar_position
+from .solar import stamp_text, toa_horizontal
 from .weather import Weather
 
 log = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ def check_full_year(times: np.ndarray) -> None:
             f"weather must cover one full year of hourly samples, got {len(times)} rows"
         )
     steps = np.diff(times)
-    uneven = np.flatnonzero(steps != np.timedelta64(1, "h"))
+    uneven = np.flatnonzero(steps != HOUR)
     if uneven.size:  # a step prints as the timedelta it converts to
         i = uneven[0]
         raise InputError(f"weather not hourly after {stamp_text(times[i])}: step {steps[i].item()}")
@@ -159,7 +159,7 @@ def sky_year(location: GeoLocation, weather: Weather) -> SkyYear:
     toa = toa_horizontal(sun, times)
     year = SkyYear(
         **{f.name: getattr(weather, f.name) for f in fields(Weather)},
-        month=times.astype("M8[M]").astype(np.int64) % 12 + 1,
+        month=month_index(times) + 1,
         altitude=sun.altitude,
         azimuth=sun.azimuth,
         toa=toa,

@@ -17,8 +17,9 @@ that holds one value or one value per hour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Callable
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -26,11 +27,23 @@ SOLAR_CONSTANT = 1361.0  # W/m2 at 1 AU
 
 #: The time axis of every hourly column: UTC timestamps to the microsecond.
 TIME_DTYPE = np.dtype("M8[us]")
+HOUR = np.timedelta64(1, "h")
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _J2000 = np.datetime64("2000-01-01T12:00:00", "us")
 
 #: Years the ephemeris of :func:`solar_position` covers.
 SUPPORTED_YEARS = range(1950, 2101)
+
+
+def utc_micros(time: datetime) -> int:
+    """An aware ``datetime`` as the integer of its :data:`TIME_DTYPE` stamp."""
+    return (time - _EPOCH) // timedelta(microseconds=1)
+
+
+def month_index(stamps: np.ndarray) -> np.ndarray:
+    """Calendar month of each timestamp, 0 for January."""
+    return stamps.astype("M8[M]").astype(np.int64) % 12
 
 
 def stamp_text(stamps):
@@ -40,16 +53,12 @@ def stamp_text(stamps):
     return text + "+00:00"
 
 
-def _checked(times) -> np.ndarray:
-    """``times`` as :data:`TIME_DTYPE`; ValueError unless datetime64 within 1950-2100."""
+def _stamps(times) -> np.ndarray:
+    """``times`` as :data:`TIME_DTYPE`; ValueError unless they are datetime64."""
     stamps = np.asarray(times)
     if stamps.dtype.kind != "M":
         raise ValueError(f"timestamps must be numpy datetime64 in UTC, got {stamps.dtype}")
-    stamps = stamps.astype(TIME_DTYPE)
-    outside = stamps[~np.isin(stamps.astype("M8[Y]").astype(np.int64) + 1970, SUPPORTED_YEARS)]
-    if outside.size:
-        raise ValueError(f"timestamp outside supported range 1950-2100: {stamp_text(outside[0])}")
-    return stamps
+    return stamps.astype(TIME_DTYPE)
 
 
 def math_map(fn: Callable[..., float], *args):
@@ -120,8 +129,12 @@ def solar_position(location: GeoLocation, times) -> SolarPosition:
         Altitude above horizon and azimuth (0 = south, + = west), radians;
         one value per timestamp, or floats for one timestamp.
     """
+    stamps = _stamps(times)
+    outside = stamps[~np.isin(stamps.astype("M8[Y]").astype(np.int64) + 1970, SUPPORTED_YEARS)]
+    if outside.size:
+        raise ValueError(f"timestamp outside supported range 1950-2100: {stamp_text(outside[0])}")
     # days since J2000: whole microseconds / 1e6 / 86400, as timedelta.total_seconds() rounds them
-    n = (_checked(times) - _J2000) / np.timedelta64(1, "s") / 86400.0
+    n = (stamps - _J2000) / np.timedelta64(1, "s") / 86400.0
 
     mean_lon = np.remainder(280.460 + 0.9856474 * n, 360.0)
     mean_anom = np.radians(np.remainder(357.528 + 0.9856003 * n, 360.0))
@@ -187,7 +200,7 @@ def incidence_angle(sun: SolarPosition, plane: PlaneOrientation) -> float:
 def eccentricity_correction(times):
     """Sun-earth distance correction factor for the day of year (dimensionless),
     one per timestamp."""
-    stamps = _checked(times)
+    stamps = _stamps(times)
     days, hour = np.divmod((stamps.astype("M8[h]") - stamps.astype("M8[Y]")).astype(np.int64), 24)
     x = 2.0 * math.pi * (days + (hour - 12) / 24.0) / 365.0
     return (

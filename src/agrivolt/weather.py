@@ -14,13 +14,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MAX_LISTED, InputError, listed
-from .solar import SUPPORTED_YEARS, TIME_DTYPE, stamp_text
+from .solar import HOUR, SUPPORTED_YEARS, TIME_DTYPE, stamp_text, utc_micros
 
 log = logging.getLogger(__name__)
 
@@ -29,10 +29,6 @@ PRICE_COLUMNS = ("time", "price")
 
 #: Tolerated gap between ghi and bhi + dhi before the row is repaired.
 CLOSURE_TOLERANCE_WM2 = 1.0
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
-_HOUR = np.timedelta64(1, "h")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +107,7 @@ def ingest_weather(path: str | Path) -> Weather:
         time = _parse_time(record["time"], path, row_num)
         if time.year not in SUPPORTED_YEARS:
             raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
-        micros.append((time - _EPOCH) // _MICROSECOND)
+        micros.append(utc_micros(time))
         values.append([_parse_float(record[c], c, path, row_num) for c in WEATHER_COLUMNS[1:]])
     if not micros:
         raise InputError(f"{path}: no data rows")
@@ -144,11 +140,11 @@ def _check_hourly(times: np.ndarray, path: Path) -> None:
     duplicates = stamp_text(times[1:][steps == np.timedelta64(0)]).tolist()
     if duplicates:
         raise InputError(f"{path}: duplicate timestamps: {listed(duplicates)}")
-    gaps = (steps - np.timedelta64(1, "us")) // _HOUR  # hours missing after each stamp
+    gaps = (steps - np.timedelta64(1, "us")) // HOUR  # hours missing after each stamp
     if gaps.any():
         after = np.flatnonzero(gaps)[:MAX_LISTED]
         k = np.arange(1, MAX_LISTED + 1)
-        missing = (times[after, None] + k * _HOUR)[k <= gaps[after, None]][:MAX_LISTED]
+        missing = (times[after, None] + k * HOUR)[k <= gaps[after, None]][:MAX_LISTED]
         raise InputError(
             f"{path}: missing hours: {listed(stamp_text(missing).tolist(), int(gaps.sum()))}"
         )
@@ -166,7 +162,7 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
     micros: list[int] = []
     prices: list[float] = []
     for row_num, record in _records(path, PRICE_COLUMNS, "price"):
-        micros.append((_parse_time(record["time"], path, row_num) - _EPOCH) // _MICROSECOND)
+        micros.append(utc_micros(_parse_time(record["time"], path, row_num)))
         prices.append(_parse_float(record["price"], "price", path, row_num))
     if not micros:
         raise InputError(f"{path}: no data rows")

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from agrivolt.config import (
     case_layout,
     load_config,
 )
+from agrivolt.electrical import simulate_year
 from agrivolt.errors import InputError
 from agrivolt.layout import optimal_tilt
 
@@ -241,21 +243,52 @@ class TestValidation:
         assert load_config(path).panel.blocks == 100
 
     def test_field_size_bounds(self, tmp_path):
-        """Fields hold at most 200 rows and ground maps 500 cells a side; the
-        limits themselves load, one step past them does not."""
-        for field, ok in (
-            ("electrical_m = 1194", True),  # 200 rows at 6 m
-            ("electrical_m = 1200", False),
-            ("ground_m = 250\nground_cell_m = 0.5", True),
-            ("ground_m = 250.5\nground_cell_m = 0.5", False),
-            ("ground_m = 1\nground_cell_m = 0.0019", False),
+        """Ground maps hold at most 200 rows and 500 cells a side; the electrical
+        field at most an int64 of rows, and rows at most 1e154 m long or tall.
+        The limits themselves load, one step past them does not, and the error
+        names its keys."""
+        rows = r"\[field\] {} / \[layout\] spacings_m: over {} rows"
+        for field, refused in (
+            ("electrical_m = 1200", None),  # 201 rows at 6 m
+            ("electrical_m = 5.5e19", None),  # 9.17e18 rows
+            ("electrical_m = 5.6e19", rows.format("electrical_m", 2**63 - 1)),
+            ("electrical_m = 1e154\n[layout]\nspacings_m = 1e150", None),
+            ("electrical_m = 1.35e154\n[layout]\nspacings_m = 1e150",
+             r"\[field\] electrical_m over 1e\+154 m"),
+            ("ground_m = 1\n[layout]\nkinds = vertical\nheights_m = 1e154", None),
+            ("ground_m = 1\n[layout]\nkinds = vertical\nheights_m = 1.35e154",
+             r"\[layout\] heights_m over 1e\+154 m"),
+            ("ground_m = 1194\nground_cell_m = 2.388", None),  # 200 rows at 6 m
+            ("ground_m = 1200\nground_cell_m = 3", rows.format("ground_m", 200)),
+            ("ground_m = 250\nground_cell_m = 0.5", None),
+            ("ground_m = 250.5\nground_cell_m = 0.5",
+             r"\[field\] ground_m / ground_cell_m: over 500 cells"),
+            ("ground_m = 1\nground_cell_m = 0.0019",
+             r"\[field\] ground_m / ground_cell_m: over 500 cells"),
         ):
             path = write(tmp_path, MINIMAL + f"\n[field]\n{field}\n")
-            if ok:
+            if refused is None:
                 load_config(path)
                 continue
-            with pytest.raises(InputError, match="over 200 rows or 500 ground cells a side"):
+            with pytest.raises(InputError, match=refused):
                 load_config(path)
+
+    def test_largest_electrical_fields_simulate(self, tmp_path, sky):
+        """At its bounds the electrical field still runs and its rows shade one
+        another finitely: 9.17e18 rows at 6 m, 1e154 m long rows tall enough to
+        shade at their spacing, and 1e154 m tall vertical rows."""
+        for extra in (
+            "[field]\nelectrical_m = 5.5e19",
+            "[field]\nelectrical_m = 1e154\n[layout]\nspacings_m = 2e140\nheights_m = 1e140",
+            "[layout]\nkinds = vertical\nheights_m = 1e154",
+        ):
+            config = load_config(write(tmp_path, MINIMAL + extra + "\n"))
+            for kind in config.kinds:
+                spacing, height = config.spacings[0], config.heights[0]
+                layout = case_layout(config, kind, spacing, height, config.electrical_field_m)
+                result = simulate_year(layout, sky, config.panel, config.albedo)
+                assert np.isfinite(result.f_es_front).all()
+                assert (result.f_es_front > 0.0).any()
 
     def test_zero_ground_cell(self, tmp_path):
         for section, key in (("field", "ground_cell_m"), ("panel", "alpha_r")):
