@@ -29,7 +29,7 @@ SOLAR_CONSTANT = 1361.0  # W/m2 at 1 AU
 TIME_DTYPE = np.dtype("M8[us]")
 HOUR = np.timedelta64(1, "h")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH, _MICROSECOND = datetime(1970, 1, 1, tzinfo=timezone.utc), timedelta(microseconds=1)
 _J2000 = np.datetime64("2000-01-01T12:00:00", "us")
 
 #: Years the ephemeris of :func:`solar_position` covers.
@@ -38,7 +38,7 @@ SUPPORTED_YEARS = range(1950, 2101)
 
 def utc_micros(time: datetime) -> int:
     """An aware ``datetime`` as the integer of its :data:`TIME_DTYPE` stamp."""
-    return (time - _EPOCH) // timedelta(microseconds=1)
+    return (time - _EPOCH) // _MICROSECOND
 
 
 def month_index(stamps: np.ndarray) -> np.ndarray:
