@@ -20,16 +20,9 @@ from .land import (
     region_potential,
 )
 from .layout import Layout, build_layout, optimal_tilt
-from .shading import GroundGrid, RowShading, ground_irradiance_map, row_shading
-from .sky import PlaneIrradiance, SkyYear, plane_irradiance, sky_year
-from .solar import (
-    GeoLocation,
-    PlaneOrientation,
-    SolarPosition,
-    incidence_angle,
-    solar_position,
-    tracking_orientation,
-)
+from .shading import GroundGrid, ground_irradiance_map
+from .sky import SkyYear, sky_year
+from .solar import GeoLocation, solar_position
 from .weather import Weather, ingest_prices, ingest_weather
 
 __version__ = "0.1.0"
@@ -44,33 +37,25 @@ __all__ = [
     "LandRaster",
     "Layout",
     "PanelModel",
-    "PlaneIrradiance",
-    "PlaneOrientation",
     "RegionPotential",
-    "RowShading",
     "ScenarioConfig",
     "SimulationResult",
     "SkyYear",
-    "SolarPosition",
     "Weather",
     "aggregate_potential",
     "build_layout",
     "crop_fraction",
     "eligibility_mask",
     "ground_irradiance_map",
-    "incidence_angle",
     "ingest_prices",
     "ingest_weather",
     "load_config",
     "optimal_tilt",
     "par_flux",
-    "plane_irradiance",
     "read_ascii_grid",
     "region_potential",
     "report",
-    "row_shading",
     "simulate_year",
     "sky_year",
     "solar_position",
-    "tracking_orientation",
 ]

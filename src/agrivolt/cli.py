@@ -159,16 +159,14 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
         return lambda region: constant
     path = Path(args.yields)
     table: dict[int, dict[str, float]] = {}
-    for row, record in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
+    for row, (region_id, *texts) in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
         try:
-            region = int(record["region_id"])
+            region = int(region_id)
         except ValueError as exc:
             raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
-        table[region] = {kind: _parse_float(record[kind], kind, path, row) for kind in MOUNT_KINDS}
+        table[region] = {k: _parse_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
         if min(table[region].values()) < 0.0:
             raise InputError(f"{path}: row {row}: yields must be >= 0")
-    if not table:
-        raise InputError(f"{path}: no yield rows")
 
     def lookup(region: int) -> dict[str, float]:
         if region not in table:

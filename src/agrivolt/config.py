@@ -58,6 +58,32 @@ class ScenarioConfig:
     growing_months: tuple[int, ...] = GROWING_MONTHS
     ground_map_months: tuple[int, ...] = (7,)
 
+    def __post_init__(self) -> None:
+        """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid."""
+        for (section, key), (target, _, check) in KEYS.items():
+            value = None if target is None or check is None else getattr(self, target)
+            if value is not None and not check[0](value):
+                raise ValueError(f"invalid value for [{section}] {key}: {check[1].format(value)}")
+        try:
+            for kind, spacing, height in product(self.kinds, self.spacings, self.heights):
+                if kind not in self.clearances:
+                    raise ValueError(f"no [layout] clearance_{kind}_m")
+                layout = case_layout(self, kind, spacing, height, self.electrical_field_m)
+                # the wind factor (h/10)^exp must not overflow
+                wind_at_module(1.0, layout.mid_height, self.panel.wind_shear_exponent)
+            for key, side in (("[field] electrical_m", self.electrical_field_m),
+                              ("[layout] heights_m", max(self.heights))):
+                if not side <= MAX_ROW_SIDE_M:
+                    raise ValueError(f"{key} over {MAX_ROW_SIDE_M:g} m")
+            for key, side, most in (("electrical_m", self.electrical_field_m, MAX_ROWS),
+                                    ("ground_m", self.ground_field_m, MAX_GROUND_ROWS)):
+                if not side / min(self.spacings) < most:  # floor(side / spacing) + 1 <= most
+                    raise ValueError(f"[field] {key} / [layout] spacings_m: over {most} rows")
+            if not self.ground_field_m / self.ground_cell_m <= MAX_SIDE_CELLS:
+                raise ValueError(f"[field] ground_m / ground_cell_m: over {MAX_SIDE_CELLS} cells")
+        except ValueError as exc:
+            raise ValueError(f"invalid value: {exc}") from exc
+
 
 def _number(text: str) -> float:
     value = float(text)
@@ -92,10 +118,10 @@ _FRACTION = (lambda v: 0.0 <= v <= 1.0, "{} out of range [0, 1]")
 _MONTHS = (lambda ms: all(1 <= m <= 12 for m in ms), "{} must be calendar months 1-12")
 
 #: Every accepted key: (section, key) -> (target, parser, check or None).
-#: The target names the :class:`ScenarioConfig` field the value sets, or a
-#: field of a nested object as ``location.*``, ``panel.*``, ``thresholds.*``
-#: or ``clearances.*``; ``None`` checks the value without storing it. Keys
-#: absent from the file leave their field at the dataclass default.
+#: The target names the :class:`ScenarioConfig` field the value sets, whose
+#: ``__post_init__`` runs the check, or a field of a nested object as ``location.*``,
+#: ``panel.*``, ``thresholds.*`` or ``clearances.*``; ``None`` stores nothing and
+#: :func:`load_config` runs the check. Absent keys leave the dataclass default.
 KEYS = {
     ("meta", "schema_version"): (None, int, _SCHEMA),
     ("location", "latitude"): ("location.latitude", _number, None),
@@ -132,12 +158,9 @@ _REQUIRED = (("meta", "schema_version"), ("location", "latitude"), ("location", 
 
 
 def load_config(path: str | Path, wind_shear_exponent: float | None = None) -> ScenarioConfig:
-    """Parse and validate a scenario INI file; ``wind_shear_exponent``
-    overrides ``[panel] wind_shear_exponent``.
-
-    Besides the per-key checks, every (kind, spacing, height) case of the
-    grid must be a feasible :class:`Layout` with a finite wind shear
-    factor, so a configuration that loads can be simulated.
+    """Parse a scenario INI file; ``wind_shear_exponent`` overrides ``[panel]
+    wind_shear_exponent``. :class:`ScenarioConfig` checks the values, so a file
+    that loads can be simulated; its ``ValueError`` becomes an :class:`InputError`.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -173,7 +196,7 @@ def load_config(path: str | Path, wind_shear_exponent: float | None = None) -> S
             continue
         try:
             value = parse(text)
-            if check is not None and not check[0](value):
+            if target is None and check is not None and not check[0](value):
                 raise ValueError(check[1].format(value))
         except ValueError as exc:
             raise InputError(f"{path}: invalid value for [{section}] {key}: {exc}") from exc
@@ -188,30 +211,18 @@ def load_config(path: str | Path, wind_shear_exponent: float | None = None) -> S
     except ValueError as exc:
         raise InputError(f"{path}: bad location: {exc}") from exc
     try:
-        config = ScenarioConfig(
+        panel, thresholds = PanelModel(**values["panel"]), CropThresholds(**values["thresholds"])
+    except ValueError as exc:
+        raise InputError(f"{path}: invalid value: {exc}") from exc
+    try:
+        return ScenarioConfig(
             location=location,
-            panel=PanelModel(**values["panel"]),
-            thresholds=CropThresholds(**values["thresholds"]),
+            panel=panel, thresholds=thresholds,
             clearances={**DEFAULT_CLEARANCE, **values["clearances"]},
             **values[""],
         )
-        for kind, spacing, height in product(config.kinds, config.spacings, config.heights):
-            layout = case_layout(config, kind, spacing, height, config.electrical_field_m)
-            # the wind factor (h/10)^exp must not overflow
-            wind_at_module(1.0, layout.mid_height, config.panel.wind_shear_exponent)
-        for key, side in (("[field] electrical_m", config.electrical_field_m),
-                          ("[layout] heights_m", max(config.heights))):
-            if not side <= MAX_ROW_SIDE_M:
-                raise ValueError(f"{key} over {MAX_ROW_SIDE_M:g} m")
-        for key, side, most in (("electrical_m", config.electrical_field_m, MAX_ROWS),
-                                ("ground_m", config.ground_field_m, MAX_GROUND_ROWS)):
-            if not side / min(config.spacings) < most:  # floor(side / spacing) + 1 <= most
-                raise ValueError(f"[field] {key} / [layout] spacings_m: over {most} rows")
-        if not config.ground_field_m / config.ground_cell_m <= MAX_SIDE_CELLS:
-            raise ValueError(f"[field] ground_m / ground_cell_m: over {MAX_SIDE_CELLS} cells")
     except ValueError as exc:
-        raise InputError(f"{path}: invalid value: {exc}") from exc
-    return config
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def case_layout(

@@ -36,17 +36,18 @@ def price_weighted_yield(
     """Yield weighted by the hourly market price over its arithmetic mean.
 
     Equals the plain electricity yield for a flat price series; production
-    concentrated in expensive hours scores higher.
+    concentrated in expensive hours scores higher. A zero mean price, or
+    prices that overflow the weighted sum, raise :class:`InputError`.
     """
     if len(prices) != len(energy_wh):
         raise InputError(
             f"price series length {len(prices)} does not match {len(energy_wh)} hours"
         )
-    mean_price = float(np.mean(prices))
-    if mean_price == 0.0:
-        raise InputError("mean price is zero, price weighting undefined")
-    weighted = float(np.sum(energy_wh * prices)) / mean_price
-    return weighted / 1000.0 / field_area_m2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        weighted = np.sum(energy_wh * prices) / np.mean(prices) / 1000.0 / field_area_m2
+    if not np.isfinite(weighted):
+        raise InputError("price weighting undefined: the mean price is zero or the sum overflows")
+    return float(weighted)
 
 
 def shadow_losses(energy_wh: np.ndarray, noshadow_energy_wh: np.ndarray) -> float:

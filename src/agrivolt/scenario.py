@@ -198,15 +198,14 @@ def _sweep(
     if only is None:
         months |= set(config.ground_map_months)
     results = run_cases(config, weather, tuple(sorted(months)), threads)
+    # the table refuses overflowing prices, so it is built before the directory
+    table = [entry for entry in _artifacts(config, results, prices) if only in (None, entry[0])]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, write in _artifacts(config, results, prices):
-        if only in (None, name):
-            write(out / name)
-            written.append(out / name)
-    log.info("wrote %d artifacts to %s", len(written), out)
-    return written
+    for name, write in table:
+        write(out / name)
+    log.info("wrote %d artifacts to %s", len(table), out)
+    return [out / name for name, _ in table]
 
 
 def run_scenario(

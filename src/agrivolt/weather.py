@@ -53,16 +53,22 @@ class Weather:
 
 
 def _records(path: Path, columns: tuple[str, ...], what: str):
-    """Yield ``(row number, record)`` per data row of a UTF-8 CSV with ``columns``."""
+    """Yield ``(row number, values of columns)`` per data row, as ``csv.DictReader`` reads them."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")  # fields a short row lacks read empty
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: empty file")
-            missing = [c for c in columns if c not in reader.fieldnames]
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise InputError(f"{path}: missing {what} columns {missing}")
-            yield from enumerate(reader, start=2)
+            at = [max(i for i, name in enumerate(header) if name == c) for c in columns]
+            row_num = 1
+            for row_num, row in enumerate(filter(None, reader), start=2):
+                yield row_num, [row[i] if i < len(row) else "" for i in at]
+            if row_num == 1:
+                raise InputError(f"{path}: no data rows")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
@@ -103,14 +109,13 @@ def ingest_weather(path: str | Path) -> Weather:
     path = Path(path)
     micros: list[int] = []
     values: list[list[float]] = []
-    for row_num, record in _records(path, WEATHER_COLUMNS, "weather"):
-        time = _parse_time(record["time"], path, row_num)
+    for row_num, (stamp, *fields) in _records(path, WEATHER_COLUMNS, "weather"):
+        time = _parse_time(stamp, path, row_num)
         if time.year not in SUPPORTED_YEARS:
             raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
         micros.append(utc_micros(time))
-        values.append([_parse_float(record[c], c, path, row_num) for c in WEATHER_COLUMNS[1:]])
-    if not micros:
-        raise InputError(f"{path}: no data rows")
+        values.append([_parse_float(text, c, path, row_num)
+                       for text, c in zip(fields, WEATHER_COLUMNS[1:])])
     times = np.array(micros, dtype=TIME_DTYPE)
     bhi, dhi, ghi, temp_air, wind10 = np.array(values).T.copy()
     # record i is row i + 2, as ``_records`` numbers them
@@ -155,17 +160,15 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
 
     Every weather hour must appear exactly once, in order, with no extras;
     the first mismatching timestamp is reported otherwise. The mean price
-    must not be zero, since price-weighted yields divide by it. Returns the
-    price array (currency per MWh, any fixed unit) in timeline order.
+    must be finite and not zero, since price-weighted yields divide by it.
+    Returns the price array (currency per MWh, any fixed unit) in timeline order.
     """
     path = Path(path)
     micros: list[int] = []
     prices: list[float] = []
-    for row_num, record in _records(path, PRICE_COLUMNS, "price"):
-        micros.append(utc_micros(_parse_time(record["time"], path, row_num)))
-        prices.append(_parse_float(record["price"], "price", path, row_num))
-    if not micros:
-        raise InputError(f"{path}: no data rows")
+    for row_num, (stamp, price) in _records(path, PRICE_COLUMNS, "price"):
+        micros.append(utc_micros(_parse_time(stamp, path, row_num)))
+        prices.append(_parse_float(price, "price", path, row_num))
     if len(micros) != len(times):
         raise InputError(
             f"{path}: {len(micros)} price rows for {len(times)} weather hours"
@@ -179,6 +182,8 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
             f"{stamp_text(stamps[i])} != {stamp_text(times[i])}"
         )
     series = np.array(prices)
-    if float(np.mean(series)) == 0.0:
-        raise InputError(f"{path}: mean price is zero, price weighting undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = float(np.mean(series))
+    if mean == 0.0 or not math.isfinite(mean):
+        raise InputError(f"{path}: mean price is {mean}, price weighting undefined")
     return series

@@ -690,18 +690,29 @@ class TestValidate:
                 ["validate", "--config", str(cli_config), "--weather", path],
                 [*simulate, "--weather", path],
             ]
-        prices = broken("prices", "time,price", ["2015-01-01T00:00Z"])
-        zero = tmp_path / "prices_zero.csv"
         stamps = [line.split(",")[0] for line in (data_dir / "prices.csv").read_text().split()]
-        zero.write_text("\n".join(["time,price", *(f"{t},0" for t in stamps[1:])]) + "\n")
-        for path in [*prices, str(zero)]:
+
+        def flat(price: str) -> str:
+            """A price file with every hour at ``price``."""
+            path = tmp_path / f"prices_{price}.csv"
+            path.write_text("\n".join(["time,price", *(f"{t},{price}" for t in stamps[1:])]))
+            return str(path)
+
+        prices = broken("prices", "time,price", ["2015-01-01T00:00Z"])
+        # a zero mean, and a mean whose sum overflows
+        for path in [*prices, flat("0"), flat("1e305")]:
             commands += [
                 ["validate", "--weather", weather, "--prices", path],
                 [*simulate, "--weather", weather, "--prices", path],
             ]
+        # a finite mean whose weighted sum over the field's energy overflows: only a
+        # simulation knows the energy
+        commands.append([*simulate, "--weather", weather, "--prices", flat("1e303")])
         for command in commands:
             assert main(command) == 2, command
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Warning" not in err, (command, err)
+        # nothing written, indicators.csv included
         assert not (tmp_path / "sim").exists()
 
     def test_nothing_to_check(self, capsys):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from agrivolt.cli import main
@@ -19,9 +20,10 @@ from agrivolt.config import (
     case_layout,
     load_config,
 )
-from agrivolt.electrical import simulate_year
+from agrivolt.electrical import PanelModel, simulate_year
 from agrivolt.errors import InputError
-from agrivolt.layout import optimal_tilt
+from agrivolt.layout import MOUNT_KINDS, optimal_tilt
+from agrivolt.scenario import expand_cases, run_case
 
 MINIMAL = """\
 [meta]
@@ -368,3 +370,123 @@ class TestKeyTable:
         for section, key in KEYS:
             row = rf"^\| `\[{section}\] [^|]*\b{key}\b"
             assert re.search(row, table, re.MULTILINE), f"[{section}] {key} missing from README"
+
+
+#: Each config that the tests refuse after parsing: its INI text, and the same
+#: values as :class:`ScenarioConfig` fields.
+REFUSED_AFTER_PARSING = [
+    ("[layout]\nkinds = tilt, floating", {"kinds": ("tilt", "floating")}),
+    ("[layout]\nkinds = floating", {"kinds": ("floating",)}),
+    ("[crops]\ngrowing_months = 4 13", {"growing_months": (4, 13)}),
+    ("[crops]\ngrowing_months = 13", {"growing_months": (13,)}),
+    ("[analysis]\nground_map_months = 0", {"ground_map_months": (0,)}),
+    ("[layout]\nspacings_m = 6 -3", {"spacings": (6.0, -3.0)}),
+    ("[sky]\nalbedo = 1.5", {"albedo": 1.5}),
+    ("[layout]\ntilt_deg = 90", {"tilt_deg": 90.0}),
+    ("[layout]\ntracker_max_rotation_deg = -10", {"tracker_max_rotation_deg": -10.0}),
+    ("[layout]\ntracker_max_rotation_deg = 90.5", {"tracker_max_rotation_deg": 90.5}),
+    ("[layout]\nkinds = tracking\nspacings_m = 2\nheights_m = 3",
+     {"kinds": ("tracking",), "spacings": (2.0,), "heights": (3.0,)}),
+    ("[layout]\nkinds = tilt\nspacings_m = 0.5\nheights_m = 3",
+     {"kinds": ("tilt",), "spacings": (0.5,), "heights": (3.0,)}),
+    ("[panel]\nwind_shear_exponent = -1000",
+     {"panel": PanelModel(wind_shear_exponent=-1000.0)}),
+    ("[field]\nground_cell_m = 0", {"ground_cell_m": 0.0}),
+    ("[field]\nground_cell_m = -0.5", {"ground_cell_m": -0.5}),
+    ("[field]\nground_cell_m = 1e-300", {"ground_cell_m": 1e-300}),
+    ("[field]\nground_m = 1e300", {"ground_field_m": 1e300}),
+    ("[field]\nelectrical_m = 1e20", {"electrical_field_m": 1e20}),
+    ("[field]\nelectrical_m = 1e300", {"electrical_field_m": 1e300}),
+    ("[field]\nelectrical_m = 5.6e19", {"electrical_field_m": 5.6e19}),
+    ("[field]\nelectrical_m = 1.35e154\n[layout]\nspacings_m = 1e150",
+     {"electrical_field_m": 1.35e154, "spacings": (1e150,)}),
+    ("[field]\nground_m = 1\n[layout]\nkinds = vertical\nheights_m = 1.35e154",
+     {"ground_field_m": 1.0, "kinds": ("vertical",), "heights": (1.35e154,)}),
+    ("[field]\nground_m = 1200\nground_cell_m = 3",
+     {"ground_field_m": 1200.0, "ground_cell_m": 3.0}),
+    ("[field]\nground_m = 250.5\nground_cell_m = 0.5", {"ground_field_m": 250.5}),
+    ("[field]\nground_m = 1\nground_cell_m = 0.0019",
+     {"ground_field_m": 1.0, "ground_cell_m": 0.0019}),
+]
+
+
+class TestLibraryRefusesWhatTheCliRefuses:
+    @pytest.mark.parametrize("snippet, fields", REFUSED_AFTER_PARSING)
+    def test_same_message(self, tmp_path, foulum, snippet, fields):
+        """Building the refused config in code raises ``ValueError`` with the
+        text that ``load_config`` gives after the file's path."""
+        path = write(tmp_path, MINIMAL + f"\n{snippet}\n")
+        with pytest.raises(InputError) as cli:
+            load_config(path)
+        with pytest.raises(ValueError) as library:
+            ScenarioConfig(location=foulum, **fields)
+        assert not isinstance(library.value, InputError)
+        assert str(cli.value) == f"{path}: {library.value}"
+
+    def test_replace_and_missing_clearance(self, foulum):
+        valid = ScenarioConfig(location=foulum)
+        cells = r"^invalid value: \[field\] ground_m / ground_cell_m: over 500 cells$"
+        with pytest.raises(ValueError, match=cells):
+            dataclasses.replace(valid, ground_cell_m=1e-300)
+        clearance = r"^invalid value: no \[layout\] clearance_vertical_m$"
+        with pytest.raises(ValueError, match=clearance):
+            ScenarioConfig(location=foulum, clearances={"tilt": 2.0, "tracking": 1.0})
+        ScenarioConfig(location=foulum, kinds=("tilt",), clearances={"tilt": 2.0})
+
+
+def _edges(ordinary: float):
+    """Zero, negative, the smallest and largest magnitudes, and an ordinary value."""
+    return st.sampled_from([0.0, -1.0, 1e-300, 1e300, ordinary])
+
+
+MONTHS = st.lists(st.integers(-1, 14), min_size=1, max_size=3).map(tuple)
+
+#: The checked fields and their draws; the rest keep the ordinary values of
+#: ``ORDINARY``, whose ground map has 2 x 2 cells.
+EDGE_FIELDS = {
+    "kinds": st.lists(st.sampled_from([*MOUNT_KINDS, "floating"]), min_size=1, max_size=3,
+                      unique=True).map(tuple),
+    "spacings": _edges(6.0).map(lambda v: (v,)),
+    "heights": _edges(2.0).map(lambda v: (v,)),
+    "electrical_field_m": _edges(30.0),
+    "ground_field_m": _edges(2.0),
+    "ground_cell_m": _edges(1.0),
+    "tilt_deg": st.one_of(st.none(), _edges(30.0), st.just(90.0)),
+    "tracker_max_rotation_deg": st.one_of(st.none(), _edges(55.0), st.just(90.0)),
+    "albedo": _edges(0.2),
+    "growing_months": MONTHS,
+    "ground_map_months": MONTHS,
+}
+ORDINARY = {"electrical_field_m": 30.0, "ground_field_m": 2.0, "ground_cell_m": 1.0}
+
+
+class TestEveryConstructedConfigRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_constructs_and_runs_finitely_or_raises(self, foulum, sky, data):
+        """A config built in code with up to three checked fields at edge values
+        either raises ``ValueError`` on construction or runs every case of its
+        grid to finite outputs."""
+        edited = data.draw(st.sets(st.sampled_from(sorted(EDGE_FIELDS)), max_size=3))
+        fields = {**ORDINARY, **{name: data.draw(EDGE_FIELDS[name], label=name)
+                                 for name in sorted(edited)}}
+        try:
+            config = ScenarioConfig(location=foulum, **fields)
+        except ValueError as exc:
+            assert not isinstance(exc, InputError)
+            return
+        event("constructed")
+        months = sorted({*config.growing_months, *config.ground_map_months})
+        monthly = {m: sky.take(sky.month == m) for m in months}
+        for spec in expand_cases(config):
+            case = run_case(config, spec, sky, monthly)
+            simulation = case.simulation
+            for column in (simulation.p_w, simulation.p_noshadow_w, simulation.t_cell_c,
+                           simulation.f_es_front, simulation.f_es_rear, simulation.g_eff_wm2):
+                assert np.isfinite(column).all()
+            assert math.isfinite(simulation.capacity_w)
+            for grid in case.monthly_grids.values():
+                assert grid.blocked_direct.size <= 4
+                assert np.isfinite(grid.blocked_direct).all()
+                assert np.isfinite(grid.blocked_circumsolar).all()
+                assert math.isfinite(grid.unshaded_total)
