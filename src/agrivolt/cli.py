@@ -178,12 +178,11 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
 
 def _cmd_potential(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    raster = land.read_ascii_grid(args.raster)
-    regions = land.read_ascii_grid(args.regions)
     classes = land.load_class_sets(args.classes) if args.classes else land.DEFAULT_CLASS_SETS
     yields = _yield_lookup(args)
-    mask = land.eligibility_mask(raster, classes, args.buffer)
-    results = land.region_potential(raster, mask, regions, args.capacity_density, yields)
+    results = land.stream_potential(
+        args.raster, args.regions, classes, args.buffer, args.capacity_density, yields
+    )
     summary = land.aggregate_potential(results, args.demand_twh)
     # every region value adds into a total, so a finite summary has finite regions
     if not all(math.isfinite(v) for v in summary.values()):
@@ -208,8 +207,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if prices is not None:
         print(f"prices ok: {args.prices} (mean {prices.mean():.2f})")
     if args.raster:
-        raster = land.read_ascii_grid(args.raster)
-        print(f"raster ok: {args.raster} {raster.codes.shape}")
+        grid = land.AsciiGrid(args.raster)
+        for _ in grid.bands():  # checks every value, one band in memory
+            pass
+        print(f"raster ok: {args.raster} {grid.shape}")
     if args.classes:
         sets = land.load_class_sets(args.classes)
         print(

@@ -62,6 +62,8 @@ class ScenarioConfig:
         """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid."""
         for (section, key), (target, _, check) in KEYS.items():
             value = None if target is None or check is None else getattr(self, target)
+            if value == ():  # refused in the list parser's words
+                raise ValueError(f"invalid value for [{section}] {key}: empty list")
             if value is not None and not check[0](value):
                 raise ValueError(f"invalid value for [{section}] {key}: {check[1].format(value)}")
         try:

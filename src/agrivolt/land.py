@@ -19,10 +19,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import warnings
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -64,28 +69,38 @@ class LandRaster:
     nodata: int = -9999
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
+    @property
     def pixel_area_km2(self) -> float:
         return (self.cell_size / 1000.0) ** 2
 
 
-def read_ascii_grid(path: str | Path) -> LandRaster:
-    """Read an ESRI ASCII grid of integer codes.
+#: Pixels in a band of rows: ``potential`` holds a land band with its halo rows and a
+#: region band. On the 2000-column benchmark raster, bands of 128 rows peaked at 81 MB
+#: RSS, of 32 rows at 63 MB and of 256 rows at 101 MB, in about the same time.
+BAND_PIXELS = 1 << 18
+
+
+class AsciiGrid:
+    """An ESRI ASCII grid of integer codes: the checked header, read on
+    construction, then the data rows band by band (:meth:`bands`).
 
     Expects the usual header (ncols, nrows, xllcorner, yllcorner, cellsize,
     optional NODATA_value) followed by whitespace-separated int64 values,
     the same number on every data line. The header values must meet
     :data:`_ASCII_HEADER_RULES`.
     """
-    path = Path(path)
-    header: dict[str, float] = {}
-    try:
-        # ASCII: numpy 2.4's int64 parser crashes on some non-ASCII characters
-        with open(path, encoding="ascii") as fh:
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path = Path(path)
+        header: dict[str, float] = {}
+        with self._errors(), self._open() as fh:
             start = fh.tell()
             for line in iter(fh.readline, ""):
                 parts = line.split()
                 if parts and parts[0].lower() not in _ASCII_HEADER_RULES:
-                    fh.seek(start)  # back to the first data line
                     break
                 start = fh.tell()
                 if not parts:
@@ -101,33 +116,94 @@ def read_ascii_grid(path: str | Path) -> LandRaster:
                 if not (math.isfinite(value) and valid(value)):
                     raise InputError(f"{path}: {key} must be {requirement}, got {parts[1]!r}")
                 header[key] = value
-            missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
-            if missing:
-                raise InputError(f"{path}: missing header keys {missing}")
-            with warnings.catch_warnings():
-                # an empty data block is reported below as a value count
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read raster {path}: {exc}") from exc
-    except InputError:
-        raise
-    except ValueError as exc:  # numpy's message names the row and column
-        raise InputError(
-            f"{path}: non-integer raster values or unequal line lengths: {exc}"
-        ) from exc
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if values.size != ncols * nrows:
-        raise InputError(
-            f"{path}: expected {ncols * nrows} values ({ncols} x {nrows}), got {values.size}"
-        )
-    return LandRaster(
-        codes=values.reshape(nrows, ncols),
-        cell_size=header["cellsize"],
-        xllcorner=header["xllcorner"],
-        yllcorner=header["yllcorner"],
-        nodata=int(header.get("nodata_value", -9999)),
-    )
+        missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
+        if missing:
+            raise InputError(f"{path}: missing header keys {missing}")
+        self._data_start = start  # the first data line
+        self.shape = int(header["nrows"]), int(header["ncols"])
+        self.cell_size = header["cellsize"]
+        self.xllcorner, self.yllcorner = header["xllcorner"], header["yllcorner"]
+        self.nodata = int(header.get("nodata_value", -9999))
+
+    def _open(self) -> TextIO:
+        # ASCII: numpy 2.4's int64 parser crashes on some non-ASCII characters
+        return open(self.path, encoding="ascii")
+
+    def raster(self, codes: np.ndarray) -> LandRaster:
+        """``codes`` on this grid's cell size, corner and NODATA."""
+        return LandRaster(codes, self.cell_size, self.xllcorner, self.yllcorner, self.nodata)
+
+    def bands(self) -> Iterator[np.ndarray]:
+        """The data as (k, ncols) arrays of k = ``BAND_PIXELS // ncols`` rows (at
+        least 1; fewer in the last band), however the lines wrap the rows.
+
+        The value count is checked at the end of the file, before the last
+        band is given out, so every band given out belongs to a whole grid.
+        """
+        nrows, ncols = self.shape
+        rows = max(1, BAND_PIXELS // ncols)
+        want, left = rows * ncols, nrows  # values per band, rows not yet given out
+        held = np.empty(0, dtype=np.int64)  # values read, not yet given out
+        width = lines = total = 0  # values per line; data lines and values read
+        with self._errors(), self._open() as fh:
+            fh.seek(self._data_start)
+            while True:
+                ask = -(-want // width) if width else rows
+                block = self._block(fh, width, ask, lines)
+                if block.size:
+                    width, lines, total = block.shape[1], lines + len(block), total + block.size
+                    held = np.concatenate((held, block.ravel())) if held.size else block.ravel()
+                    held = held[: left * ncols]  # values past the grid are only counted
+                if len(block) < ask:
+                    break
+                while held.size >= want and left > rows:  # the last band waits for the count
+                    yield held[:want].reshape(rows, ncols)
+                    held, left = held[want:], left - rows
+        if total != nrows * ncols:
+            raise InputError(
+                f"{self.path}: expected {nrows * ncols} values ({ncols} x {nrows}), got {total}"
+            )
+        for start in range(0, left, rows):
+            yield held[start * ncols : (start + rows) * ncols].reshape(-1, ncols)
+
+    def _block(self, fh: TextIO, width: int, lines: int, before: int) -> np.ndarray:
+        """The next ``lines`` data lines (fewer at the end of the file).
+
+        After the first block a line of ``width`` zeros goes first, so that
+        numpy reports a line of another width; numpy counts rows from the
+        start of each call, and ``before`` data lines turn them into the
+        file's rows.
+        """
+        carry = ["0 " * width] if width else []
+        with self._errors(before - len(carry)), warnings.catch_warnings():
+            # an empty data block is reported as a value count, and blank lines are not rows
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+            block = np.loadtxt(
+                chain(carry, fh), dtype=np.int64, comments=None, ndmin=2,
+                max_rows=lines + len(carry),
+            )
+        return block[len(carry) :]
+
+    @contextmanager
+    def _errors(self, row_offset: int = 0) -> Iterator[None]:
+        """Map read and parse errors to :class:`InputError`."""
+        try:
+            yield
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read raster {self.path}: {exc}") from exc
+        except InputError:
+            raise
+        except ValueError as exc:  # numpy's message names the row and column
+            message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + row_offset), str(exc))
+            raise InputError(
+                f"{self.path}: non-integer raster values or unequal line lengths: {message}"
+            ) from exc
+
+
+def read_ascii_grid(path: str | Path) -> LandRaster:
+    """Read a whole ESRI ASCII grid of integer codes (see :class:`AsciiGrid`)."""
+    grid = AsciiGrid(path)
+    return grid.raster(np.concatenate(list(grid.bands())))
 
 
 @dataclass(frozen=True)
@@ -169,6 +245,9 @@ def load_class_sets(path: str | Path) -> ClassSets:
     return ClassSets(**{key: frozenset(codes) for key, codes in sets.items()})
 
 
+_UNKNOWN_CODES = "%d pixels with unknown class codes %s treated as excluded"
+
+
 def eligibility_mask(
     raster: LandRaster,
     classes: ClassSets = DEFAULT_CLASS_SETS,
@@ -190,7 +269,7 @@ def eligibility_mask(
     unknown = ~np.isin(codes, sorted(known)) & (codes != raster.nodata)
     if unknown.any():
         log.warning(
-            "%d pixels with unknown class codes %s treated as excluded",
+            _UNKNOWN_CODES,
             int(unknown.sum()),
             sorted(np.unique(codes[unknown]).tolist())[:10],
         )
@@ -213,47 +292,134 @@ class RegionPotential:
     energy_twh: dict[str, float] = field(default_factory=dict)
 
 
-def _grid(r: LandRaster) -> str:
-    return f"shape {r.codes.shape}, cellsize {r.cell_size}, corner ({r.xllcorner}, {r.yllcorner})"
+def _check_grid(raster: LandRaster | AsciiGrid, regions: LandRaster | AsciiGrid) -> None:
+    def grid(r: LandRaster | AsciiGrid) -> str:
+        return f"shape {r.shape}, cellsize {r.cell_size}, corner ({r.xllcorner}, {r.yllcorner})"
+
+    if grid(regions) != grid(raster):
+        raise InputError(
+            f"region raster grid ({grid(regions)}) does not match land raster grid ({grid(raster)})"
+        )
 
 
-def region_potential(
-    raster: LandRaster,
-    eligible: np.ndarray,
-    regions: LandRaster,
-    capacity_density_w_m2: float,
-    yields: Callable[[int], dict[str, float]],
-) -> list[RegionPotential]:
-    """Potential of every region: eligible area, capacity and annual energy.
+@dataclass(frozen=True, eq=False)
+class RegionCounts:
+    """Land and eligible pixel counts per region of some rows of one grid.
+
+    ``ids`` are the sorted region ids, the region raster's NODATA left out;
+    ``pixels`` holds their land and eligible pixel counts as a (2, ids) int64
+    array. The counts of disjoint rows add up exactly with ``+``.
+    """
+
+    ids: np.ndarray
+    pixels: np.ndarray
+    pixel_area_km2: float
+
+    def __add__(self, other: RegionCounts) -> RegionCounts:
+        ids = np.union1d(self.ids, other.ids)
+        pixels = np.zeros((2, ids.size), dtype=np.int64)
+        for part in (self, other):
+            pixels[:, np.searchsorted(ids, part.ids)] += part.pixels
+        return RegionCounts(ids, pixels, self.pixel_area_km2)
+
+    def potentials(
+        self, capacity_density_w_m2: float, yields: Callable[[int], dict[str, float]]
+    ) -> list[RegionPotential]:
+        """Potential of every region, in id order: eligible area, capacity =
+        eligible area x capacity density, and energy per mount kind = capacity x
+        that kind's specific yield in ``yields(region_id)``."""
+        results = []
+        for region_id, total, eligible in zip(self.ids.tolist(), *self.pixels.tolist()):
+            total_km2 = float(total) * self.pixel_area_km2
+            eligible_km2 = float(eligible) * self.pixel_area_km2
+            capacity_gw = eligible_km2 * 1.0e6 * capacity_density_w_m2 / 1.0e9
+            share_pct = 100.0 * eligible_km2 / total_km2 if total_km2 > 0.0 else 0.0
+            energy = {kind: capacity_gw * kwh / 1000.0 for kind, kwh in yields(region_id).items()}
+            results.append(
+                RegionPotential(region_id, total_km2, eligible_km2, share_pct, capacity_gw, energy)
+            )
+        return results
+
+
+def region_potential(raster: LandRaster, eligible: np.ndarray, regions: LandRaster) -> RegionCounts:
+    """Land and eligible pixel counts per region of one band of rows, or of a
+    whole raster; :meth:`RegionCounts.potentials` turns them into potential.
 
     ``regions`` assigns a region id to every pixel of the land raster's
-    grid; its NODATA pixels belong to no region. Regions come in id order.
-    Capacity = eligible area x capacity density; energy per mount kind =
-    capacity x that kind's specific yield in ``yields(region_id)``.
+    grid; its NODATA pixels belong to no region.
     """
-    if _grid(regions) != _grid(raster):
-        raise InputError(
-            f"region raster grid ({_grid(regions)}) does not match "
-            f"land raster grid ({_grid(raster)})"
-        )
+    _check_grid(raster, regions)
     ids = np.unique(regions.codes)
     index = np.searchsorted(ids, regions.codes.ravel())  # a third of return_inverse's cost
     land = (raster.codes != raster.nodata).ravel()
-    total_px = np.bincount(index[land], minlength=ids.size)
-    eligible_px = np.bincount(index[land & eligible.ravel()], minlength=ids.size)
-    results = []
-    for region_id, total, eligible_count in zip(ids.tolist(), total_px, eligible_px):
-        if region_id == regions.nodata:
-            continue
-        total_km2 = float(total) * raster.pixel_area_km2
-        eligible_km2 = float(eligible_count) * raster.pixel_area_km2
-        capacity_gw = eligible_km2 * 1.0e6 * capacity_density_w_m2 / 1.0e9
-        share_pct = 100.0 * eligible_km2 / total_km2 if total_km2 > 0.0 else 0.0
-        energy = {kind: capacity_gw * kwh / 1000.0 for kind, kwh in yields(region_id).items()}
-        results.append(
-            RegionPotential(region_id, total_km2, eligible_km2, share_pct, capacity_gw, energy)
+    pixels = np.stack((np.bincount(index[land], minlength=ids.size),
+                       np.bincount(index[land & eligible.ravel()], minlength=ids.size)))
+    keep = ids != regions.nodata
+    return RegionCounts(ids[keep], pixels[:, keep], raster.pixel_area_km2)
+
+
+def _windows(bands: Iterator[np.ndarray], halo: int) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Each band with up to ``halo`` rows above and below it, as (window, rows
+    above the band, band height). Rows above are kept from earlier bands."""
+    held: np.ndarray | None = None  # up to ``halo`` rows, then the bands not yet given out
+    above, waiting = 0, deque()  # rows before the first waiting band; waiting band heights
+    for band in chain(bands, [None]):
+        if band is not None:
+            held = band if held is None else np.concatenate((held, band))
+            waiting.append(len(band))
+        while waiting and (band is None or len(held) - above - waiting[0] >= halo):
+            rows = waiting.popleft()
+            yield held[: above + rows + halo], above, rows
+            cut = max(0, above + rows - halo)
+            held, above = held[cut:], above + rows - cut
+
+
+def stream_potential(
+    raster_path: str | Path,
+    regions_path: str | Path,
+    classes: ClassSets,
+    buffer_m: float,
+    capacity_density_w_m2: float,
+    yields: Callable[[int], dict[str, float]],
+) -> list[RegionPotential]:
+    """Potential of every region from a land and a region raster file, read
+    in lockstep band by band (:meth:`AsciiGrid.bands`), so that memory depends
+    on :data:`BAND_PIXELS` and not on the rasters' height.
+
+    The grids are checked before any data is read. Each band's
+    :func:`eligibility_mask` comes from the band with ``ceil(buffer_m /
+    cellsize) + 1`` rows above and below it (an excluded pixel farther away
+    lies beyond the buffer), and its :func:`region_potential` counts add up
+    over the bands. The result equals that of the whole rasters, and unknown
+    class codes are logged once, as for the whole raster.
+    """
+    land, regions = AsciiGrid(raster_path), AsciiGrid(regions_path)
+    _check_grid(land, regions)
+    nrows = land.shape[0]
+    ratio = buffer_m / land.cell_size  # inf for a huge buffer on tiny cells
+    halo = min(nrows, math.ceil(ratio) + 1) if ratio < nrows else nrows
+    known = sorted(classes.include | classes.exclude | classes.neutral)
+    counts = None
+    unknown_px, first_unknown = 0, []
+    for (window, above, rows), region_band in zip(_windows(land.bands(), halo), regions.bands()):
+        band = slice(above, above + rows)
+        # unknown codes join the excluded set, so they are counted here, once, and not per window
+        unknown = ~np.isin(window, known) & (window != land.nodata)
+        sets = classes
+        if unknown.any():
+            codes = np.unique(window[unknown]).tolist()
+            sets = replace(classes, exclude=classes.exclude | set(codes))
+            in_band = window[band][unknown[band]]
+            unknown_px += in_band.size
+            first_unknown = sorted({*first_unknown, *np.unique(in_band)[:10].tolist()})[:10]
+        eligible = eligibility_mask(land.raster(window), sets, buffer_m)
+        part = region_potential(
+            land.raster(window[band]), eligible[band], regions.raster(region_band)
         )
-    return results
+        counts = part if counts is None else counts + part
+    if unknown_px:
+        log.warning(_UNKNOWN_CODES, unknown_px, first_unknown)
+    return counts.potentials(capacity_density_w_m2, yields)
 
 
 def aggregate_potential(

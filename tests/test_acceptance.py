@@ -331,7 +331,9 @@ def test_criterion_10_regional_potential():
     raster = LandRaster(codes=codes, cell_size=1000.0)
     eligible = codes == 211
     regions = replace(raster, codes=np.ones_like(codes))
-    (pot,) = region_potential(raster, eligible, regions, 30.0, lambda rid: {"vertical": 850.0})
+    (pot,) = region_potential(raster, eligible, regions).potentials(
+        30.0, lambda rid: {"vertical": 850.0}
+    )
     assert pot.eligible_km2 == pytest.approx(8341.0, rel=1e-12)
     assert pot.capacity_gw == pytest.approx(250.2, abs=0.05)
     assert pot.energy_twh["vertical"] == pytest.approx(212.7, abs=0.05)
@@ -341,7 +343,9 @@ def test_criterion_10_regional_potential():
     big = LandRaster(codes=np.full((170, 100), 211, dtype=np.int64), cell_size=10_000.0)
     all_true = np.ones(big.codes.shape, dtype=bool)
     big_regions = replace(big, codes=np.ones_like(big.codes))
-    (pot_big,) = region_potential(big, all_true, big_regions, 30.0, lambda rid: {"tilt": 1000.0})
+    (pot_big,) = region_potential(big, all_true, big_regions).potentials(
+        30.0, lambda rid: {"tilt": 1000.0}
+    )
     assert pot_big.eligible_km2 == pytest.approx(1.7e6, rel=1e-12)
     assert pot_big.capacity_gw == 51000.0
 
@@ -360,8 +364,8 @@ def test_criterion_10_regional_potential():
     np.testing.assert_array_equal(mask, oracle_mask)
 
     yields = {"tilt": 1000.0, "vertical": 900.0, "tracking": 1080.0}
-    pots = region_potential(
-        raster3, mask, replace(raster3, codes=regions3), 30.0, lambda rid: yields
+    pots = region_potential(raster3, mask, replace(raster3, codes=regions3)).potentials(
+        30.0, lambda rid: yields
     )
     assert [p.region_id for p in pots] == [1, 2, 3]
     study_km2 = float((codes3 != raster3.nodata).sum()) * raster3.pixel_area_km2

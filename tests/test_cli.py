@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import agrivolt
-from agrivolt import scenario
+from agrivolt import land, outputs, scenario
 from agrivolt.cli import main
 from agrivolt.config import load_config
 from agrivolt.land import LandRaster
@@ -520,34 +520,100 @@ class TestPotential:
             text = artifact.read_text()
             assert "nan" not in text and "inf" not in text, artifact.name
 
-    def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys):
+    def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys, monkeypatch):
         """A region raster of another shape, cell size or corner than the land
-        raster (6 x 6 cells of 1000 m from (0, 0)) exits 2 naming both grids."""
-        land_path, _ = potential_inputs
+        raster (6 x 6 cells of 1000 m from (0, 0)) exits 2 naming both grids.
+        Read in bands of one row, a region or land raster that goes wrong in a
+        later band exits 2 naming the file's row or value count."""
+        land_path, regions_path = potential_inputs
         ones = np.ones((6, 6), dtype=np.int64)
+        grid = "shape (6, 6), cellsize 1000.0, corner (0.0, 0.0)"
+        rasters = []
         for regions in (
             LandRaster(codes=np.ones((2, 2), dtype=np.int64), cell_size=1000.0),
             LandRaster(codes=ones, cell_size=100.0),
             LandRaster(codes=ones, cell_size=1000.0, xllcorner=5000.0),
             LandRaster(codes=ones, cell_size=1000.0, yllcorner=-1000.0),
         ):
-            other = tmp_path / "other.asc"
-            write_ascii_grid(other, regions)
+            rasters.append((tmp_path / f"other_{len(rasters)}.asc", "regions",
+                            ["does not match", grid, f"cellsize {regions.cell_size}"]))
+            write_ascii_grid(rasters[-1][0], regions)
+        for which, path in (("regions", regions_path), ("raster", land_path)):
+            lines = path.read_text().splitlines()  # 6 header lines, then 6 rows
+            for change, message in (
+                (lambda row: row.replace("1", "1.5", 1), "at row 4, column 1."),
+                (lambda row: row + " 7", "columns changed from 6 to 7 at row 5;"),
+                (lambda row: "", "expected 36 values (6 x 6), got 30"),
+                (lambda row: f"{row}\n{row}", "expected 36 values (6 x 6), got 42"),
+            ):
+                broken = [*lines[:10], change(lines[10]), *lines[11:]]
+                rasters.append((tmp_path / f"later_{len(rasters)}.asc", which, [message]))
+                rasters[-1][0].write_text("\n".join(broken) + "\n")
+        monkeypatch.setattr(land, "BAND_PIXELS", 6)
+        for other, which, messages in rasters:
+            inputs = {"raster": land_path, "regions": regions_path, which: other}
             code = main(
                 [
                     "potential",
-                    "--raster", str(land_path),
-                    "--regions", str(other),
+                    "--raster", str(inputs["raster"]),
+                    "--regions", str(inputs["regions"]),
                     "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
                     "--out", str(tmp_path / "pot"),
                 ]
             )
             assert code == 2
             err = capsys.readouterr().err
-            assert "does not match" in err
-            assert "shape (6, 6), cellsize 1000.0, corner (0.0, 0.0)" in err
-            assert f"cellsize {regions.cell_size}" in err
+            assert all(message in err for message in messages), (err, messages)
             assert not (tmp_path / "pot").exists()
+
+    def test_unknown_codes_warn_once(self, tmp_path, caplog, monkeypatch):
+        """Unknown codes in many bands of two rows, and in their halo rows, give
+        one warning with the count and first ten codes of the whole raster."""
+        codes = np.full((12, 4), 211, dtype=np.int64)
+        codes[::2, 1] = np.arange(930, 924, -1)  # the rows above and below bands
+        codes[1::2, 3] = np.arange(912, 900, -2)
+        land_path = tmp_path / "land.asc"
+        write_ascii_grid(land_path, LandRaster(codes=codes, cell_size=100.0))
+        regions_path = tmp_path / "regions.asc"
+        write_ascii_grid(regions_path, LandRaster(codes=np.ones_like(codes), cell_size=100.0))
+        with caplog.at_level("WARNING", logger="agrivolt.land"):
+            land.eligibility_mask(land.read_ascii_grid(land_path))
+        (whole,) = [r.getMessage() for r in caplog.records]
+        assert whole.startswith("12 pixels with unknown class codes [902, 904,")
+        caplog.clear()
+        monkeypatch.setattr(land, "BAND_PIXELS", 8)
+        code = main(
+            [
+                "potential", "--raster", str(land_path), "--regions", str(regions_path),
+                "--buffer", "150",
+                "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
+                "--out", str(tmp_path / "pot"),
+            ]
+        )
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if "unknown" in r.getMessage()] == [whole]
+
+    def test_huge_buffer_on_tiny_cells(self, tmp_path, monkeypatch):
+        """A buffer of 1e308 m on 1e-300 m cells is a halo of the whole raster,
+        however thin the bands: exit 0 with the whole-raster result."""
+        codes = np.full((5, 3), 211, dtype=np.int64)
+        codes[4, 2] = 112
+        land_path, regions_path = tmp_path / "land.asc", tmp_path / "regions.asc"
+        write_ascii_grid(land_path, LandRaster(codes=codes, cell_size=1e-300))
+        write_ascii_grid(regions_path, LandRaster(codes=np.ones_like(codes), cell_size=1e-300))
+        raster = land.read_ascii_grid(land_path)
+        mask = land.eligibility_mask(raster, buffer_m=1e308)
+        whole = land.region_potential(raster, mask, land.read_ascii_grid(regions_path))
+        yields = dict.fromkeys(("tilt", "vertical", "tracking"), 1.0)
+        outputs.write_regions_csv(tmp_path / "whole.csv", whole.potentials(30.0, lambda r: yields))
+        monkeypatch.setattr(land, "BAND_PIXELS", 3)
+        command = ["potential", "--raster", str(land_path), "--regions", str(regions_path),
+                   "--buffer", "1e308", "--yield-tilt", "1", "--yield-vertical", "1",
+                   "--yield-tracking", "1", "--out", str(tmp_path / "pot")]
+        assert main(command) == 0
+        assert (tmp_path / "pot" / "regions.csv").read_text() == (
+            (tmp_path / "whole.csv").read_text()
+        )
 
 
 #: Weather or price rows: arbitrary text, or comma-joined fields mixing

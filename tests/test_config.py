@@ -407,6 +407,11 @@ REFUSED_AFTER_PARSING = [
     ("[field]\nground_m = 250.5\nground_cell_m = 0.5", {"ground_field_m": 250.5}),
     ("[field]\nground_m = 1\nground_cell_m = 0.0019",
      {"ground_field_m": 1.0, "ground_cell_m": 0.0019}),
+    ("[layout]\nkinds =", {"kinds": ()}),
+    ("[layout]\nspacings_m =", {"spacings": ()}),
+    ("[layout]\nheights_m =", {"heights": ()}),
+    ("[crops]\ngrowing_months =", {"growing_months": ()}),
+    ("[analysis]\nground_map_months =", {"ground_map_months": ()}),
 ]
 
 

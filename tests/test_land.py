@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from agrivolt import land
 from agrivolt.errors import InputError
 from agrivolt.land import (
     DEFAULT_BUFFER_M,
@@ -78,12 +79,20 @@ class TestAsciiGridIO:
         with pytest.raises(InputError, match="expected 6"):
             read_ascii_grid(path)
 
-    def test_non_integer_values(self, tmp_path):
+    def test_non_integer_values(self, tmp_path, monkeypatch):
         path = tmp_path / "float.asc"
         header = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 100\n"
         path.write_text(header + "21.5 211\n")
         with pytest.raises(InputError, match="non-integer"):
             read_ascii_grid(path)
+        # in a later band the message names the file's data row, as in one band
+        rows = ["211 211"] * 6
+        rows[4] = "211 21.5"
+        path.write_text(header.replace("nrows 1", "nrows 6") + "\n".join(["", *rows]) + "\n")
+        for band_rows in (1, 2, 3, 4, 6):
+            monkeypatch.setattr(land, "BAND_PIXELS", 2 * band_rows)
+            with pytest.raises(InputError, match=r"'21\.5' to int64 at row 4, column 2\.$"):
+                read_ascii_grid(path)
         # one past either end of int64
         for value in ("9223372036854775808", "-9223372036854775809"):
             path.write_text(header + f"{value} 211\n")
@@ -92,7 +101,7 @@ class TestAsciiGridIO:
         path.write_text(header + "9223372036854775807 -9223372036854775808\n")
         assert read_ascii_grid(path).codes.tolist() == [[2**63 - 1, -(2**63)]]
 
-    def test_header_first_and_equal_line_lengths(self, tmp_path):
+    def test_header_first_and_equal_line_lengths(self, tmp_path, monkeypatch):
         path = tmp_path / "grid.asc"
         header = ["ncols 2", "nrows 2", "xllcorner 0", "yllcorner 0", "cellsize 100"]
         path.write_text("\n".join(header[:4] + ["211 211", header[4], "211 211"]) + "\n")
@@ -107,6 +116,18 @@ class TestAsciiGridIO:
         # blank lines anywhere and one line for the whole grid are still fine
         path.write_text("\n".join(["", *header, "", "211 212 213 214", "  "]) + "\n")
         np.testing.assert_array_equal(read_ascii_grid(path).codes, [[211, 212], [213, 214]])
+        # a line of another length in a later band names the file's data row, as
+        # in one band; one line for the whole grid reads in bands of any height
+        rows = ["211 211"] * 6
+        rows[4] = "211 211 211"
+        wrong = "\n".join([*header, "", *rows[:3], "", *rows[3:]]).replace("nrows 2", "nrows 6")
+        for band_rows in (1, 2, 3, 4, 6):
+            monkeypatch.setattr(land, "BAND_PIXELS", 2 * band_rows)
+            path.write_text(wrong + "\n")
+            with pytest.raises(InputError, match="columns changed from 2 to 3 at row 5;"):
+                read_ascii_grid(path)
+            path.write_text("\n".join([*header, "211 212 213 214"]) + "\n")
+            np.testing.assert_array_equal(read_ascii_grid(path).codes, [[211, 212], [213, 214]])
 
     def test_empty_data_block(self, tmp_path, recwarn):
         path = tmp_path / "empty.asc"
@@ -289,7 +310,8 @@ class TestRegionPotential:
         raster = make_raster(codes, cell_size=10_000.0)
         eligible = np.ones_like(codes, dtype=bool)
         regions = on_grid(raster, np.ones_like(codes))
-        (pot,) = region_potential(raster, eligible, regions, 30.0, constant({"tilt": 1000.0}))
+        counts = region_potential(raster, eligible, regions)
+        (pot,) = counts.potentials(30.0, constant({"tilt": 1000.0}))
         assert pot.total_km2 == pytest.approx(1.7e6, rel=1e-12)
         assert pot.eligible_km2 == pytest.approx(1.7e6, rel=1e-12)
         assert pot.share_pct == 100.0
@@ -304,8 +326,8 @@ class TestRegionPotential:
         raster = make_raster(codes, cell_size=1000.0)
         eligible = np.isin(codes, [FARM])
         regions = on_grid(raster, np.ones_like(codes))
-        (pot,) = region_potential(
-            raster, eligible, regions, 30.0, constant({"vertical": 850.0, "tilt": 1000.0})
+        (pot,) = region_potential(raster, eligible, regions).potentials(
+            30.0, constant({"vertical": 850.0, "tilt": 1000.0})
         )
         assert eligible.sum() == 8341
         assert pot.eligible_km2 == pytest.approx(8341.0, rel=1e-12)
@@ -320,7 +342,8 @@ class TestRegionPotential:
         regions = np.zeros((4, 4), dtype=np.int64)
         regions[:, 2:] = 7
         eligible = eligibility_mask(raster, buffer_m=0.0)
-        pots = region_potential(raster, eligible, on_grid(raster, regions), 25.0, constant({}))
+        counts = region_potential(raster, eligible, on_grid(raster, regions))
+        pots = counts.potentials(25.0, constant({}))
         pot = {p.region_id: p for p in pots}[7]
         assert pot.region_id == 7
         assert pot.total_km2 == pytest.approx(8.0)
@@ -333,7 +356,7 @@ class TestRegionPotential:
         raster = make_raster(codes, cell_size=1000.0)
         regions = on_grid(raster, np.ones((3, 3)))
         eligible = eligibility_mask(raster)
-        (pot,) = region_potential(raster, eligible, regions, 30.0, constant({}))
+        (pot,) = region_potential(raster, eligible, regions).potentials(30.0, constant({}))
         assert pot.total_km2 == pytest.approx(8.0)
 
     def test_shape_mismatch_rejected(self):
@@ -346,7 +369,7 @@ class TestRegionPotential:
             replace(on_grid(raster, np.ones((3, 3))), yllcorner=-100.0),
         ):
             with pytest.raises(InputError, match="shape") as info:
-                region_potential(raster, eligible, regions, 30.0, constant({}))
+                region_potential(raster, eligible, regions)
             assert "does not match" in str(info.value)
 
     def test_empty_region(self):
@@ -357,8 +380,8 @@ class TestRegionPotential:
         eligible = np.ones((3, 3), dtype=bool)
         regions = np.ones((3, 3), dtype=np.int64)
         regions[0, :] = 99
-        pots = region_potential(
-            raster, eligible, on_grid(raster, regions), 30.0, constant({"tilt": 900.0})
+        pots = region_potential(raster, eligible, on_grid(raster, regions)).potentials(
+            30.0, constant({"tilt": 900.0})
         )
         pot = {p.region_id: p for p in pots}[99]
         assert pot.total_km2 == 0.0
@@ -396,12 +419,109 @@ class TestRegionPotential:
         def yields(region_id):
             return {"tilt": 1000.0 + region_id % 97, "vertical": 850.0, "tracking": 0.0}
 
-        fast = region_potential(raster, eligible, regions, density, yields)
+        fast = region_potential(raster, eligible, regions).potentials(density, yields)
         slow = reference_region_potential(raster, eligible, regions, density, yields)
         assert [p.region_id for p in fast] == [p.region_id for p in slow]
         for a, b in zip(fast, slow):
             assert a == b
             assert type(a.region_id) is int
+
+
+def write_grid(path, codes, cell_size, nodata, width):
+    """An ASCII grid of ``codes`` with ``width`` values on every data line."""
+    values = [str(v) for v in np.ravel(codes).tolist()]
+    lines = [" ".join(values[i : i + width]) for i in range(0, len(values), width)]
+    nrows, ncols = np.shape(codes)
+    path.write_text(
+        f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize {cell_size!r}\n"
+        f"NODATA_value {nodata}\n" + "\n".join(lines) + "\n"
+    )
+    return path
+
+
+def streamed(paths, buffer_m, density, yields, band_rows, ncols):
+    """``stream_potential`` with bands of ``band_rows`` rows; also the land
+    eligibility of every band and the heights of the windows it came from."""
+    masks, windows = [], []
+    count, mask_of = land.region_potential, land.eligibility_mask
+
+    def counting(raster, eligible, regions):
+        masks.append(eligible)
+        return count(raster, eligible, regions)
+
+    def masking(raster, classes, buffer_m):
+        windows.append(len(raster.codes))
+        return mask_of(raster, classes, buffer_m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(land, "BAND_PIXELS", band_rows * ncols)
+        patch.setattr(land, "region_potential", counting)
+        patch.setattr(land, "eligibility_mask", masking)
+        results = land.stream_potential(*paths, DEFAULT_CLASS_SETS, buffer_m, density, yields)
+    return results, np.concatenate(masks), windows
+
+
+class TestStreamPotential:
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_banded_equals_whole_raster(self, tmp_path, data):
+        """Read in bands of any height, thinner than the halo too, on lines of
+        any width, the regions equal those of the whole rasters and the masks
+        equal the brute-force oracle, with NODATA in either raster, different
+        NODATA values, unknown codes and region ids up to +-2**63."""
+        nrows = data.draw(st.integers(1, 12), label="nrows")
+        ncols = data.draw(st.integers(1, 5), label="ncols")
+        land_nodata = data.draw(st.sampled_from([-9999, 0, 211]), label="land nodata")
+        region_nodata = data.draw(st.sampled_from([-9999, 0, 7, -(2**63)]), label="region nodata")
+
+        def grid(values, label):
+            size = nrows * ncols
+            cells = st.lists(st.sampled_from(values), min_size=size, max_size=size)
+            return np.reshape(data.draw(cells, label=label), (nrows, ncols))
+
+        codes = grid([FARM, 231, CITY, FOREST, SHRUB, 511, 999, land_nodata], "codes")
+        regions = grid([1, 2, 7, 0, -5, -9999, 2**62, -(2**63), 2**63 - 1], "regions")
+        cell_size = data.draw(st.floats(0.5, 1000.0), label="cell size")
+        cells = data.draw(st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 5.0)), "cells")
+        widths = [w for w in range(1, codes.size + 1) if codes.size % w == 0]
+        width = data.draw(st.sampled_from(widths), label="values per line")
+        band_rows = data.draw(st.integers(1, nrows), label="band rows")
+        paths = (
+            write_grid(tmp_path / "land.asc", codes, cell_size, land_nodata, width),
+            write_grid(tmp_path / "regions.asc", regions, cell_size, region_nodata, width),
+        )
+        raster, region_raster = read_ascii_grid(paths[0]), read_ascii_grid(paths[1])
+        np.testing.assert_array_equal(raster.codes, codes)
+
+        def yields(region_id):
+            return {"tilt": 1000.0 + region_id % 97, "vertical": 850.0, "tracking": 0.0}
+
+        buffer_m = cells * cell_size
+        whole = region_potential(
+            raster, eligibility_mask(raster, DEFAULT_CLASS_SETS, buffer_m), region_raster
+        ).potentials(30.0, yields)
+        results, mask, _ = streamed(paths, buffer_m, 30.0, yields, band_rows, ncols)
+        assert results == whole
+        oracle = brute_force_eligibility(raster, DEFAULT_CLASS_SETS, buffer_m)
+        np.testing.assert_array_equal(mask, oracle)
+
+    def test_windows_hold_a_band_and_its_halo(self, tmp_path):
+        """On a raster of 8 bands, each mask comes from a window of at most the
+        band and ceil(buffer / cellsize) + 1 rows above and below it."""
+        rng = np.random.default_rng(5)
+        codes = rng.choice([FARM, FARM, FARM, CITY, SHRUB], size=(23, 5))
+        paths = (
+            write_grid(tmp_path / "land.asc", codes, 100.0, -9999, 5),
+            write_grid(tmp_path / "regions.asc", np.ones_like(codes), 100.0, -9999, 5),
+        )
+        halo = 4  # ceil(250 / 100) + 1
+        _, mask, windows = streamed(paths, 250.0, 30.0, constant({}), 3, 5)
+        assert len(windows) == 8
+        assert max(windows) <= 3 + 2 * halo
+        raster = read_ascii_grid(paths[0])
+        np.testing.assert_array_equal(mask, eligibility_mask(raster, buffer_m=250.0))
 
 
 class TestAggregatePotential:
