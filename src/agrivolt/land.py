@@ -25,7 +25,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import TextIO
 
@@ -133,15 +133,16 @@ class AsciiGrid:
         """``codes`` on this grid's cell size, corner and NODATA."""
         return LandRaster(codes, self.cell_size, self.xllcorner, self.yllcorner, self.nodata)
 
-    def bands(self) -> Iterator[np.ndarray]:
-        """The data as (k, ncols) arrays of k = ``BAND_PIXELS // ncols`` rows (at
-        least 1; fewer in the last band), however the lines wrap the rows.
+    def bands(self, min_rows: int = 1) -> Iterator[np.ndarray]:
+        """The data as (k, ncols) arrays of k = ``BAND_PIXELS // ncols`` rows, at
+        least ``min_rows`` (fewer in the last band), however the lines wrap the
+        rows. A data line longer than a band is read whole.
 
         The value count is checked at the end of the file, before the last
         band is given out, so every band given out belongs to a whole grid.
         """
         nrows, ncols = self.shape
-        rows = max(1, BAND_PIXELS // ncols)
+        rows = max(1, min_rows, BAND_PIXELS // ncols)
         want, left = rows * ncols, nrows  # values per band, rows not yet given out
         held = np.empty(0, dtype=np.int64)  # values read, not yet given out
         width = lines = total = 0  # values per line; data lines and values read
@@ -248,6 +249,12 @@ def load_class_sets(path: str | Path) -> ClassSets:
 _UNKNOWN_CODES = "%d pixels with unknown class codes %s treated as excluded"
 
 
+def _unknown(codes: np.ndarray, classes: ClassSets, nodata: int) -> np.ndarray:
+    """Pixels whose code is in no class set and is not NODATA."""
+    known = classes.include | classes.exclude | classes.neutral
+    return ~np.isin(codes, sorted(known)) & (codes != nodata)
+
+
 def eligibility_mask(
     raster: LandRaster,
     classes: ClassSets = DEFAULT_CLASS_SETS,
@@ -265,14 +272,9 @@ def eligibility_mask(
     # imported under the masks below it raised peak RSS (ROADMAP: "the scipy import").
     from scipy.ndimage import distance_transform_edt
     codes = raster.codes
-    known = classes.include | classes.exclude | classes.neutral
-    unknown = ~np.isin(codes, sorted(known)) & (codes != raster.nodata)
+    unknown = _unknown(codes, classes, raster.nodata)
     if unknown.any():
-        log.warning(
-            _UNKNOWN_CODES,
-            int(unknown.sum()),
-            sorted(np.unique(codes[unknown]).tolist())[:10],
-        )
+        log.warning(_UNKNOWN_CODES, int(unknown.sum()), np.unique(codes[unknown])[:10].tolist())
     excluded = np.isin(codes, sorted(classes.exclude)) | unknown
     include = np.isin(codes, sorted(classes.include))
     if not excluded.any():
@@ -384,34 +386,49 @@ def stream_potential(
 ) -> list[RegionPotential]:
     """Potential of every region from a land and a region raster file, read
     in lockstep band by band (:meth:`AsciiGrid.bands`), so that memory depends
-    on :data:`BAND_PIXELS` and not on the rasters' height.
+    on :data:`BAND_PIXELS` and the buffer, not on the rasters' height.
 
     The grids are checked before any data is read. Each band's
-    :func:`eligibility_mask` comes from the band with ``ceil(buffer_m /
+    :func:`eligibility_mask` comes from the band with ``halo = ceil(buffer_m /
     cellsize) + 1`` rows above and below it (an excluded pixel farther away
     lies beyond the buffer), and its :func:`region_potential` counts add up
-    over the bands. The result equals that of the whole rasters, and unknown
-    class codes are logged once, as for the whole raster.
+    over the bands. Bands are at least ``4 * halo`` rows tall, so a window
+    holds at most 1.5 bands' rows. The result equals that of the whole
+    rasters, and unknown class codes are logged once, as for the whole raster.
     """
     land, regions = AsciiGrid(raster_path), AsciiGrid(regions_path)
     _check_grid(land, regions)
     nrows = land.shape[0]
     ratio = buffer_m / land.cell_size  # inf for a huge buffer on tiny cells
     halo = min(nrows, math.ceil(ratio) + 1) if ratio < nrows else nrows
-    known = sorted(classes.include | classes.exclude | classes.neutral)
-    counts = None
+    # Bands of at least four halos keep a window within 1.5 bands. The EDT costs more per
+    # pixel in a taller window, so thinner bands do not pay for their halo rows: on the
+    # benchmark raster, bands of one halo took 1.3-1.6x the whole-raster time at 10-30 km.
+    min_rows = 4 * halo
+    # Each band's unknown pixels are counted as it is read, so halo rows are not counted
+    # twice, and take an excluded code (one in no include or neutral set), so that the
+    # windows hold none and eligibility_mask does not warn per window.
+    taken = classes.include | classes.neutral | {land.nodata}
+    marker = next(c for c in count() if c not in taken)
+    sets = replace(classes, exclude=classes.exclude | {marker})
     unknown_px, first_unknown = 0, []
-    for (window, above, rows), region_band in zip(_windows(land.bands(), halo), regions.bands()):
+
+    def known_bands() -> Iterator[np.ndarray]:
+        nonlocal unknown_px, first_unknown
+        for band in land.bands(min_rows):
+            unknown = _unknown(band, classes, land.nodata)
+            if unknown.any():
+                unknown_px += int(unknown.sum())
+                codes = np.unique(band[unknown])[:10].tolist()
+                first_unknown = sorted({*first_unknown, *codes})[:10]
+                band[unknown] = marker
+            yield band
+
+    counts = None
+    for (window, above, rows), region_band in zip(
+        _windows(known_bands(), halo), regions.bands(min_rows)
+    ):
         band = slice(above, above + rows)
-        # unknown codes join the excluded set, so they are counted here, once, and not per window
-        unknown = ~np.isin(window, known) & (window != land.nodata)
-        sets = classes
-        if unknown.any():
-            codes = np.unique(window[unknown]).tolist()
-            sets = replace(classes, exclude=classes.exclude | set(codes))
-            in_band = window[band][unknown[band]]
-            unknown_px += in_band.size
-            first_unknown = sorted({*first_unknown, *np.unique(in_band)[:10].tolist()})[:10]
         eligible = eligibility_mask(land.raster(window), sets, buffer_m)
         part = region_potential(
             land.raster(window[band]), eligible[band], regions.raster(region_band)

@@ -523,8 +523,9 @@ class TestPotential:
     def test_region_shape_mismatch(self, potential_inputs, tmp_path, capsys, monkeypatch):
         """A region raster of another shape, cell size or corner than the land
         raster (6 x 6 cells of 1000 m from (0, 0)) exits 2 naming both grids.
-        Read in bands of one row, a region or land raster that goes wrong in a
-        later band exits 2 naming the file's row or value count."""
+        Read with no buffer in bands of four rows (one row of halo; bands are
+        at least four halos tall), a region or land raster that goes wrong in
+        the second band exits 2 naming the file's row or value count."""
         land_path, regions_path = potential_inputs
         ones = np.ones((6, 6), dtype=np.int64)
         grid = "shape (6, 6), cellsize 1000.0, corner (0.0, 0.0)"
@@ -557,6 +558,7 @@ class TestPotential:
                     "potential",
                     "--raster", str(inputs["raster"]),
                     "--regions", str(inputs["regions"]),
+                    "--buffer", "0",
                     "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
                     "--out", str(tmp_path / "pot"),
                 ]
@@ -567,11 +569,12 @@ class TestPotential:
             assert not (tmp_path / "pot").exists()
 
     def test_unknown_codes_warn_once(self, tmp_path, caplog, monkeypatch):
-        """Unknown codes in many bands of two rows, and in their halo rows, give
-        one warning with the count and first ten codes of the whole raster."""
-        codes = np.full((12, 4), 211, dtype=np.int64)
-        codes[::2, 1] = np.arange(930, 924, -1)  # the rows above and below bands
-        codes[1::2, 3] = np.arange(912, 900, -2)
+        """Unknown codes in three bands of eight rows (two rows of halo), and in
+        their halo rows, give one warning with the count and first ten codes of
+        the whole raster."""
+        codes = np.full((24, 4), 211, dtype=np.int64)
+        codes[:, 1] = np.arange(960, 936, -1)  # one per row, the smallest in the last band
+        codes[::3, 3] = 960
         land_path = tmp_path / "land.asc"
         write_ascii_grid(land_path, LandRaster(codes=codes, cell_size=100.0))
         regions_path = tmp_path / "regions.asc"
@@ -579,13 +582,13 @@ class TestPotential:
         with caplog.at_level("WARNING", logger="agrivolt.land"):
             land.eligibility_mask(land.read_ascii_grid(land_path))
         (whole,) = [r.getMessage() for r in caplog.records]
-        assert whole.startswith("12 pixels with unknown class codes [902, 904,")
+        assert whole.startswith("32 pixels with unknown class codes [937, 938,")
         caplog.clear()
         monkeypatch.setattr(land, "BAND_PIXELS", 8)
         code = main(
             [
                 "potential", "--raster", str(land_path), "--regions", str(regions_path),
-                "--buffer", "150",
+                "--buffer", "50",
                 "--yield-tilt", "1", "--yield-vertical", "1", "--yield-tracking", "1",
                 "--out", str(tmp_path / "pot"),
             ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -440,8 +441,9 @@ def write_grid(path, codes, cell_size, nodata, width):
 
 
 def streamed(paths, buffer_m, density, yields, band_rows, ncols):
-    """``stream_potential`` with bands of ``band_rows`` rows; also the land
-    eligibility of every band and the heights of the windows it came from."""
+    """``stream_potential`` with bands of ``band_rows`` rows, or of four halos
+    if taller; also the land eligibility of every band and the (window, band)
+    heights of every band."""
     masks, windows = [], []
     count, mask_of = land.region_potential, land.eligibility_mask
 
@@ -458,7 +460,7 @@ def streamed(paths, buffer_m, density, yields, band_rows, ncols):
         patch.setattr(land, "region_potential", counting)
         patch.setattr(land, "eligibility_mask", masking)
         results = land.stream_potential(*paths, DEFAULT_CLASS_SETS, buffer_m, density, yields)
-    return results, np.concatenate(masks), windows
+    return results, np.concatenate(masks), list(zip(windows, map(len, masks)))
 
 
 class TestStreamPotential:
@@ -467,11 +469,11 @@ class TestStreamPotential:
     )
     @given(data=st.data())
     def test_banded_equals_whole_raster(self, tmp_path, data):
-        """Read in bands of any height, thinner than the halo too, on lines of
-        any width, the regions equal those of the whole rasters and the masks
+        """Read in bands of any height (at least the halo's), on lines of any
+        width, the regions equal those of the whole rasters and the masks
         equal the brute-force oracle, with NODATA in either raster, different
         NODATA values, unknown codes and region ids up to +-2**63."""
-        nrows = data.draw(st.integers(1, 12), label="nrows")
+        nrows = data.draw(st.integers(1, 30), label="nrows")
         ncols = data.draw(st.integers(1, 5), label="ncols")
         land_nodata = data.draw(st.sampled_from([-9999, 0, 211]), label="land nodata")
         region_nodata = data.draw(st.sampled_from([-9999, 0, 7, -(2**63)]), label="region nodata")
@@ -507,21 +509,48 @@ class TestStreamPotential:
         oracle = brute_force_eligibility(raster, DEFAULT_CLASS_SETS, buffer_m)
         np.testing.assert_array_equal(mask, oracle)
 
-    def test_windows_hold_a_band_and_its_halo(self, tmp_path):
-        """On a raster of 8 bands, each mask comes from a window of at most the
-        band and ceil(buffer / cellsize) + 1 rows above and below it."""
+    @pytest.mark.parametrize(
+        "band_rows, buffer_m, heights",
+        [(3, 250.0, [16, 7]), (17, 250.0, [17, 6]), (1, 0.0, [4] * 5 + [3]),
+         (5, 0.0, [5] * 4 + [3]), (2, 200.0, [12, 11]), (1, 600.0, [23]), (1, 1e5, [23])],
+    )
+    def test_windows_hold_a_band_and_its_halo(self, tmp_path, band_rows, buffer_m, heights):
+        """On a raster of 23 rows, bands are at least four halos tall (a halo is
+        ceil(buffer / cellsize) + 1 rows, clamped to the raster), and each mask
+        comes from a window of at most the band and a halo above and below it:
+        never more than 1.5 bands' rows, and one window for a buffer of over a
+        quarter of the raster's height."""
         rng = np.random.default_rng(5)
         codes = rng.choice([FARM, FARM, FARM, CITY, SHRUB], size=(23, 5))
         paths = (
             write_grid(tmp_path / "land.asc", codes, 100.0, -9999, 5),
             write_grid(tmp_path / "regions.asc", np.ones_like(codes), 100.0, -9999, 5),
         )
-        halo = 4  # ceil(250 / 100) + 1
-        _, mask, windows = streamed(paths, 250.0, 30.0, constant({}), 3, 5)
-        assert len(windows) == 8
-        assert max(windows) <= 3 + 2 * halo
+        halo = min(23, math.ceil(buffer_m / 100.0) + 1)
+        _, mask, windows = streamed(paths, buffer_m, 30.0, constant({}), band_rows, 5)
+        assert [band for _, band in windows] == heights
+        assert all(2 * window <= 3 * heights[0] for window, _ in windows)
+        assert all(window <= band + 2 * halo for window, band in windows)
         raster = read_ascii_grid(paths[0])
-        np.testing.assert_array_equal(mask, eligibility_mask(raster, buffer_m=250.0))
+        np.testing.assert_array_equal(mask, eligibility_mask(raster, buffer_m=buffer_m))
+
+
+    def test_unknown_codes_without_excluded_classes(self, tmp_path, monkeypatch):
+        """With no excluded class, unknown codes still exclude, band by band,
+        and the neutral and NODATA pixels of the smallest codes do not."""
+        classes = ClassSets(include=frozenset({2}), exclude=frozenset(), neutral=frozenset({0}))
+        codes = np.random.default_rng(7).choice([2, 2, 2, 0, 1, 9], size=(20, 3))  # 1: NODATA
+        paths = (
+            write_grid(tmp_path / "land.asc", codes, 100.0, 1, 3),
+            write_grid(tmp_path / "regions.asc", np.ones_like(codes), 100.0, -9999, 3),
+        )
+        monkeypatch.setattr(land, "BAND_PIXELS", 3)  # bands of 8 rows: four halos of 2
+        results = land.stream_potential(*paths, classes, 100.0, 30.0, constant({}))
+        raster = read_ascii_grid(paths[0])
+        mask = brute_force_eligibility(raster, classes, 100.0)
+        assert 0 < mask.sum() < (codes == 2).sum()
+        whole = region_potential(raster, mask, read_ascii_grid(paths[1]))
+        assert results == whole.potentials(30.0, constant({}))
 
 
 class TestAggregatePotential:
