@@ -268,20 +268,54 @@ def eligibility_mask(
     warning and are treated as excluded; NODATA pixels are outside the
     study area and neither eligible nor excluding.
     """
-    # Here and first: simulate and validate never get here, and scipy is most of their start-up;
-    # imported under the masks below it raised peak RSS (ROADMAP: "the scipy import").
-    from scipy.ndimage import distance_transform_edt
     codes = raster.codes
     unknown = _unknown(codes, classes, raster.nodata)
     if unknown.any():
         log.warning(_UNKNOWN_CODES, int(unknown.sum()), np.unique(codes[unknown])[:10].tolist())
     excluded = np.isin(codes, sorted(classes.exclude)) | unknown
     include = np.isin(codes, sorted(classes.include))
-    if not excluded.any():
-        return include
-    # distance (in pixels) from every pixel to the nearest excluded pixel
-    distance_px = distance_transform_edt(~excluded)
-    return include & (distance_px * raster.cell_size > buffer_m)
+    return include & ~_near_excluded(excluded, raster.cell_size, buffer_m)
+
+
+def _near_excluded(excluded: np.ndarray, cell_size: float, buffer_m: float) -> np.ndarray:
+    """Pixels whose nearest excluded pixel lies within the buffer: those where
+    ``math.sqrt(float(dy**2 + dx**2)) * cell_size > buffer_m`` fails for the
+    least squared pixel distance, bit for bit.
+
+    The test is monotone in the squared distance, so it becomes one integer
+    threshold, and the least squared distance is compared with it in two
+    passes (Felzenszwalb & Huttenlocher's separable distance transform): one
+    down the columns, one along the rows, each O(pixels) whatever the buffer.
+    """
+    rows, cols = excluded.shape
+    # reach: the largest squared distance within the buffer (-1 for none), by bisection
+    reach, beyond = -1, (rows - 1) ** 2 + (cols - 1) ** 2 + 1
+    while beyond - reach > 1:
+        mid = (reach + beyond) // 2
+        if math.sqrt(float(mid)) * cell_size > buffer_m:  # not ``<=``, which differs at nan
+            beyond = mid
+        else:
+            reach = mid
+    if reach < 0:
+        return np.zeros_like(excluded)
+    # column pass: rows to the nearest excluded pixel in the column, capped at far (out of reach)
+    far = math.isqrt(reach) + 1
+    ahead = np.arange(far, rows + far, dtype=np.int32)[:, None]
+
+    def gap(mask: np.ndarray) -> np.ndarray:  # rows since the last excluded one, >= far if none
+        return ahead - np.maximum.accumulate(mask * ahead, axis=0)
+
+    dy = np.minimum(np.minimum(gap(excluded), gap(excluded[::-1])[::-1]), np.int32(far))
+    # columns that an excluded pixel dy rows away reaches along the row; -1 reaches none
+    dx = np.array([math.isqrt(reach - d * d) for d in range(far)] + [-1], dtype=np.int32).take(dy)
+    # row pass: column j is near when some column k <= j reaches k + dx >= j, or k >= j
+    # reaches k - dx <= j (the same test on the mirrored rows)
+    col = np.arange(cols, dtype=np.int32)
+
+    def reached(dx: np.ndarray) -> np.ndarray:
+        return np.maximum.accumulate(dx + col, axis=1) >= col
+
+    return reached(dx) | reached(dx[:, ::-1])[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -401,9 +435,10 @@ def stream_potential(
     nrows = land.shape[0]
     ratio = buffer_m / land.cell_size  # inf for a huge buffer on tiny cells
     halo = min(nrows, math.ceil(ratio) + 1) if ratio < nrows else nrows
-    # Bands of at least four halos keep a window within 1.5 bands. The EDT costs more per
-    # pixel in a taller window, so thinner bands do not pay for their halo rows: on the
-    # benchmark raster, bands of one halo took 1.3-1.6x the whole-raster time at 10-30 km.
+    # Bands of at least four halos keep a window within 1.5 bands. The mask costs the same
+    # per pixel in any window, so a thinner band only adds halo rows to mask: on the
+    # benchmark raster, bands of one halo took 1.03x, 1.13x and 1.21x the time at 10, 30
+    # and 100 km.
     min_rows = 4 * halo
     # Each band's unknown pixels are counted as it is read, so halo rows are not counted
     # twice, and take an excluded code (one in no include or neutral set), so that the

@@ -936,17 +936,33 @@ class TestInstalledEntryPoint:
             assert proc.returncode == 2, (word, proc.stderr)
             assert proc.stderr.startswith("error: "), (word, proc.stderr)
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        """Only ``land.eligibility_mask`` needs scipy, and importing it is most
-        of a ``simulate`` or ``validate`` process's start-up: the CLI module
-        must not load it."""
+    def test_cli_import_leaves_scipy_unloaded(self, potential_inputs, tmp_path):
+        """No command needs scipy, a test-only dependency: neither importing
+        the CLI module nor running ``potential``, whose buffer test is numpy's,
+        loads it."""
+        land_path, regions_path = potential_inputs
+        out = tmp_path / "pot"
+        command = [
+            "potential", "--raster", str(land_path), "--regions", str(regions_path),
+            "--buffer", "1500", "--yield-tilt", "1000", "--yield-vertical", "900",
+            "--yield-tracking", "1100", "--out", str(out),
+        ]
+        script = (
+            "import sys, agrivolt.cli\n"
+            "print('scipy' in sys.modules)\n"
+            f"assert agrivolt.cli.main({command!r}) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
         proc = subprocess.run(
-            [sys.executable, "-c", "import agrivolt.cli, sys; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, timeout=60, env=env,
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "False")
+        # the settlement column and a column either side of it are buffered out
+        rows = [line.split(",") for line in (out / "regions.csv").read_text().splitlines()[1:]]
+        assert [float(row[2]) for row in rows] == [6.0, 12.0]
 
     @pytest.mark.skipif(
         shutil.which("agrivolt") is None,

@@ -235,6 +235,70 @@ class TestEligibilityMask:
             slow = brute_force_eligibility(raster, DEFAULT_CLASS_SETS, buffer_m)
             np.testing.assert_array_equal(fast, slow, err_msg=f"trial {trial}")
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_at_the_buffer_edge(self, data):
+        """The buffer test is exact on 1 x n, n x 1 and up to 20 x 20 rasters,
+        with no excluded pixels or only excluded ones, at buffers of cell *
+        sqrt(dy**2 + dx**2) and the floats either side of them, and at buffers
+        of 0 and 1e308 (or inf or nan) on cells of 1e-300."""
+        shape = data.draw(
+            st.one_of(
+                st.tuples(st.just(1), st.integers(1, 40)),
+                st.tuples(st.integers(1, 40), st.just(1)),
+                st.tuples(st.integers(1, 20), st.integers(1, 20)),
+            ),
+            label="shape",
+        )
+        pool = data.draw(
+            st.sampled_from([
+                [FARM, 231, CITY, FOREST, SHRUB, 511, -9999],
+                [FARM, FARM, FARM, FARM, CITY],
+                [FARM, SHRUB, -9999],  # nothing excluded
+                [CITY, FOREST, 999],  # everything excluded
+            ]),
+            label="classes",
+        )
+        size = shape[0] * shape[1]
+        codes = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        cell_size = data.draw(
+            st.sampled_from([1e-300, 0.01, 1.0, 30.0, 100.0, 500.0]) | st.floats(0.01, 500.0),
+            label="cell size",
+        )
+        offset = st.integers(0, 3) | st.integers(0, 40)
+        dy, dx = data.draw(st.tuples(offset, offset), label="edge offset")
+        edge = cell_size * math.sqrt(dy * dy + dx * dx)  # a pixel distance
+        edges = st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)])
+        extremes = st.sampled_from([0.0, 1e308, math.inf, math.nan])
+        buffer_m = data.draw((edges | extremes).map(float), label="buffer")
+        raster = make_raster(np.reshape(codes, shape), cell_size=cell_size)
+        fast = eligibility_mask(raster, DEFAULT_CLASS_SETS, buffer_m)
+        slow = brute_force_eligibility(raster, DEFAULT_CLASS_SETS, buffer_m)
+        np.testing.assert_array_equal(fast, slow)
+
+    def test_matches_scipy_edt_on_large_rasters(self):
+        """On rasters too large for the all-pairs oracle, the mask equals the
+        one from scipy's Euclidean distance transform (a test-only dependency),
+        for sparse and dense exclusions and buffers of up to 140 cells."""
+        from scipy.ndimage import distance_transform_edt
+
+        rng = np.random.default_rng(18)
+        for trial in range(12):
+            dense = rng.choice([0.0005, 0.01, 0.2, 0.6])
+            codes = np.where(rng.random((300, 400)) < dense, CITY, FARM)
+            codes[rng.random(codes.shape) < 0.05] = -9999
+            cell_size = float(rng.choice([1.0, 25.0, 100.0, 333.3]))
+            dy, dx = rng.integers(0, rng.choice([4, 12, 100]), size=2)
+            buffer_m = cell_size * math.sqrt(dy * dy + dx * dx)  # a pixel distance
+            buffer_m = float(rng.choice([buffer_m, np.nextafter(buffer_m, 0.0)]))
+            raster = make_raster(codes, cell_size=cell_size)
+            distance_px = distance_transform_edt(codes != CITY)
+            expected = (codes == FARM) & (distance_px * cell_size > buffer_m)
+            np.testing.assert_array_equal(
+                eligibility_mask(raster, DEFAULT_CLASS_SETS, buffer_m), expected,
+                err_msg=f"trial {trial}",
+            )
+
 
 class TestClassSets:
     def test_overlap_rejected(self):
