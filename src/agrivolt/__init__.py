@@ -3,59 +3,60 @@
 Hourly electricity production of fixed-tilt, vertical bifacial, and
 single-axis tracking PV layouts; ground-level irradiance maps for crop
 suitability; regional deployment potential from land-cover rasters.
+
+The exported names are imported from their modules on first use (PEP 562),
+so that importing one module, such as ``agrivolt.land``, loads only what
+it needs.
 """
 
-from .agronomy import CropThresholds, crop_fraction, par_flux
-from .config import ScenarioConfig, load_config
-from .electrical import PanelModel, SimulationResult, simulate_year
-from .errors import InputError
-from .indicators import IndicatorReport, report
-from .land import (
-    ClassSets,
-    LandRaster,
-    RegionPotential,
-    aggregate_potential,
-    eligibility_mask,
-    read_ascii_grid,
-    region_potential,
-)
-from .layout import Layout, build_layout, optimal_tilt
-from .shading import GroundGrid, ground_irradiance_map
-from .sky import SkyYear, sky_year
-from .solar import GeoLocation, solar_position
-from .weather import Weather, ingest_prices, ingest_weather
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassSets",
-    "CropThresholds",
-    "GeoLocation",
-    "GroundGrid",
-    "IndicatorReport",
-    "InputError",
-    "LandRaster",
-    "Layout",
-    "PanelModel",
-    "RegionPotential",
-    "ScenarioConfig",
-    "SimulationResult",
-    "SkyYear",
-    "Weather",
-    "aggregate_potential",
-    "build_layout",
-    "crop_fraction",
-    "eligibility_mask",
-    "ground_irradiance_map",
-    "ingest_prices",
-    "ingest_weather",
-    "load_config",
-    "optimal_tilt",
-    "par_flux",
-    "read_ascii_grid",
-    "region_potential",
-    "report",
-    "simulate_year",
-    "sky_year",
-    "solar_position",
-]
+#: Module of each exported name.
+_MODULES = {
+    "CropThresholds": "agronomy",
+    "crop_fraction": "agronomy",
+    "par_flux": "agronomy",
+    "ScenarioConfig": "config",
+    "load_config": "config",
+    "PanelModel": "electrical",
+    "SimulationResult": "electrical",
+    "simulate_year": "electrical",
+    "InputError": "errors",
+    "IndicatorReport": "indicators",
+    "report": "indicators",
+    "ClassSets": "land",
+    "LandRaster": "land",
+    "RegionPotential": "land",
+    "aggregate_potential": "land",
+    "eligibility_mask": "land",
+    "read_ascii_grid": "land",
+    "region_potential": "land",
+    "Layout": "layout",
+    "build_layout": "layout",
+    "optimal_tilt": "layout",
+    "GroundGrid": "shading",
+    "ground_irradiance_map": "shading",
+    "SkyYear": "sky",
+    "sky_year": "sky",
+    "GeoLocation": "solar",
+    "solar_position": "solar",
+    "Weather": "weather",
+    "ingest_prices": "weather",
+    "ingest_weather": "weather",
+}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

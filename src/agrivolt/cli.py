@@ -8,6 +8,9 @@ Subcommands:
 * ``validate``: check input files and report problems without simulating
 
 Exit codes: 0 success, 2 invalid input, 3 computation failure.
+
+The simulator modules are imported inside the commands that run them, so
+``potential`` loads the raster path only.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import land, outputs, scenario
-from .config import ScenarioConfig, load_config
+from . import land, outputs
 from .errors import InputError
-from .layout import MOUNT_KINDS
-from .sky import check_full_year, sky_year
-from .weather import Weather, _parse_float, _records, ingest_prices, ingest_weather
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import ScenarioConfig
+    from .weather import Weather
 
 log = logging.getLogger(__name__)
 
@@ -119,6 +123,12 @@ def _load_run_inputs(
     where not passed, in one order: the config with the ``--wind-shear-exponent``
     override, the weather, its prices, then the full-year check (last, so that a
     price file is checked whatever the weather's length)."""
+    if not (args.config or args.weather or getattr(args, "prices", None)):
+        return None, None, None  # ``validate`` of land inputs loads no simulator module
+    from .config import load_config
+    from .sky import check_full_year
+    from .weather import ingest_prices, ingest_weather
+
     config = weather = prices = None
     if args.config:
         config = load_config(args.config, getattr(args, "wind_shear_exponent", None))
@@ -136,6 +146,8 @@ def _load_run_inputs(
 def _cmd_run(args: argparse.Namespace) -> int:
     """``simulate`` writes every artifact of the sweep, ``decision-map`` only
     ``decision_map.csv``."""
+    from . import scenario
+
     out = _out_dir(args.out)
     config, weather, prices = _load_run_inputs(args)
     if args.command == "decision-map":
@@ -149,6 +161,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]:
     """Specific yields (kWh/kW) of a region id: its ``--yields`` row
     (region_id,tilt,vertical,tracking), else the three constant flags."""
+    from .layout import MOUNT_KINDS
+
     if not args.yields:
         constant = {kind: getattr(args, f"yield_{kind}") for kind in MOUNT_KINDS}
         if None in constant.values():
@@ -157,6 +171,8 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
                 "--yield-tilt/--yield-vertical/--yield-tracking"
             )
         return lambda region: constant
+    from .weather import _parse_float, _records
+
     path = Path(args.yields)
     table: dict[int, dict[str, float]] = {}
     for row, (region_id, *texts) in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
@@ -200,6 +216,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config, weather, prices = _load_run_inputs(args)
     if config is not None:
         if weather is not None:
+            from .sky import sky_year
+
             sky_year(config.location, weather)  # logs beam above top-of-atmosphere
         print(f"config ok: {args.config}")
     if weather is not None:

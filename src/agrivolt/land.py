@@ -12,6 +12,12 @@ The shipped class sets mirror the agricultural land-cover classes of the
 European inventory nomenclature (arable land 211-213, fruit and berry
 plantations 222, pastures 231, heterogeneous agriculture 241-242); both
 sets are plain data and user-overridable through a JSON file.
+
+Codes are classified once, by one lookup per pixel, into a flag band of
+one byte per pixel (include, excluded, land and unknown bits); the buffer
+test runs on the excluded bits. Pixels are counted per region over the
+runs of equal region ids along the rows, so the cost follows the runs, not
+the number of distinct ids.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import warnings
 from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from itertools import chain, count
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -248,11 +254,55 @@ def load_class_sets(path: str | Path) -> ClassSets:
 
 _UNKNOWN_CODES = "%d pixels with unknown class codes %s treated as excluded"
 
+#: Bits of a flag band, one byte per pixel: an include code; excluded (an exclude code,
+#: or an unknown code that is not NODATA); land (not NODATA); an unknown code.
+_INCLUDE, _EXCLUDED, _LAND, _UNKNOWN = 1, 2, 4, 8
+#: Largest range of known codes looked up in a table; a wider one is binary searched.
+_TABLE_CODES = 1 << 16
 
-def _unknown(codes: np.ndarray, classes: ClassSets, nodata: int) -> np.ndarray:
-    """Pixels whose code is in no class set and is not NODATA."""
-    known = classes.include | classes.exclude | classes.neutral
-    return ~np.isin(codes, sorted(known)) & (codes != nodata)
+
+def _classifier(classes: ClassSets, nodata: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The flag band of an array of codes, from one lookup per pixel, exact for
+    any int64 code: a table over the known codes' range, or a binary search in
+    the sorted known codes when they span more than :data:`_TABLE_CODES`."""
+    known = sorted(c for c in classes.include | classes.exclude | classes.neutral
+                   if -(2**63) <= c < 2**63)  # no raster value lies outside int64
+
+    def flag(code: int, land: int = _LAND) -> int:
+        return land | _INCLUDE * (code in classes.include) | _EXCLUDED * (code in classes.exclude)
+
+    unknown = _LAND | _EXCLUDED | _UNKNOWN
+    flags = [flag(c) for c in known]
+    lo = known[0] if known else 0
+    span = known[-1] - lo if known else -1
+    if span < _TABLE_CODES:
+        table = np.full(span + 2, unknown, dtype=np.uint8)  # the last entry: out of range
+        table[np.array(known, dtype=np.int64) - lo] = flags
+
+        def index(codes: np.ndarray) -> np.ndarray:
+            # codes - lo modulo 2**64: a code below lo wraps past the span, never into it
+            offset = np.subtract(codes, lo, dtype=np.int64).view(np.uint64)
+            return np.minimum(offset, span + 1, out=offset).view(np.int64)
+    else:
+        table = np.array([*flags, unknown], dtype=np.uint8)
+        values = np.array(known, dtype=np.int64)
+
+        def index(codes: np.ndarray) -> np.ndarray:
+            at = np.minimum(np.searchsorted(values, codes), len(known) - 1)
+            return np.where(values[at] == codes, at, len(known))
+
+    outside = flag(nodata, land=0)
+
+    def classify(codes: np.ndarray) -> np.ndarray:
+        band = table.take(index(codes))
+        np.copyto(band, outside, where=codes == nodata)
+        return band
+
+    return classify
+
+
+def _has(flags: np.ndarray, bit: int) -> np.ndarray:
+    return (flags & bit).astype(bool)
 
 
 def eligibility_mask(
@@ -269,12 +319,20 @@ def eligibility_mask(
     study area and neither eligible nor excluding.
     """
     codes = raster.codes
-    unknown = _unknown(codes, classes, raster.nodata)
+    flags = _classifier(classes, raster.nodata)(codes)
+    unknown = _has(flags, _UNKNOWN)
     if unknown.any():
         log.warning(_UNKNOWN_CODES, int(unknown.sum()), np.unique(codes[unknown])[:10].tolist())
-    excluded = np.isin(codes, sorted(classes.exclude)) | unknown
-    include = np.isin(codes, sorted(classes.include))
-    return include & ~_near_excluded(excluded, raster.cell_size, buffer_m)
+    return _band_mask(flags, _has(flags, _EXCLUDED), 0, raster.cell_size, buffer_m)
+
+
+def _band_mask(
+    flags: np.ndarray, excluded: np.ndarray, above: int, cell_size: float, buffer_m: float
+) -> np.ndarray:
+    """Eligible pixels of the flag band ``flags``, which starts ``above`` rows down
+    the window ``excluded`` (the excluded pixels of the band and its halo rows)."""
+    near = _near_excluded(excluded, cell_size, buffer_m)[above : above + len(flags)]
+    return _has(flags, _INCLUDE) & ~near
 
 
 def _near_excluded(excluded: np.ndarray, cell_size: float, buffer_m: float) -> np.ndarray:
@@ -340,23 +398,16 @@ def _check_grid(raster: LandRaster | AsciiGrid, regions: LandRaster | AsciiGrid)
 
 @dataclass(frozen=True, eq=False)
 class RegionCounts:
-    """Land and eligible pixel counts per region of some rows of one grid.
+    """Land and eligible pixel counts per region of one grid.
 
     ``ids`` are the sorted region ids, the region raster's NODATA left out;
     ``pixels`` holds their land and eligible pixel counts as a (2, ids) int64
-    array. The counts of disjoint rows add up exactly with ``+``.
+    array.
     """
 
     ids: np.ndarray
     pixels: np.ndarray
     pixel_area_km2: float
-
-    def __add__(self, other: RegionCounts) -> RegionCounts:
-        ids = np.union1d(self.ids, other.ids)
-        pixels = np.zeros((2, ids.size), dtype=np.int64)
-        for part in (self, other):
-            pixels[:, np.searchsorted(ids, part.ids)] += part.pixels
-        return RegionCounts(ids, pixels, self.pixel_area_km2)
 
     def potentials(
         self, capacity_density_w_m2: float, yields: Callable[[int], dict[str, float]]
@@ -377,21 +428,38 @@ class RegionCounts:
         return results
 
 
+def _run_sums(ids: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each run of equal values in ``ids`` and the int64 sums of the
+    (k, ids.size) ``pixels`` over each run."""
+    first = ids[:1] == ids[:1]  # a run starts at the first id, if there is one
+    starts = np.flatnonzero(np.concatenate((first, ids[1:] != ids[:-1])))
+    return ids[starts], np.add.reduceat(pixels, starts, axis=1, dtype=np.int64)
+
+
+def _count_regions(
+    regions: LandRaster, land: np.ndarray, eligible: np.ndarray, held: RegionCounts | None = None
+) -> RegionCounts:
+    """``held`` plus the land and eligible pixel counts of every region of
+    ``regions`` (a band of rows or a whole raster), summed over the runs of equal
+    ids along its rows, then over the held and new ids in sorted order."""
+    ids, pixels = _run_sums(regions.codes.ravel(), np.stack((land, land & eligible)).reshape(2, -1))
+    if held is not None:
+        ids, pixels = np.concatenate((held.ids, ids)), np.concatenate((held.pixels, pixels), axis=1)
+    order = np.argsort(ids, kind="stable")
+    ids, pixels = _run_sums(ids[order], pixels[:, order])
+    keep = ids != regions.nodata
+    return RegionCounts(ids[keep], pixels[:, keep], regions.pixel_area_km2)
+
+
 def region_potential(raster: LandRaster, eligible: np.ndarray, regions: LandRaster) -> RegionCounts:
-    """Land and eligible pixel counts per region of one band of rows, or of a
-    whole raster; :meth:`RegionCounts.potentials` turns them into potential.
+    """Land and eligible pixel counts per region of a raster;
+    :meth:`RegionCounts.potentials` turns them into potential.
 
     ``regions`` assigns a region id to every pixel of the land raster's
     grid; its NODATA pixels belong to no region.
     """
     _check_grid(raster, regions)
-    ids = np.unique(regions.codes)
-    index = np.searchsorted(ids, regions.codes.ravel())  # a third of return_inverse's cost
-    land = (raster.codes != raster.nodata).ravel()
-    pixels = np.stack((np.bincount(index[land], minlength=ids.size),
-                       np.bincount(index[land & eligible.ravel()], minlength=ids.size)))
-    keep = ids != regions.nodata
-    return RegionCounts(ids[keep], pixels[:, keep], raster.pixel_area_km2)
+    return _count_regions(regions, raster.codes != raster.nodata, eligible)
 
 
 def _windows(bands: Iterator[np.ndarray], halo: int) -> Iterator[tuple[np.ndarray, int, int]]:
@@ -422,13 +490,16 @@ def stream_potential(
     in lockstep band by band (:meth:`AsciiGrid.bands`), so that memory depends
     on :data:`BAND_PIXELS` and the buffer, not on the rasters' height.
 
-    The grids are checked before any data is read. Each band's
-    :func:`eligibility_mask` comes from the band with ``halo = ceil(buffer_m /
+    The grids are checked before any data is read. Each land band is
+    classified once, as it is read, into a flag band (one table lookup per
+    pixel), and its unknown codes are counted there. Its eligible pixels come
+    from the excluded pixels of the band with ``halo = ceil(buffer_m /
     cellsize) + 1`` rows above and below it (an excluded pixel farther away
-    lies beyond the buffer), and its :func:`region_potential` counts add up
-    over the bands. Bands are at least ``4 * halo`` rows tall, so a window
-    holds at most 1.5 bands' rows. The result equals that of the whole
-    rasters, and unknown class codes are logged once, as for the whole raster.
+    lies beyond the buffer). Each region band is counted over its runs of
+    equal ids, and the counts add up over the bands. Bands are at least
+    ``4 * halo`` rows tall, so a window holds at most 1.5 bands' rows. The
+    result equals that of the whole rasters, and unknown class codes are
+    logged once, as for the whole raster.
     """
     land, regions = AsciiGrid(raster_path), AsciiGrid(regions_path)
     _check_grid(land, regions)
@@ -440,35 +511,29 @@ def stream_potential(
     # benchmark raster, bands of one halo took 1.03x, 1.13x and 1.21x the time at 10, 30
     # and 100 km.
     min_rows = 4 * halo
-    # Each band's unknown pixels are counted as it is read, so halo rows are not counted
-    # twice, and take an excluded code (one in no include or neutral set), so that the
-    # windows hold none and eligibility_mask does not warn per window.
-    taken = classes.include | classes.neutral | {land.nodata}
-    marker = next(c for c in count() if c not in taken)
-    sets = replace(classes, exclude=classes.exclude | {marker})
+    classify = _classifier(classes, land.nodata)
+    flag_bands: deque[np.ndarray] = deque()  # of the bands read, not yet counted
     unknown_px, first_unknown = 0, []
 
-    def known_bands() -> Iterator[np.ndarray]:
+    def excluded_bands() -> Iterator[np.ndarray]:
         nonlocal unknown_px, first_unknown
         for band in land.bands(min_rows):
-            unknown = _unknown(band, classes, land.nodata)
+            flags = classify(band)
+            unknown = _has(flags, _UNKNOWN)  # counted as read, so halo rows count once
             if unknown.any():
                 unknown_px += int(unknown.sum())
                 codes = np.unique(band[unknown])[:10].tolist()
                 first_unknown = sorted({*first_unknown, *codes})[:10]
-                band[unknown] = marker
-            yield band
+            flag_bands.append(flags)
+            yield _has(flags, _EXCLUDED)
 
     counts = None
-    for (window, above, rows), region_band in zip(
-        _windows(known_bands(), halo), regions.bands(min_rows)
+    for (window, above, _), region_band in zip(
+        _windows(excluded_bands(), halo), regions.bands(min_rows)
     ):
-        band = slice(above, above + rows)
-        eligible = eligibility_mask(land.raster(window), sets, buffer_m)
-        part = region_potential(
-            land.raster(window[band]), eligible[band], regions.raster(region_band)
-        )
-        counts = part if counts is None else counts + part
+        flags = flag_bands.popleft()
+        eligible = _band_mask(flags, window, above, land.cell_size, buffer_m)
+        counts = _count_regions(regions.raster(region_band), _has(flags, _LAND), eligible, counts)
     if unknown_px:
         log.warning(_UNKNOWN_CODES, unknown_px, first_unknown)
     return counts.potentials(capacity_density_w_m2, yields)

@@ -8,15 +8,18 @@ platform or thread count.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .agronomy import DecisionPoint
-from .electrical import SimulationResult
-from .indicators import IndicatorReport
-from .land import RegionPotential
-from .shading import GroundGrid
 from .solar import month_index
+
+if TYPE_CHECKING:
+    from .agronomy import DecisionPoint
+    from .electrical import SimulationResult
+    from .indicators import IndicatorReport
+    from .land import RegionPotential
+    from .shading import GroundGrid
 
 PGM_MAXVAL = 65535
 

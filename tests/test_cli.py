@@ -964,6 +964,36 @@ class TestInstalledEntryPoint:
         rows = [line.split(",") for line in (out / "regions.csv").read_text().splitlines()[1:]]
         assert [float(row[2]) for row in rows] == [6.0, 12.0]
 
+    def test_potential_loads_no_simulator_code(self, potential_inputs, tmp_path):
+        """``potential`` loads the raster path only: after it, no simulator
+        module and no ``multiprocessing`` is imported, and every exported name
+        of the package still imports from it."""
+        land_path, regions_path = potential_inputs
+        out = tmp_path / "pot"
+        command = [
+            "potential", "--raster", str(land_path), "--regions", str(regions_path),
+            "--yield-tilt", "1000", "--yield-vertical", "900", "--yield-tracking", "1100",
+            "--out", str(out),
+        ]
+        unloaded = ["agrivolt.scenario", "agrivolt.electrical", "agrivolt.shading",
+                    "agrivolt.sky", "multiprocessing"]
+        script = (
+            "import sys, agrivolt, agrivolt.cli\n"
+            f"assert agrivolt.cli.main({command!r}) == 0\n"
+            f"print([name for name in {unloaded!r} if name in sys.modules])\n"
+            "for name in agrivolt.__all__:\n"
+            "    exec(f'from agrivolt import {name}')\n"
+            "print(sorted(set(agrivolt.__all__) - set(dir(agrivolt))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+        assert len(agrivolt.__all__) == 30
+        assert (out / "regions.csv").exists()
+
     @pytest.mark.skipif(
         shutil.which("agrivolt") is None,
         reason="no `agrivolt` console script on PATH (package not installed)",

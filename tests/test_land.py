@@ -28,6 +28,14 @@ from fixturegen import write_ascii_grid
 from oracles import brute_force_eligibility, reference_region_potential
 
 FARM, CITY, FOREST, SHRUB = 211, 112, 311, 324
+#: Land codes at the ends of the int64 range.
+EDGE_CODES = [-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]
+#: The default sets with class codes at both ends of the int64 range.
+FAR_CLASS_SETS = ClassSets(
+    include=DEFAULT_CLASS_SETS.include | {2**63 - 1},
+    exclude=DEFAULT_CLASS_SETS.exclude | {-(2**63)},
+    neutral=DEFAULT_CLASS_SETS.neutral | {2**63 - 2},
+)
 
 
 def make_raster(codes, cell_size=100.0, nodata=-9999):
@@ -504,56 +512,88 @@ def write_grid(path, codes, cell_size, nodata, width):
     return path
 
 
-def streamed(paths, buffer_m, density, yields, band_rows, ncols):
+def streamed(paths, buffer_m, density, yields, band_rows, ncols, classes=DEFAULT_CLASS_SETS):
     """``stream_potential`` with bands of ``band_rows`` rows, or of four halos
     if taller; also the land eligibility of every band and the (window, band)
     heights of every band."""
     masks, windows = [], []
-    count, mask_of = land.region_potential, land.eligibility_mask
+    mask_of = land._band_mask
 
-    def counting(raster, eligible, regions):
-        masks.append(eligible)
-        return count(raster, eligible, regions)
-
-    def masking(raster, classes, buffer_m):
-        windows.append(len(raster.codes))
-        return mask_of(raster, classes, buffer_m)
+    def masking(flags, excluded, above, cell_size, buffer_m):
+        windows.append(len(excluded))
+        masks.append(mask_of(flags, excluded, above, cell_size, buffer_m))
+        return masks[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(land, "BAND_PIXELS", band_rows * ncols)
-        patch.setattr(land, "region_potential", counting)
-        patch.setattr(land, "eligibility_mask", masking)
-        results = land.stream_potential(*paths, DEFAULT_CLASS_SETS, buffer_m, density, yields)
+        patch.setattr(land, "_band_mask", masking)
+        results = land.stream_potential(*paths, classes, buffer_m, density, yields)
     return results, np.concatenate(masks), list(zip(windows, map(len, masks)))
 
 
 class TestStreamPotential:
     @settings(
-        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(data=st.data())
-    def test_banded_equals_whole_raster(self, tmp_path, data):
+    def test_banded_equals_whole_raster(self, tmp_path, caplog, data):
         """Read in bands of any height (at least the halo's), on lines of any
-        width, the regions equal those of the whole rasters and the masks
-        equal the brute-force oracle, with NODATA in either raster, different
-        NODATA values, unknown codes and region ids up to +-2**63."""
+        width, the regions equal those of the whole rasters, the masks equal
+        the brute-force oracle and the unknown codes give the whole raster's
+        warning, with NODATA in either raster and equal to an include, an
+        exclude or a neutral code, land codes and region ids up to +-2**63,
+        class codes at +-2**63, unknown codes only in rows that are also a
+        neighbouring band's halo, and region rasters that are random, constant,
+        a checkerboard (one run per pixel) or runs across band boundaries."""
         nrows = data.draw(st.integers(1, 30), label="nrows")
         ncols = data.draw(st.integers(1, 5), label="ncols")
-        land_nodata = data.draw(st.sampled_from([-9999, 0, 211]), label="land nodata")
+        land_nodata = data.draw(
+            st.sampled_from([-9999, 0, FARM, CITY, SHRUB, -(2**63)]), label="land nodata"
+        )
         region_nodata = data.draw(st.sampled_from([-9999, 0, 7, -(2**63)]), label="region nodata")
+        classes = data.draw(st.sampled_from([DEFAULT_CLASS_SETS, FAR_CLASS_SETS]), label="classes")
 
         def grid(values, label):
             size = nrows * ncols
             cells = st.lists(st.sampled_from(values), min_size=size, max_size=size)
             return np.reshape(data.draw(cells, label=label), (nrows, ncols))
 
-        codes = grid([FARM, 231, CITY, FOREST, SHRUB, 511, 999, land_nodata], "codes")
-        regions = grid([1, 2, 7, 0, -5, -9999, 2**62, -(2**63), 2**63 - 1], "regions")
+        pool = [FARM, 231, CITY, FOREST, SHRUB, 511, 999, -1, land_nodata, *EDGE_CODES]
+        codes = grid(pool, "codes")
         cell_size = data.draw(st.floats(0.5, 1000.0), label="cell size")
         cells = data.draw(st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 5.0)), "cells")
+        buffer_m = cells * cell_size
+        band_rows = data.draw(st.integers(1, nrows), label="band rows")
+        if data.draw(st.booleans(), label="unknown codes only in halo rows"):
+            ratio = buffer_m / cell_size  # the halo and band heights of stream_potential
+            halo = min(nrows, math.ceil(ratio) + 1) if ratio < nrows else nrows
+            height = max(band_rows, 4 * halo)
+            offset = np.arange(nrows)[:, None] - np.arange(height, nrows, height)
+            in_halo = ((offset >= -halo) & (offset < halo)).any(axis=1)  # rows either side
+            known = sorted(classes.include | classes.exclude | classes.neutral)
+            unknown = ~np.isin(codes, known) & (codes != land_nodata)
+            codes = np.where(unknown & ~in_halo[:, None], FARM, codes)
+        layout = data.draw(
+            st.sampled_from(["random", "constant", "checkerboard", "runs"]), label="regions"
+        )
+        ids = [1, 2, 7, 0, -5, -9999, 2**62, -(2**63), 2**63 - 1]
+        if layout == "random":
+            regions = grid(ids, "region ids")
+        elif layout == "constant":
+            regions = np.full((nrows, ncols), data.draw(st.sampled_from(ids), label="id"))
+        elif layout == "checkerboard":
+            pair = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            regions = np.choose(np.indices((nrows, ncols)).sum(axis=0) % 2, pair)
+        else:  # runs of up to two bands' pixels, along the rows
+            lengths = data.draw(
+                st.lists(st.integers(1, 2 * band_rows * ncols), min_size=1, max_size=20)
+            )
+            run_ids = data.draw(st.lists(st.sampled_from(ids), min_size=len(lengths),
+                                         max_size=len(lengths)))
+            regions = np.resize(np.repeat(run_ids, lengths), (nrows, ncols))
+        regions = np.asarray(regions, dtype=np.int64)
         widths = [w for w in range(1, codes.size + 1) if codes.size % w == 0]
         width = data.draw(st.sampled_from(widths), label="values per line")
-        band_rows = data.draw(st.integers(1, nrows), label="band rows")
         paths = (
             write_grid(tmp_path / "land.asc", codes, cell_size, land_nodata, width),
             write_grid(tmp_path / "regions.asc", regions, cell_size, region_nodata, width),
@@ -564,14 +604,20 @@ class TestStreamPotential:
         def yields(region_id):
             return {"tilt": 1000.0 + region_id % 97, "vertical": 850.0, "tracking": 0.0}
 
-        buffer_m = cells * cell_size
-        whole = region_potential(
-            raster, eligibility_mask(raster, DEFAULT_CLASS_SETS, buffer_m), region_raster
-        ).potentials(30.0, yields)
-        results, mask, _ = streamed(paths, buffer_m, 30.0, yields, band_rows, ncols)
+        with caplog.at_level("WARNING", logger="agrivolt.land"):
+            caplog.clear()
+            whole_mask = eligibility_mask(raster, classes, buffer_m)
+            warned = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            results, mask, _ = streamed(paths, buffer_m, 30.0, yields, band_rows, ncols, classes)
+            assert [r.getMessage() for r in caplog.records] == warned
+        whole = region_potential(raster, whole_mask, region_raster).potentials(30.0, yields)
         assert results == whole
-        oracle = brute_force_eligibility(raster, DEFAULT_CLASS_SETS, buffer_m)
+        oracle = brute_force_eligibility(raster, classes, buffer_m)
         np.testing.assert_array_equal(mask, oracle)
+        np.testing.assert_array_equal(whole_mask, oracle)
+        slow = reference_region_potential(raster, oracle, region_raster, 30.0, yields)
+        assert whole == slow
 
     @pytest.mark.parametrize(
         "band_rows, buffer_m, heights",
