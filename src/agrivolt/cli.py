@@ -123,22 +123,24 @@ def _load_run_inputs(
     where not passed, in one order: the config with the ``--wind-shear-exponent``
     override, the weather, its prices, then the full-year check (last, so that a
     price file is checked whatever the weather's length)."""
-    if not (args.config or args.weather or getattr(args, "prices", None)):
-        return None, None, None  # ``validate`` of land inputs loads no simulator module
-    from .config import load_config
-    from .sky import check_full_year
-    from .weather import ingest_prices, ingest_weather
-
     config = weather = prices = None
     if args.config:
+        from .config import load_config
+
         config = load_config(args.config, getattr(args, "wind_shear_exponent", None))
     if args.weather:
+        from .weather import ingest_weather
+
         weather = ingest_weather(args.weather)
     if getattr(args, "prices", None):
         if weather is None:
             raise InputError("--prices validation needs --weather for the timeline")
+        from .weather import ingest_prices
+
         prices = ingest_prices(args.prices, weather.times)
     if weather is not None:
+        from .sky import check_full_year
+
         check_full_year(weather.times)
     return config, weather, prices
 

@@ -517,16 +517,20 @@ def streamed(paths, buffer_m, density, yields, band_rows, ncols, classes=DEFAULT
     if taller; also the land eligibility of every band and the (window, band)
     heights of every band."""
     masks, windows = [], []
-    mask_of = land._band_mask
+    count, mask_of = land.region_potential, land.eligibility_mask
 
-    def masking(flags, excluded, above, cell_size, buffer_m):
-        windows.append(len(excluded))
-        masks.append(mask_of(flags, excluded, above, cell_size, buffer_m))
-        return masks[-1]
+    def counting(raster, eligible, regions):
+        masks.append(eligible)
+        return count(raster, eligible, regions)
+
+    def masking(raster, classes, buffer_m):
+        windows.append(len(raster.codes))
+        return mask_of(raster, classes, buffer_m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(land, "BAND_PIXELS", band_rows * ncols)
-        patch.setattr(land, "_band_mask", masking)
+        patch.setattr(land, "region_potential", counting)
+        patch.setattr(land, "eligibility_mask", masking)
         results = land.stream_potential(*paths, classes, buffer_m, density, yields)
     return results, np.concatenate(masks), list(zip(windows, map(len, masks)))
 
