@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     pot.add_argument("--yield-tilt", type=float, help="constant tilt yield, kWh/kW")
     pot.add_argument("--yield-vertical", type=float)
     pot.add_argument("--yield-tracking", type=float)
-    pot.add_argument("--demand-twh", type=float, default=2550.0,
+    pot.add_argument("--demand-twh", type=float, default=land.DEFAULT_DEMAND_TWH,
                      help="reference demand for the summary multiple")
     pot.add_argument("--out", required=True)
 

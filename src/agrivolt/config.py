@@ -21,7 +21,9 @@ from pathlib import Path
 from .agronomy import GROWING_MONTHS, CropThresholds
 from .electrical import PanelModel, wind_at_module
 from .errors import InputError
-from .layout import DEFAULT_CLEARANCE, MOUNT_KINDS, Layout, build_layout
+from .layout import (
+    DEFAULT_CLEARANCE, MOUNT_KINDS, STANDARD_HEIGHTS, STANDARD_SPACINGS, Layout, build_layout,
+)
 from .solar import GeoLocation
 
 log = logging.getLogger(__name__)
@@ -59,7 +61,8 @@ class ScenarioConfig:
     ground_map_months: tuple[int, ...] = (7,)
 
     def __post_init__(self) -> None:
-        """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid."""
+        """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid.
+        Then log each spacing and height outside the studied design space once."""
         for (section, key), (target, _, check) in KEYS.items():
             value = None if target is None or check is None else getattr(self, target)
             if value == ():  # refused in the list parser's words
@@ -85,6 +88,10 @@ class ScenarioConfig:
                 raise ValueError(f"[field] ground_m / ground_cell_m: over {MAX_SIDE_CELLS} cells")
         except ValueError as exc:
             raise ValueError(f"invalid value: {exc}") from exc
+        for name, values, studied in (("spacing", self.spacings, STANDARD_SPACINGS),
+                                      ("height", self.heights, STANDARD_HEIGHTS)):
+            for value in dict.fromkeys(v for v in values if v not in studied):
+                log.warning("%s %.3g m outside the studied set %s", name, value, studied)
 
 
 def _number(text: str) -> float:

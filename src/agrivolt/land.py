@@ -26,11 +26,10 @@ import logging
 import math
 import re
 import warnings
-from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import TextIO
 
@@ -50,6 +49,7 @@ DEFAULT_EXCLUDE_CLASSES = (
     411, 412, 421, 422, 423, 511, 512, 521, 522, 523,
 )
 DEFAULT_BUFFER_M = 100.0
+DEFAULT_DEMAND_TWH = 2550.0
 
 #: Rule per header key: (predicate on the parsed float, requirement). Each
 #: value must also be finite; every key but ``nodata_value`` is required.
@@ -120,6 +120,8 @@ class AsciiGrid:
                     value = math.nan
                 if not (math.isfinite(value) and valid(value)):
                     raise InputError(f"{path}: {key} must be {requirement}, got {parts[1]!r}")
+                if key == "nodata_value" and parts[1].lstrip("+-").isdigit():
+                    value = int(parts[1])  # exact, where a float rounds beyond 2**53
                 header[key] = value
         missing = [k for k in _ASCII_HEADER_RULES if k not in header and k != "nodata_value"]
         if missing:
@@ -314,6 +316,13 @@ def _has(flags: np.ndarray, bit: int) -> np.ndarray:
     return (flags & bit).astype(bool)
 
 
+def _unknown_codes(codes: np.ndarray, flags: np.ndarray) -> tuple[int, list[int]]:
+    """The number of pixels with an unknown code and the first ten such codes."""
+    unknown = _has(flags, _UNKNOWN)
+    count = int(unknown.sum())  # np.unique imports numpy.ma: call it only when needed
+    return count, np.unique(codes[unknown])[:10].tolist() if count else []
+
+
 def eligibility_mask(
     raster: LandRaster,
     classes: ClassSets = DEFAULT_CLASS_SETS,
@@ -327,11 +336,10 @@ def eligibility_mask(
     warning and are treated as excluded; NODATA pixels are outside the
     study area and neither eligible nor excluding.
     """
-    codes = raster.codes
-    flags = _classifier(classes, raster.nodata)(codes)
-    unknown = _has(flags, _UNKNOWN)
-    if unknown.any():
-        log.warning(_UNKNOWN_CODES, int(unknown.sum()), np.unique(codes[unknown])[:10].tolist())
+    flags = _classifier(classes, raster.nodata)(raster.codes)
+    unknown_px, first_unknown = _unknown_codes(raster.codes, flags)
+    if unknown_px:
+        log.warning(_UNKNOWN_CODES, unknown_px, first_unknown)
     near = _near_excluded(_has(flags, _EXCLUDED), raster.cell_size, buffer_m)
     return _has(flags, _INCLUDE) & ~near
 
@@ -411,11 +419,8 @@ class RegionCounts:
     pixel_area_km2: float
 
     def __add__(self, other: RegionCounts) -> RegionCounts:
-        ids = np.union1d(self.ids, other.ids)
-        pixels = np.zeros((2, ids.size), dtype=np.int64)
-        for part in (self, other):
-            pixels[:, np.searchsorted(ids, part.ids)] += part.pixels
-        return RegionCounts(ids, pixels, self.pixel_area_km2)
+        ids, pixels = np.concatenate((self.ids, other.ids)), np.hstack((self.pixels, other.pixels))
+        return RegionCounts(*_merge(ids, pixels), self.pixel_area_km2)
 
     def potentials(
         self, capacity_density_w_m2: float, yields: Callable[[int], dict[str, float]]
@@ -437,10 +442,17 @@ class RegionCounts:
 
 
 def _run_sums(ids: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The id of each run of equal values in the non-empty ``ids`` and the int64
-    sums of the (k, ids.size) ``pixels`` over each run."""
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    """The id of each run of equal values in ``ids`` and the int64 sums of the
+    (k, ids.size) ``pixels`` over each run."""
+    starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
     return ids[starts], np.add.reduceat(pixels, starts, axis=1, dtype=np.int64)
+
+
+def _merge(ids: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``ids`` and the int64 sums of the (k, ids.size) ``pixels`` of each."""
+    order = np.argsort(ids)
+    # take gathers single-pixel runs in about 0.6x the time of pixels[:, order]
+    return _run_sums(ids.take(order), pixels.take(order, axis=1))
 
 
 def region_potential(raster: LandRaster, eligible: np.ndarray, regions: LandRaster) -> RegionCounts:
@@ -453,28 +465,26 @@ def region_potential(raster: LandRaster, eligible: np.ndarray, regions: LandRast
     """
     _check_grid(raster, regions)
     land = raster.codes != raster.nodata
-    ids, pixels = _run_sums(regions.codes.ravel(), np.stack((land, land & eligible)).reshape(2, -1))
-    order = np.argsort(ids)
-    # take gathers single-pixel runs in about 0.6x the time of pixels[:, order]
-    ids, pixels = _run_sums(ids.take(order), pixels.take(order, axis=1))
+    pixels = np.stack((land, land & eligible)).reshape(2, -1)
+    ids, pixels = _merge(*_run_sums(regions.codes.ravel(), pixels))
     keep = ids != regions.nodata
     return RegionCounts(ids[keep], pixels[:, keep], raster.pixel_area_km2)
 
 
-def _windows(bands: Iterator[np.ndarray], halo: int) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Each band with up to ``halo`` rows above and below it, as (window, rows
-    above the band, band height). Rows above are kept from earlier bands."""
-    held: np.ndarray | None = None  # up to ``halo`` rows, then the bands not yet given out
-    above, waiting = 0, deque()  # rows before the first waiting band; waiting band heights
-    for band in chain(bands, [None]):
-        if band is not None:
-            held = band if held is None else np.concatenate((held, band))
-            waiting.append(len(band))
-        while waiting and (band is None or len(held) - above - waiting[0] >= halo):
-            rows = waiting.popleft()
-            yield held[: above + rows + halo], above, rows
-            cut = max(0, above + rows - halo)
-            held, above = held[cut:], above + rows - cut
+def _windows(
+    bands: Iterator[np.ndarray], classify: Callable[[np.ndarray], np.ndarray], halo: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, slice]]:
+    """Each band of codes with its flag window, as (band, window, the band's rows in
+    it): the last ``halo`` flag rows of the band before, the band's flags and the first
+    ``halo`` flag rows of the band after. Every band but the last must be at least
+    ``halo`` rows tall, so that its neighbours hold the whole halo."""
+    flagged = chain(((codes, classify(codes)) for codes in bands), [(None, ())])
+    above = ()  # the last ``halo`` flag rows of the band before, if any
+    for (band, flags), (_, after) in pairwise(flagged):
+        parts = [rows for rows in (above, flags, after[:halo]) if len(rows)]
+        window = np.concatenate(parts) if len(parts) > 1 else flags  # no copy without neighbours
+        yield band, window, slice(len(above), len(above) + len(band))
+        above = flags[-halo:]
 
 
 def stream_potential(
@@ -489,60 +499,38 @@ def stream_potential(
     in lockstep band by band (:meth:`AsciiGrid.bands`), so that memory depends
     on :data:`BAND_PIXELS` and the buffer, not on the rasters' height.
 
-    The grids are checked before any data is read. Each land band is
-    classified once, as it is read, into a flag band (one lookup per pixel),
-    and its unknown codes are counted there. Each band's
-    :func:`eligibility_mask` comes from its flags with ``halo = ceil(buffer_m
-    / cellsize) + 1`` rows above and below it (an excluded pixel farther away
-    lies beyond the buffer), masked as codes of :data:`_FLAG_CLASSES`, and its
-    :func:`region_potential` counts add up over the bands. Bands are at least
-    ``4 * halo`` rows tall, so a window holds at most 1.5 bands' rows. The
-    result equals that of the whole rasters, and unknown class codes are
-    logged once, as for the whole raster.
+    The grids are checked before any data is read. Each land band is classified once into
+    flags (one lookup per pixel), and the unknown codes of its own rows are counted, then
+    logged once. :func:`eligibility_mask` masks its flags, as codes of :data:`_FLAG_CLASSES`,
+    with ``halo = ceil(buffer_m / cellsize) + 1`` flag rows of the neighbouring bands above
+    and below (:func:`_windows`; an excluded pixel farther away lies beyond the buffer). Its
+    :func:`region_potential` counts merge with ``+`` into the whole rasters' result.
     """
     land, regions = AsciiGrid(raster_path), AsciiGrid(regions_path)
     _check_grid(land, regions)
     nrows = land.shape[0]
     ratio = buffer_m / land.cell_size  # inf for a huge buffer on tiny cells
     halo = min(nrows, math.ceil(ratio) + 1) if ratio < nrows else nrows
-    # Bands of at least four halos keep a window within 1.5 bands. The mask costs the same
-    # per pixel in any window, so a thinner band only adds halo rows to mask: on the
-    # benchmark raster, bands of one halo took 1.03x, 1.13x and 1.21x the time at 10, 30
-    # and 100 km.
+    # Bands of four halos keep a window within 1.5 bands; on the benchmark raster, bands of one
+    # halo (more halo rows to mask) took 1.03x, 1.13x and 1.21x the time at 10, 30 and 100 km.
     min_rows = 4 * halo
-    classify = _classifier(classes, land.nodata)
-    code_bands: deque[np.ndarray] = deque()  # the bands read, not yet counted
-    unknown_px, first_unknown = 0, []
-
-    def flag_bands() -> Iterator[np.ndarray]:
-        nonlocal unknown_px, first_unknown
-        for band in land.bands(min_rows):
-            flags = classify(band)
-            unknown = _has(flags, _UNKNOWN)  # counted as read, so halo rows count once
-            if unknown.any():
-                unknown_px += int(unknown.sum())
-                codes = np.unique(band[unknown])[:10].tolist()
-                first_unknown = sorted({*first_unknown, *codes})[:10]
-            code_bands.append(band)
-            yield flags
-
-    counts = None
-    for (window, above, rows), region_band in zip(
-        _windows(flag_bands(), halo), regions.bands(min_rows)
-    ):
+    windows = _windows(land.bands(min_rows), _classifier(classes, land.nodata), halo)
+    counts, unknown_px, first_unknown = None, 0, []
+    for (codes, window, rows), region_band in zip(windows, regions.bands(min_rows)):
+        count, first = _unknown_codes(codes, window[rows])
+        unknown_px, first_unknown = unknown_px + count, sorted({*first_unknown, *first})[:10]
         flags = LandRaster(window, land.cell_size, nodata=_NO_FLAG)
-        eligible = eligibility_mask(flags, _FLAG_CLASSES, buffer_m)[above : above + rows]
-        part = region_potential(
-            land.raster(code_bands.popleft()), eligible, regions.raster(region_band)
-        )
+        eligible = eligibility_mask(flags, _FLAG_CLASSES, buffer_m)[rows]
+        part = region_potential(land.raster(codes), eligible, regions.raster(region_band))
         counts = part if counts is None else counts + part
+        del codes, window, flags, eligible, region_band  # hold no band while the next is read
     if unknown_px:
         log.warning(_UNKNOWN_CODES, unknown_px, first_unknown)
     return counts.potentials(capacity_density_w_m2, yields)
 
 
 def aggregate_potential(
-    results: list[RegionPotential], demand_twh: float = 2550.0
+    results: list[RegionPotential], demand_twh: float = DEFAULT_DEMAND_TWH
 ) -> dict[str, float]:
     """Sum regions and relate the energy potential to a reference demand.
 

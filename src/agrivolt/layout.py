@@ -17,7 +17,6 @@ World coordinates: x east, y north, z up, ground at z = 0, all metres.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,12 +25,10 @@ import numpy as np
 
 from .solar import PlaneOrientation, SolarPosition, plane_normal, tracking_orientation
 
-log = logging.getLogger(__name__)
-
 MOUNT_KINDS = ("tilt", "vertical", "tracking")
 
 #: Row spacings and collector heights of the studied design space. Other
-#: positive values are accepted with a warning.
+#: positive values are accepted; a scenario logs each of them once.
 STANDARD_SPACINGS = (3.0, 4.5, 6.0, 7.5, 9.0, 12.0)
 STANDARD_HEIGHTS = (1.0, 2.0, 3.0)
 
@@ -216,14 +213,10 @@ def build_layout(
 
     The fixed tilt defaults to :func:`optimal_tilt` of ``latitude_deg``;
     pass ``tilt`` (radians) to override. Spacings and heights outside the
-    studied design space are allowed but logged as a warning.
+    studied design space are allowed.
     """
     if kind not in MOUNT_KINDS:
         raise ValueError(f"unknown mount kind {kind!r}, expected one of {MOUNT_KINDS}")
-    if spacing not in STANDARD_SPACINGS:
-        log.warning("spacing %.3g m outside the studied set %s", spacing, STANDARD_SPACINGS)
-    if height not in STANDARD_HEIGHTS:
-        log.warning("height %.3g m outside the studied set %s", height, STANDARD_HEIGHTS)
     if kind == "tilt":
         if tilt is None:
             if latitude_deg is None:

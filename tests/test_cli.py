@@ -140,6 +140,31 @@ class TestSimulate:
             assert proc.stderr.count("top-of-atmosphere") == 1, proc.stderr
             assert f"in 1 hours ({stamp[:13]}" in proc.stderr
 
+    def test_off_catalogue_values_warn_once(self, cli_config, data_dir, tmp_path):
+        """Spacings outside the studied set are logged once each, not once per
+        case or per worker, by ``simulate`` at one and at two workers."""
+        config = tmp_path / "scenario.ini"
+        config.write_text(
+            cli_config.read_text()
+            .replace("kinds = tilt, vertical", "kinds = tilt, vertical, tracking")
+            .replace("spacings_m = 6", "spacings_m = 5, 5.5")
+            .replace("ground_m = 20", "ground_m = 2")
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "agrivolt.cli", "simulate", "--config", str(config),
+                 "--weather", str(data_dir / "weather.csv"), "--out", str(tmp_path / threads),
+                 "--threads", threads],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            warned = [line for line in proc.stderr.splitlines() if "outside the studied" in line]
+            assert [line.split(": ", 1)[1] for line in warned] == [
+                "spacing 5 m outside the studied set (3.0, 4.5, 6.0, 7.5, 9.0, 12.0)",
+                "spacing 5.5 m outside the studied set (3.0, 4.5, 6.0, 7.5, 9.0, 12.0)",
+            ], proc.stderr
+
     def test_bad_config_exits_2(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[meta]\nschema_version = 1\n\n[location]\nlatitude = 56\nlongitude = 9\n\n[sky]\nhaze = 1\n")

@@ -80,6 +80,23 @@ class TestAsciiGridIO:
             with pytest.raises(InputError, match=f"{key.lower()} must be"):
                 read_ascii_grid(path)
 
+    def test_nodata_beyond_float_precision(self, tmp_path, caplog):
+        """A NODATA above 2**53 reads exactly, so its pixels stay NODATA: no
+        unknown code is warned about or counted as land."""
+        nodata = 2**53 + 1
+        codes = np.array([[nodata], [FARM]])
+        paths = (
+            write_grid(tmp_path / "land.asc", codes, 100.0, nodata, 1),
+            write_grid(tmp_path / "regions.asc", np.ones_like(codes), 100.0, -9999, 1),
+        )
+        assert read_ascii_grid(paths[0]).nodata == nodata
+        with caplog.at_level("WARNING", logger="agrivolt.land"):
+            (region,) = land.stream_potential(
+                *paths, DEFAULT_CLASS_SETS, 100.0, 30.0, constant({})
+            )
+        assert caplog.text == ""
+        assert region.total_km2 == region.eligible_km2 == (100.0 / 1000.0) ** 2
+
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "short.asc"
         path.write_text(
@@ -445,6 +462,26 @@ class TestRegionPotential:
                 region_potential(raster, eligible, regions)
             assert "does not match" in str(info.value)
 
+    def test_counts_of_row_bands_add_up(self):
+        """Counts of disjoint rows add up with ``+`` to the whole raster's, in id
+        order, also when one part or both hold no region."""
+        codes = np.full((4, 3), FARM)
+        codes[3, 0] = CITY
+        regions = np.array([[-9999] * 3, [-9999] * 3, [5, 2, 2], [2, -9999, 9]])
+        eligible = eligibility_mask(make_raster(codes))
+
+        def counts(rows):
+            raster = make_raster(codes[rows])
+            return region_potential(raster, eligible[rows], on_grid(raster, regions[rows]))
+
+        top, bottom, whole = counts(slice(0, 2)), counts(slice(2, 4)), counts(slice(0, 4))
+        assert top.ids.size == 0
+        sums = (((top + top) + bottom, whole), (bottom + top, whole), (top + top, top))
+        for total, expected in sums:
+            np.testing.assert_array_equal(total.ids, expected.ids)
+            np.testing.assert_array_equal(total.pixels, expected.pixels)
+        np.testing.assert_array_equal(whole.ids, [2, 5, 9])
+
     def test_empty_region(self):
         """A region that lies only on land NODATA has no area and no share."""
         codes = np.full((3, 3), FARM)
@@ -532,6 +569,7 @@ def streamed(paths, buffer_m, density, yields, band_rows, ncols, classes=DEFAULT
         patch.setattr(land, "region_potential", counting)
         patch.setattr(land, "eligibility_mask", masking)
         results = land.stream_potential(*paths, classes, buffer_m, density, yields)
+    assert len(windows) == len(masks)  # one mask and one count per band
     return results, np.concatenate(masks), list(zip(windows, map(len, masks)))
 
 
@@ -626,7 +664,8 @@ class TestStreamPotential:
     @pytest.mark.parametrize(
         "band_rows, buffer_m, heights",
         [(3, 250.0, [16, 7]), (17, 250.0, [17, 6]), (1, 0.0, [4] * 5 + [3]),
-         (5, 0.0, [5] * 4 + [3]), (2, 200.0, [12, 11]), (1, 600.0, [23]), (1, 1e5, [23])],
+         (5, 0.0, [5] * 4 + [3]), (2, 200.0, [12, 11]), (1, 600.0, [23]), (1, 1e5, [23]),
+         (1, 400.0, [20, 3])],
     )
     def test_windows_hold_a_band_and_its_halo(self, tmp_path, band_rows, buffer_m, heights):
         """On a raster of 23 rows, bands are at least four halos tall (a halo is
@@ -645,6 +684,11 @@ class TestStreamPotential:
         assert [band for _, band in windows] == heights
         assert all(2 * window <= 3 * heights[0] for window, _ in windows)
         assert all(window <= band + 2 * halo for window, band in windows)
+        starts = np.cumsum([0, *heights[:-1]])  # a halo of rows above and below, where present
+        assert [window for window, _ in windows] == [
+            min(halo, start) + band + min(halo, 23 - start - band)
+            for start, band in zip(starts, heights)
+        ]
         raster = read_ascii_grid(paths[0])
         np.testing.assert_array_equal(mask, eligibility_mask(raster, buffer_m=buffer_m))
 
