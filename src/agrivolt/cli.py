@@ -205,10 +205,11 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     # every region value adds into a total, so a finite summary has finite regions
     if not all(math.isfinite(v) for v in summary.values()):
         raise InputError("the flag values overflow the potential totals")
-    out.mkdir(parents=True, exist_ok=True)
-    outputs.write_regions_csv(out / "regions.csv", results)
-    outputs.write_summary_csv(out / "summary.csv", summary)
-    print(f"wrote {out / 'regions.csv'} and {out / 'summary.csv'}")
+    regions, totals = outputs.write_artifacts(out, [
+        ("regions.csv", lambda path: outputs.write_regions_csv(path, results)),
+        ("summary.csv", lambda path: outputs.write_summary_csv(path, summary)),
+    ])
+    print(f"wrote {regions} and {totals}")
     return 0
 
 

@@ -22,8 +22,10 @@ from .agronomy import GROWING_MONTHS, CropThresholds
 from .electrical import PanelModel, wind_at_module
 from .errors import InputError
 from .layout import (
-    DEFAULT_CLEARANCE, MOUNT_KINDS, STANDARD_HEIGHTS, STANDARD_SPACINGS, Layout, build_layout,
+    DEFAULT_BIFACIALITY, DEFAULT_CELL_SIZE, DEFAULT_CLEARANCE, DEFAULT_FIELD, MOUNT_KINDS,
+    STANDARD_HEIGHTS, STANDARD_SPACINGS, Layout, build_layout,
 )
+from .sky import DEFAULT_ALBEDO
 from .solar import GeoLocation
 
 log = logging.getLogger(__name__)
@@ -47,15 +49,15 @@ class ScenarioConfig:
     kinds: tuple[str, ...] = MOUNT_KINDS
     spacings: tuple[float, ...] = (6.0,)
     heights: tuple[float, ...] = (2.0,)
-    electrical_field_m: float = 100.0
+    electrical_field_m: float = DEFAULT_FIELD[0]
     ground_field_m: float = 50.0
-    ground_cell_m: float = 0.5
+    ground_cell_m: float = DEFAULT_CELL_SIZE
     clearances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_CLEARANCE))
     tilt_deg: float | None = None
     tracker_max_rotation_deg: float | None = None
-    bifaciality_vertical: float = 0.8
+    bifaciality_vertical: float = DEFAULT_BIFACIALITY["vertical"]
     panel: PanelModel = PanelModel()
-    albedo: float = 0.2
+    albedo: float = DEFAULT_ALBEDO
     thresholds: CropThresholds = CropThresholds()
     growing_months: tuple[int, ...] = GROWING_MONTHS
     ground_map_months: tuple[int, ...] = (7,)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import Layout
-from .shading import row_shading
-from .sky import PlaneIrradiance, SkyYear, check_full_year, plane_irradiance
+from .shading import N_TB, row_shading
+from .sky import DEFAULT_ALBEDO, PlaneIrradiance, SkyYear, check_full_year, plane_irradiance
 from .solar import SolarPosition, incidence_angle, math_map, sun_vector
 
 #: Relative-efficiency coefficients for crystalline silicon modules
@@ -57,7 +57,7 @@ class PanelModel:
     u0: float = 26.92
     u1: float = 6.24
     eta_system: float = 0.86
-    blocks: int = 3
+    blocks: int = N_TB
     huld: tuple[float, float, float, float, float, float] = HULD_COEFFICIENTS_CSI
     wind_shear_exponent: float = 2.0
 
@@ -74,7 +74,7 @@ class PanelModel:
             raise ValueError("u0 must be positive, u1 non-negative")
 
 
-def angular_loss(incidence, alpha_r: float = 0.17):
+def angular_loss(incidence, alpha_r: float = PanelModel.alpha_r):
     """Reflection loss of beam irradiance at the given incidence angle.
 
     Zero at normal incidence, exactly 1 at grazing incidence (>= pi/2):
@@ -87,7 +87,9 @@ def angular_loss(incidence, alpha_r: float = 0.17):
     return np.where(grazing, 1.0, 1.0 - (1.0 - decay) / scale)[()]
 
 
-def wind_at_module(wind10: float, module_height: float, exponent: float = 2.0) -> float:
+def wind_at_module(
+    wind10: float, module_height: float, exponent: float = PanelModel.wind_shear_exponent
+) -> float:
     """Wind speed scaled from 10 m to module mid height: (h/10)^exp * w10."""
     if module_height <= 0.0:
         raise ValueError(f"module height must be positive: {module_height}")
@@ -97,7 +99,9 @@ def wind_at_module(wind10: float, module_height: float, exponent: float = 2.0) -
         raise ValueError(f"(h/10)^exp overflows at h = {module_height:g} m, exp = {exponent:g}")
 
 
-def cell_temperature(temp_air, g_eff, wind_module, u0: float = 26.92, u1: float = 6.24):
+def cell_temperature(
+    temp_air, g_eff, wind_module, u0: float = PanelModel.u0, u1: float = PanelModel.u1
+):
     """Cell temperature in degC: T_amb + G_eff / (u0 + u1 * wind)."""
     return temp_air + g_eff / (u0 + u1 * wind_module)
 
@@ -171,7 +175,7 @@ def simulate_year(
     layout: Layout,
     sky: SkyYear,
     panel: PanelModel | None = None,
-    albedo: float = 0.2,
+    albedo: float = DEFAULT_ALBEDO,
 ) -> SimulationResult:
     """Hourly field production for one complete sky year, all lit hours at once.
 

@@ -445,7 +445,10 @@ def _run_sums(ids: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The id of each run of equal values in ``ids`` and the int64 sums of the
     (k, ids.size) ``pixels`` over each run."""
     starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
-    return ids[starts], np.add.reduceat(pixels, starts, axis=1, dtype=np.int64)
+    sums = np.empty((len(pixels), starts.size), dtype=np.int64)
+    for row, out in zip(pixels, sums):  # one row widened to int64 at a time, not the stack
+        np.add.reduceat(row, starts, dtype=np.int64, out=out)
+    return ids[starts], sums
 
 
 def _merge(ids: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

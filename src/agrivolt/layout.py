@@ -36,6 +36,7 @@ DEFAULT_CLEARANCE = {"tilt": 2.0, "vertical": 1.0, "tracking": 1.0}
 DEFAULT_BIFACIALITY = {"tilt": 0.0, "vertical": 0.8, "tracking": 0.0}
 
 DEFAULT_FIELD = (100.0, 100.0)
+DEFAULT_CELL_SIZE = 0.5  # side of a ground-map cell, metres
 
 
 def optimal_tilt(latitude_deg: float) -> float:

@@ -7,11 +7,13 @@ platform or thread count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .layout import MOUNT_KINDS
 from .solar import month_index
 
 if TYPE_CHECKING:
@@ -22,6 +24,14 @@ if TYPE_CHECKING:
     from .shading import GroundGrid
 
 PGM_MAXVAL = 65535
+
+
+def write_artifacts(out: Path, table: list[tuple[str, Callable[[Path], None]]]) -> list[Path]:
+    """Create ``out``, write each (file name, writer of its path) of ``table`` in order."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in table:
+        write(out / name)
+    return [out / name for name, _ in table]
 
 
 def _fmt(value: float) -> str:
@@ -99,9 +109,7 @@ def write_ground_pgm(path: str | Path, grid: GroundGrid) -> None:
     normalized = np.clip(grid.normalized, 0.0, 1.0)
     pixels = np.round(np.flipud(normalized) * PGM_MAXVAL).astype(">u2")
     ny, nx = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{nx} {ny}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    Path(path).write_bytes(f"P5\n{nx} {ny}\n{PGM_MAXVAL}\n".encode("ascii") + pixels.tobytes())
 
 
 def write_decision_csv(path: str | Path, points: list[DecisionPoint]) -> None:
@@ -136,12 +144,8 @@ def write_comparisons_csv(path: str | Path, reports: list[IndicatorReport]) -> N
             price = value = ""
         else:
             price = _fmt(r.price_weighted_yield_kwh_m2)
-            ratio = (
-                r.price_weighted_yield_kwh_m2 / r.electricity_yield_kwh_m2
-                if r.electricity_yield_kwh_m2 > 0.0
-                else 0.0
-            )
-            value = _fmt(ratio)
+            energy = r.electricity_yield_kwh_m2
+            value = _fmt(r.price_weighted_yield_kwh_m2 / energy if energy > 0.0 else 0.0)
         lines.append(
             f"{r.scenario},{r.kind},{r.spacing:g},{r.height:g},"
             f"{_fmt(r.specific_yield_kwh_kw)},{_fmt(norm)},"
@@ -151,14 +155,10 @@ def write_comparisons_csv(path: str | Path, reports: list[IndicatorReport]) -> N
 
 
 def write_regions_csv(path: str | Path, results: list[RegionPotential]) -> None:
-    lines = [
-        "region_id,total_km2,eligible_km2,share_pct,capacity_GW,"
-        "energy_tilt_TWh,energy_vertical_TWh,energy_tracking_TWh"
-    ]
+    energy = "".join(f",energy_{kind}_TWh" for kind in MOUNT_KINDS)
+    lines = ["region_id,total_km2,eligible_km2,share_pct,capacity_GW" + energy]
     for r in results:
-        energies = ",".join(
-            _fmt(r.energy_twh.get(kind, 0.0)) for kind in ("tilt", "vertical", "tracking")
-        )
+        energies = ",".join(_fmt(r.energy_twh.get(kind, 0.0)) for kind in MOUNT_KINDS)
         lines.append(
             f"{r.region_id},{_fmt(r.total_km2)},{_fmt(r.eligible_km2)},"
             f"{_fmt(r.share_pct)},{_fmt(r.capacity_gw)},{energies}"

@@ -176,8 +176,8 @@ def _artifacts(
         table.append((f"hourly_{r.spec.scenario}.csv",
                       lambda path, sim=r.simulation: outputs.write_hourly_csv(path, sim, stamps())))
     table.append(("monthly_yield.csv", lambda path: outputs.write_monthly_csv(path, simulations)))
-    for r in results:
-        grid = functools.partial(r.combined_grid, config.ground_map_months)
+    for r in results:  # the csv and the pgm share one combined grid
+        grid = functools.cache(functools.partial(r.combined_grid, config.ground_map_months))
         table.append((f"ground_{r.spec.scenario}.csv",
                       lambda path, grid=grid: outputs.write_ground_csv(path, grid())))
         table.append((f"ground_{r.spec.scenario}.pgm",
@@ -200,12 +200,9 @@ def _sweep(
     results = run_cases(config, weather, tuple(sorted(months)), threads)
     # the table refuses overflowing prices, so it is built before the directory
     table = [entry for entry in _artifacts(config, results, prices) if only in (None, entry[0])]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, write in table:
-        write(out / name)
-    log.info("wrote %d artifacts to %s", len(table), out)
-    return [out / name for name, _ in table]
+    written = outputs.write_artifacts(Path(out_dir), table)
+    log.info("wrote %d artifacts to %s", len(table), Path(out_dir))
+    return written
 
 
 def run_scenario(

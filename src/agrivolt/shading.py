@@ -28,9 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import Layout, RowGeometry
+from .layout import DEFAULT_CELL_SIZE, Layout, RowGeometry
 from .sky import MIN_SUN_ALTITUDE, SkyYear
 from .solar import SolarPosition, sun_vector
+
+#: Series cell blocks per module (N_TB), stacked across its short axis.
+N_TB = 3
 
 #: A shadow must cover more than this fraction of a block's area to count
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
@@ -57,7 +60,7 @@ class RowShading:
     f_es: np.ndarray
 
 
-def effective_shading_factor(f_gs, n_sb, n_tb: int = 3):
+def effective_shading_factor(f_gs, n_sb, n_tb: int = N_TB):
     """Electrical shading factor: 1 - (1 - F_GS) * (1 - N_SB / (N_TB + 1)).
 
     Blocks react to partial shading much harder than the shaded area alone
@@ -70,19 +73,16 @@ def effective_shading_factor(f_gs, n_sb, n_tb: int = 3):
     return 1.0 - (1.0 - f_gs) * (1.0 - n_sb / (n_tb + 1.0))
 
 
-def shaded_blocks(
-    u_extent, v_lo, v_hi, length: float, height, n_tb: int = 3,
-    min_fraction: float = MIN_BLOCK_SHADOW_FRACTION,
-):
+def shaded_blocks(u_extent, v_lo, v_hi, length: float, height, n_tb: int = N_TB):
     """Count shaded blocks for a rectangular shadow on one collector.
 
     Blocks are n_tb equal strips stacked across the collector short axis
     (v direction). A strip counts as shaded when the shadow rectangle
     (u extent ``u_extent``, v span [v_lo, v_hi]) overlaps more than
-    ``min_fraction`` of the strip area.
+    :data:`MIN_BLOCK_SHADOW_FRACTION` of the strip area.
     """
     strip = height / n_tb
-    min_area = min_fraction * length * strip
+    min_area = MIN_BLOCK_SHADOW_FRACTION * length * strip
     count = 0
     for k in range(n_tb):
         top, bottom = (k + 1) * strip, k * strip
@@ -111,7 +111,7 @@ def _shadow_rectangle(geom: RowGeometry, sun_vecs: np.ndarray):
     return np.vecdot(shift, u_hat), np.vecdot(shift, v_hat), casts
 
 
-def row_shading(geom: RowGeometry, sun_vecs: np.ndarray, n_tb: int = 3) -> RowShading:
+def row_shading(geom: RowGeometry, sun_vecs: np.ndarray, n_tb: int = N_TB) -> RowShading:
     """Shading of the rows of a layout for each sun vector ((3,) or (H, 3)).
 
     The row on the sun side of the field has no sun-side neighbour and stays
@@ -262,7 +262,7 @@ class GroundGrid:
 
 
 def ground_irradiance_map(
-    layout: Layout, hours: SkyYear, cell_size: float = 0.5
+    layout: Layout, hours: SkyYear, cell_size: float = DEFAULT_CELL_SIZE
 ) -> GroundGrid:
     """Accumulate the ground-level shadow map over the given sky hours.
 
@@ -273,10 +273,8 @@ def ground_irradiance_map(
     horizontal receiver). Cells sit at the centres of a ``cell_size`` grid
     covering the layout field.
     """
-    nx = max(1, int(round(layout.field[0] / cell_size)))
-    ny = max(1, int(round(layout.field[1] / cell_size)))
-    xs = (np.arange(nx) + 0.5) * cell_size
-    ys = (np.arange(ny) + 0.5) * cell_size
+    xs, ys = ((np.arange(max(1, round(side / cell_size))) + 0.5) * cell_size
+              for side in layout.field)
 
     direct, circ, iso = hours.bhi, hours.k1 * hours.dhi, hours.k_hori * (1.0 - hours.k1) * hours.dhi
     daylight = hours.ghi > 0.0
@@ -286,7 +284,7 @@ def ground_irradiance_map(
 
     # direct and circumsolar; an hour without one adds +0.0 to its grid: no change
     weights = np.maximum(np.stack([direct, circ], axis=-1)[lit], 0.0)[:, :, None, None]
-    blocked = np.zeros((2, ny, nx))
+    blocked = np.zeros((2, ys.size, xs.size))
     for first in range(0, lit.size, _MASK_CHUNK_HOURS):
         chunk = lit[first:first + _MASK_CHUNK_HOURS]
         sun = SolarPosition(hours.altitude[chunk], hours.azimuth[chunk])

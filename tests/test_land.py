@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -497,6 +498,26 @@ class TestRegionPotential:
         assert pot.total_km2 == 0.0
         assert pot.share_pct == 0.0
         assert pot.capacity_gw == 0.0
+
+    def test_counting_widens_one_row_of_pixels_at_a_time(self):
+        """Counting a 2000 x 2000 raster of 50 block regions stays below 60 MB of
+        numpy memory: the (2, pixels) bool stack is summed into int64 one row at
+        a time (widening the whole stack at once took 76 MB)."""
+        side = 2000
+        raster = make_raster(np.full((side, side), FARM))
+        eligible = np.random.default_rng(5).random((side, side)) < 0.5
+        ids = np.add.outer(np.arange(side) // 400 * 10, np.arange(side) // 200) + 1
+        regions = on_grid(raster, ids)
+        tracemalloc.start()
+        try:
+            counts = region_potential(raster, eligible, regions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, f"{peak / 1e6:.1f} MB"
+        np.testing.assert_array_equal(counts.ids, np.arange(1, 51))
+        assert counts.pixels[0].tolist() == [400 * 200] * 50
+        assert counts.pixels[1].sum() == eligible.sum()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -320,6 +320,30 @@ class TestGroundShadowMasksOverHours:
             assert np.array_equal(masks[i], expected), i
             assert np.array_equal(ground_shadow_masks(rows, sun_vec, xs, ys), expected), i
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=mask_cases())
+    def test_mirror_in_the_diagonal_transposes_the_masks(self, case):
+        """Swapping x and y in the rows, the suns and the cell centres transposes
+        every mask bit for bit, for rows along either axis."""
+        layout = build_layout(
+            case["kind"], case["spacing"], case["height"], field=case["field"],
+            latitude_deg=56.49,
+        )
+        sun = SolarPosition(*(np.array(c) for c in zip(*case["suns"])))
+        geom = layout.row_geometry(layout.orientation(sun))
+        sun_vecs = sun_vector(sun)
+        cell = case["cell"]
+        xs, ys = ((np.arange(max(1, round(side / cell))) + 0.5) * cell for side in case["field"])
+
+        def mirror(v: np.ndarray) -> np.ndarray:
+            return v[..., [1, 0, 2]]
+
+        mirrored = replace(geom, **{name: mirror(getattr(geom, name))
+                                    for name in ("origin", "along", "rise", "pitch", "normal")})
+        masks = ground_shadow_masks(geom, sun_vecs, xs, ys)
+        flipped = ground_shadow_masks(mirrored, mirror(sun_vecs), ys, xs)
+        assert np.array_equal(flipped, masks.transpose(0, 2, 1))
+
     def test_rows_off_the_grid_axes_rejected(self):
         sun = SolarPosition(altitude=math.radians(30.0), azimuth=0.0)
         _, geom = layout_geometry("tilt", 6.0, 2.0, sun)
