@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         run.add_argument("--config", required=True, help="scenario INI file")
         run.add_argument("--weather", required=True, help="hourly weather CSV")
         run.add_argument("--out", required=True, help="output directory")
-        run.add_argument("--threads", type=int, default=1, help="worker processes")
+        run.add_argument("--threads", type=int, help="worker processes")
     sim.add_argument("--prices", help="hourly price CSV aligned to the weather year")
     sim.add_argument(
         "--wind-shear-exponent",
@@ -152,10 +152,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     out = _out_dir(args.out)
     config, weather, prices = _load_run_inputs(args)
+    threads = scenario.DEFAULT_THREADS if args.threads is None else args.threads
     if args.command == "decision-map":
-        print(f"wrote {scenario.run_decision_map(config, weather, out, args.threads)}")
+        print(f"wrote {scenario.run_decision_map(config, weather, out, threads)}")
     else:
-        written = scenario.run_scenario(config, weather, prices, out, args.threads)
+        written = scenario.run_scenario(config, weather, prices, out, threads)
         print(f"wrote {len(written)} artifacts to {args.out}")
     return 0
 
@@ -182,6 +183,8 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
             region = int(region_id)
         except ValueError as exc:
             raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
+        if region in table:
+            raise InputError(f"{path}: row {row}: region {region} given twice")
         table[region] = {k: _parse_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
         if min(table[region].values()) < 0.0:
             raise InputError(f"{path}: row {row}: yields must be >= 0")

@@ -82,6 +82,8 @@ class ScenarioConfig:
                               ("[layout] heights_m", max(self.heights))):
                 if not side <= MAX_ROW_SIDE_M:
                     raise ValueError(f"{key} over {MAX_ROW_SIDE_M:g} m")
+            if not self.electrical_field_m * self.electrical_field_m > 0.0:
+                raise ValueError("[field] electrical_m squared, the field area, underflows to 0")
             for key, side, most in (("electrical_m", self.electrical_field_m, MAX_ROWS),
                                     ("ground_m", self.ground_field_m, MAX_GROUND_ROWS)):
                 if not side / min(self.spacings) < most:  # floor(side / spacing) + 1 <= most

@@ -181,9 +181,9 @@ def simulate_year(
 
     Rows fall into at most two shading classes per hour (the sun-side edge
     row is never shaded; all others share the nearest-neighbour shadow), so
-    the module model runs once per class over the lit hours and weighs by
-    row count. The open rows' output is also the shading counterfactual of
-    every row.
+    the module model runs once over the lit hours of both classes stacked,
+    each face's angular loss once per hour, and weighs by row count. The
+    open rows' output is also the shading counterfactual of every row.
     """
     panel = panel or PanelModel()
     check_full_year(sky.times)
@@ -214,23 +214,17 @@ def simulate_year(
         n_shaded = np.where(lights_front | lights_rear, shading.shaded_rows, 0)
         shaded = n_shaded > 0
         f_es = np.where(shaded, shading.f_es, 0.0)
-
-        def rows_output(f):
-            g = effective_irradiance(poa_front, f, inc_front, panel.alpha_r)
-            if bifacial:
-                rear_g = effective_irradiance(poa_rear, f, inc_rear, panel.alpha_r)
-                g = g + layout.bifaciality * rear_g
-            p, t, _ = power_output(g, day.temp_air, w_mod, p_stc_row, panel)
-            return p, t, g
-
-        n_open = rows - n_shaded
-        p_open, t_open, g_open = rows_output(0.0)
-        p_sum, t_sum, g_sum = (0.0 + n_open * x for x in (p_open, t_open, g_open))
+        f = np.stack([np.zeros_like(f_es), f_es])  # the open rows, then the shaded rows
+        g = effective_irradiance(poa_front, f, inc_front, panel.alpha_r)
+        if bifacial:
+            g = g + layout.bifaciality * effective_irradiance(poa_rear, f, inc_rear, panel.alpha_r)
+        p, t, _ = power_output(g, day.temp_air, w_mod, p_stc_row, panel)
+        p_sum, t_sum, g_sum = (0.0 + (rows - n_shaded) * x[0] for x in (p, t, g))
         # without shadows every row would produce what the open rows do
-        p_noshadow = p_sum + n_shaded * p_open
+        p_noshadow = p_sum + n_shaded * p[0]
         p_sum, t_sum, g_sum = (
-            np.where(shaded, total + n_shaded * x, total)
-            for total, x in zip((p_sum, t_sum, g_sum), rows_output(f_es))
+            np.where(shaded, total + n_shaded * x[1], total)
+            for total, x in zip((p_sum, t_sum, g_sum), (p, t, g))
         )
         share_es = n_shaded / rows * f_es
 

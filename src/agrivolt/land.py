@@ -50,6 +50,7 @@ DEFAULT_EXCLUDE_CLASSES = (
 )
 DEFAULT_BUFFER_M = 100.0
 DEFAULT_DEMAND_TWH = 2550.0
+DEFAULT_NODATA = -9999
 
 #: Rule per header key: (predicate on the parsed float, requirement). Each
 #: value must also be finite; every key but ``nodata_value`` is required.
@@ -71,7 +72,7 @@ class LandRaster:
     cell_size: float
     xllcorner: float = 0.0
     yllcorner: float = 0.0
-    nodata: int = -9999
+    nodata: int = DEFAULT_NODATA
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,6 +114,8 @@ class AsciiGrid:
                 key = parts[0].lower()
                 if len(parts) != 2:
                     raise InputError(f"{path}: malformed header line {line.strip()!r}")
+                if key in header:
+                    raise InputError(f"{path}: header key {key} given twice")
                 valid, requirement = _ASCII_HEADER_RULES[key]
                 try:
                     value = float(parts[1])
@@ -130,7 +133,7 @@ class AsciiGrid:
         self.shape = int(header["nrows"]), int(header["ncols"])
         self.cell_size = header["cellsize"]
         self.xllcorner, self.yllcorner = header["xllcorner"], header["yllcorner"]
-        self.nodata = int(header.get("nodata_value", -9999))
+        self.nodata = int(header.get("nodata_value", DEFAULT_NODATA))
 
     def _open(self) -> TextIO:
         # ASCII: numpy 2.4's int64 parser crashes on some non-ASCII characters

@@ -97,6 +97,7 @@ def run_case(
     return CaseResult(spec=spec, simulation=simulation, monthly_grids=grids)
 
 
+DEFAULT_THREADS = 1  # worker processes of a sweep
 _WORKER_STATE: dict = {}
 
 
@@ -113,7 +114,7 @@ def run_cases(
     config: ScenarioConfig,
     weather: Weather,
     months: tuple[int, ...],
-    threads: int = 1,
+    threads: int = DEFAULT_THREADS,
 ) -> list[CaseResult]:
     """Run the whole grid, optionally across worker processes.
 
@@ -210,7 +211,7 @@ def run_scenario(
     weather: Weather,
     prices: np.ndarray | None,
     out_dir: str | Path,
-    threads: int = 1,
+    threads: int = DEFAULT_THREADS,
 ) -> list[Path]:
     """Run the full scenario grid and write every artifact; returns the written paths."""
     return _sweep(config, weather, prices, out_dir, threads, None)
@@ -220,7 +221,7 @@ def run_decision_map(
     config: ScenarioConfig,
     weather: Weather,
     out_dir: str | Path,
-    threads: int = 1,
+    threads: int = DEFAULT_THREADS,
 ) -> Path:
     """Sweep the grid over the growing months and write only the crop decision map."""
     return _sweep(config, weather, None, out_dir, threads, "decision_map.csv")[0]

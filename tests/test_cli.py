@@ -454,7 +454,9 @@ class TestPotential:
 
         header = "region_id,tilt,vertical,tracking\n"
         tables = [tmp_path / "absent.csv"]
-        for i, body in enumerate(("1,nan,1,1\n2,1,1,1\n", "1,1,1,1\n2,1,-5,1\n", "x,1,1,1\n")):
+        bodies = ("1,nan,1,1\n2,1,1,1\n", "1,1,1,1\n2,1,-5,1\n", "x,1,1,1\n",
+                  "1,900,800,1000\n2,1,1,1\n1,5,5,5\n")
+        for i, body in enumerate(bodies):
             tables.append(tmp_path / f"yields_{i}.csv")
             tables[-1].write_text(header + body)
         for table in tables:
@@ -466,7 +468,10 @@ class TestPotential:
                 "--out", str(tmp_path / "pot"),
             ]
             assert main(command) == 2, table
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error:" in err
+        # the last table gives region 1 twice, named with its second row
+        assert "row 4: region 1 given twice" in err
         # a table without a row for region 2 names it
         tables[-1].write_text(header + "1,1,1,1\n")
         assert main(command) == 2
@@ -490,6 +495,11 @@ class TestPotential:
                     for old in land_path.read_text().splitlines()
                 )
             )
+        # a header key given twice, even with the same value
+        lines = land_path.read_text().splitlines()
+        repeated = tmp_path / "repeated.asc"
+        repeated.write_text("\n".join([lines[0], *lines]) + "\n")
+        rasters.append(repeated)
         # a value one past the int64 range
         rasters.append(tmp_path / "overflow.asc")
         rasters[-1].write_text(
@@ -517,6 +527,9 @@ class TestPotential:
                 [*potential, "--raster", str(raster)],
                 ["validate", "--raster", str(raster)],
             ]
+        # the region raster is read by the same header parser
+        commands.append(["potential", "--raster", str(land_path), "--regions", str(repeated),
+                         *potential[3:]])
         for classes in class_files:
             commands += [
                 [*potential, "--raster", str(land_path), "--classes", str(classes)],

@@ -22,6 +22,7 @@ from agrivolt.config import (
 )
 from agrivolt.electrical import PanelModel, simulate_year
 from agrivolt.errors import InputError
+from agrivolt.indicators import report
 from agrivolt.layout import MOUNT_KINDS, optimal_tilt
 from agrivolt.scenario import expand_cases, run_case
 
@@ -244,13 +245,19 @@ class TestValidation:
         path = write(tmp_path, MINIMAL + "\n[panel]\nblocks = 100\n")
         assert load_config(path).panel.blocks == 100
 
-    def test_field_size_bounds(self, tmp_path):
+    def test_field_size_bounds(self, tmp_path, sky):
         """Ground maps hold at most 200 rows and 500 cells a side; the electrical
-        field at most an int64 of rows, and rows at most 1e154 m long or tall.
-        The limits themselves load, one step past them does not, and the error
-        names its keys."""
+        field at most an int64 of rows, rows at most 1e154 m long or tall, and
+        a side whose square, the field area, is not 0.0. The limits themselves
+        load, one step past them does not, and the error names its keys. The
+        smallest side that loads simulates to finite indicators."""
         rows = r"\[field\] {} / \[layout\] spacings_m: over {} rows"
+        underflow = r"\[field\] electrical_m squared, the field area, underflows to 0"
+        smallest = 1.5717277847026288e-162  # squares to 5e-324
         for field, refused in (
+            (f"electrical_m = {smallest!r}", None),
+            (f"electrical_m = {math.nextafter(smallest, 0.0)!r}", underflow),
+            ("electrical_m = 1e-170", underflow),
             ("electrical_m = 1200", None),  # 201 rows at 6 m
             ("electrical_m = 5.5e19", None),  # 9.17e18 rows
             ("electrical_m = 5.6e19", rows.format("electrical_m", 2**63 - 1)),
@@ -274,6 +281,12 @@ class TestValidation:
                 continue
             with pytest.raises(InputError, match=refused):
                 load_config(path)
+        config = load_config(write(tmp_path, MINIMAL + f"\n[field]\nelectrical_m = {smallest!r}\n"))
+        for spec in expand_cases(config):
+            layout = case_layout(config, spec.kind, spec.spacing, spec.height, smallest)
+            result = simulate_year(layout, sky, config.panel, config.albedo)
+            indicators = report(result, spec.scenario, np.ones(len(sky)))
+            assert all(math.isfinite(v) for v in dataclasses.astuple(indicators)[4:])
 
     def test_largest_electrical_fields_simulate(self, tmp_path, sky):
         """At its bounds the electrical field still runs and its rows shade one
@@ -395,6 +408,7 @@ REFUSED_AFTER_PARSING = [
     ("[field]\nground_cell_m = -0.5", {"ground_cell_m": -0.5}),
     ("[field]\nground_cell_m = 1e-300", {"ground_cell_m": 1e-300}),
     ("[field]\nground_m = 1e300", {"ground_field_m": 1e300}),
+    ("[field]\nelectrical_m = 1e-170", {"electrical_field_m": 1e-170}),
     ("[field]\nelectrical_m = 1e20", {"electrical_field_m": 1e20}),
     ("[field]\nelectrical_m = 1e300", {"electrical_field_m": 1e300}),
     ("[field]\nelectrical_m = 5.6e19", {"electrical_field_m": 5.6e19}),

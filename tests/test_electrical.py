@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrivolt import electrical
 from agrivolt.electrical import (
     HULD_COEFFICIENTS_CSI,
     MAX_BLOCKS,
@@ -26,6 +27,7 @@ from agrivolt.errors import InputError
 from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.sky import PlaneIrradiance
 
+from conftest import reference_layout
 from oracles import reference_field_year
 
 
@@ -230,6 +232,22 @@ class TestSimulateYear:
         broken = sky.take(np.r_[0:4000, 4001:len(sky), 4000])
         with pytest.raises(InputError):
             simulate_year(layout, broken)
+
+    @pytest.mark.parametrize("kind, faces", [("tilt", 1), ("vertical", 2), ("tracking", 1)])
+    def test_angular_loss_once_per_face_and_lit_hour(self, sky, monkeypatch, kind, faces):
+        """The open and shaded rows share each face's incidence angles, so one
+        simulation takes the angular loss of every lit hour once per face."""
+        seen = []
+
+        def counted(incidence, alpha_r):
+            seen.append(np.size(incidence))
+            return angular_loss(incidence, alpha_r)
+
+        monkeypatch.setattr(electrical, "angular_loss", counted)
+        simulate_year(reference_layout(kind, 100.0), sky)
+        lit = np.count_nonzero(~((sky.ghi <= 0.0) | (sky.altitude <= 0.0)))
+        assert lit == 4413  # the fixture year
+        assert sum(seen) == faces * lit
 
     def test_shadow_loss_independent_of_panel_scale(self, sky):
         """Halving the nameplate efficiency halves power everywhere, so the

@@ -80,6 +80,11 @@ class TestAsciiGridIO:
             path.write_text("\n".join([*lines, "211 211"]) + "\n")
             with pytest.raises(InputError, match=f"{key.lower()} must be"):
                 read_ascii_grid(path)
+        # a key given twice is refused by name, even with the same value
+        lines = [f"{k} {v}" for k, v in header.items()]
+        path.write_text("\n".join([*lines, "NCOLS 2", "211 211"]) + "\n")
+        with pytest.raises(InputError, match="header key ncols given twice"):
+            read_ascii_grid(path)
 
     def test_nodata_beyond_float_precision(self, tmp_path, caplog):
         """A NODATA above 2**53 reads exactly, so its pixels stay NODATA: no
