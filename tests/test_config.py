@@ -408,7 +408,6 @@ REFUSED_AFTER_PARSING = [
     ("[field]\nground_cell_m = -0.5", {"ground_cell_m": -0.5}),
     ("[field]\nground_cell_m = 1e-300", {"ground_cell_m": 1e-300}),
     ("[field]\nground_m = 1e300", {"ground_field_m": 1e300}),
-    ("[field]\nelectrical_m = 1e-170", {"electrical_field_m": 1e-170}),
     ("[field]\nelectrical_m = 1e20", {"electrical_field_m": 1e20}),
     ("[field]\nelectrical_m = 1e300", {"electrical_field_m": 1e300}),
     ("[field]\nelectrical_m = 5.6e19", {"electrical_field_m": 5.6e19}),
@@ -426,6 +425,7 @@ REFUSED_AFTER_PARSING = [
     ("[layout]\nheights_m =", {"heights": ()}),
     ("[crops]\ngrowing_months =", {"growing_months": ()}),
     ("[analysis]\nground_map_months =", {"ground_map_months": ()}),
+    ("[field]\nelectrical_m = 1e-170", {"electrical_field_m": 1e-170}),
 ]
 
 
