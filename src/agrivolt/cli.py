@@ -138,6 +138,16 @@ def _load_run_inputs(
         from .weather import ingest_prices
 
         prices = ingest_prices(args.prices, weather.times)
+        if config is not None:  # bound the price-weighted yield before any case runs
+            from .config import case_layout
+
+            area = max(case_layout(config, k, s, h, config.electrical_field_m).collector_area
+                       for k in config.kinds for s in config.spacings for h in config.heights)
+            bound = config.panel.stc_efficiency * config.panel.g_stc * area * len(prices)
+            bound *= float(abs(prices).max())  # Python floats overflow to inf silently
+            if not math.isfinite(bound / abs(float(prices.mean()))):
+                raise InputError(f"{args.prices}: price weighting undefined: the largest price "
+                                 "times the largest capacity over the year overflows")
     if weather is not None:
         from .sky import check_full_year
 

@@ -39,9 +39,6 @@ N_TB = 3
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
 MIN_BLOCK_SHADOW_FRACTION = 1.0e-3
 
-#: Hours whose ground masks are built at once; bounds the (hours, cells) arrays.
-_MASK_CHUNK_HOURS = 64
-
 
 @dataclass(frozen=True)
 class RowShading:
@@ -149,81 +146,109 @@ def _first_passing(value_at, bound, strict: bool, guess: np.ndarray, n: int) -> 
     return i
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def ground_shadow_masks(
-    geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Masks of the ground cells whose view of the sun a row blocks: (H, ny, nx)
-    for (H, 3) sun vectors, (ny, nx) for one, over cell centres ``xs`` by ``ys``.
+def _settle_ends(signed, bound, lo, hi, n: int):
+    """Least indices in [0, n] where non-decreasing ``signed(k, r)`` reaches ``bound`` and passes
+    ``bound + 1``: guesses ``lo`` and ``hi`` are checked at once, only refused ones walked."""
+    lo, hi, top = np.clip(lo, 0, n), np.clip(hi, 0, n), bound + 1.0
+    at = signed(slice(None), np.stack([lo - 1, lo, hi - 1, hi]))
+    oks = (((lo >= n) | (at[1] >= bound)) & ((lo <= 0) | ~(at[0] >= bound)),
+           ((hi >= n) | (at[3] > top)) & ((hi <= 0) | ~(at[2] > top)))
+    for end, ok, edge, strict in zip((lo, hi), oks, (bound, top), (False, True)):
+        if (k := np.flatnonzero(~ok)).size:
+            end[k] = _first_passing(lambda r: signed(k, r), edge[k], strict, end[k], n)
+    return lo, hi
 
-    Each row projects along the sun onto z = 0 as a parallelogram with edges
-    ``a`` and ``b``; a cell is blocked when its affine coordinates (u, v) in
-    any row's lie in [0, 1]. Rows run along x or y, so ``a`` has a component
-    exactly 0 and ``v`` takes one value per cell line along the rows. On a
-    line that a row's v range covers, ``u`` is a chain of correctly rounded
-    monotone operations of the cell, so its cells with 0 <= u <= 1 form one
-    interval. Each end is placed analytically, then decided by the same ``u``
-    expression on both sides: the masks match the per-cell test bit for bit.
-    """
+
+def _index_range(coords, offset, slope, shift, det, step):
+    """Per entry k, the indices [lo, hi) of sorted ``coords`` where ((coords[r] - offset) * slope
+    - shift) / det - step, monotone in r, lies in [0, 1]: guessed from r = 0, then settled."""
+    rate = slope / det
+    sign = np.where(rate < 0.0, -1.0, 1.0)
+
+    def signed(k, r):  # sign * value at r, clipped into coords, in one buffer: non-decreasing
+        value = np.take(coords, r, mode="clip")
+        for op, term in ((np.subtract, offset), (np.multiply, slope), (np.subtract, shift),
+                         (np.divide, det), (np.subtract, step), (np.multiply, sign)):
+            op(value, term[k], out=value)
+        return value
+
+    # 0 <= value <= 1 is bound <= sign * value <= bound + 1
+    w0, bound = signed(slice(None), np.zeros(sign.shape, int)), np.where(sign > 0.0, 0.0, -1.0)
+    lo = coords.searchsorted(coords[0] + (bound - w0) / np.abs(rate), "left")
+    hi = coords.searchsorted(coords[0] + (bound + 1.0 - w0) / np.abs(rate), "right")
+    return _settle_ends(signed, bound, lo, hi, coords.size)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _shadow_intervals(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Merged intervals (hour, line, start, stop) of the cells [start, stop) whose view of the
+    sun a row blocks, on lines of cells along the rows, sorted; no two touch. Each row projects
+    along the sun onto z = 0 as a parallelogram with edges ``a`` and ``b``; a cell is blocked
+    when its affine coordinates (u, v) in any row's lie in [0, 1]. ``a`` has a component
+    exactly 0, so ``v`` is one value per line, monotone in it, as ``u`` is in the cell on a
+    line: a row covers a range of lines and one interval on each, both exact per cell."""
     if geom.along[2] != 0.0 or np.count_nonzero(geom.along) != 1:
         raise ValueError(f"rows must run along x or y, not along {geom.along}")
-    sun = np.atleast_2d(sun_vecs)
+    parts = np.atleast_2d(sun_vecs), geom.origin, geom.along, geom.rise, geom.pitch
+    if geom.along[0] == 0.0:  # rows along y, mirrored in the diagonal: u and v keep their bits
+        parts, xs, ys = [v[..., [1, 0, 2]] for v in parts], ys, xs
+    sun, origin, along, rise, pitch = parts
     sz = sun[:, 2]
-    along_x = geom.along[0] != 0.0
 
     def project(point: np.ndarray) -> np.ndarray:
         return point[..., :2] - (point[..., 2] / sz)[:, None] * sun[:, :2]
 
-    g0 = project(geom.origin)
-    a0, a1 = (project(geom.origin + geom.along) - g0).T
-    b0, b1 = (project(geom.origin + geom.rise) - g0).T
+    g0 = project(origin)
+    a0, a1 = (project(origin + along) - g0).T
+    b0, b1 = (project(origin + rise) - g0).T
     det = a0 * b1 - a1 * b0
-    dx, dy = xs - g0[:, :1], ys - g0[:, 1:]
     # the pitch is horizontal, so row d just translates the parallelogram
-    pu = (geom.pitch[0] * b1 - geom.pitch[1] * b0) / det
-    pv = (a0 * geom.pitch[1] - a1 * geom.pitch[0]) / det
-    # a1 (rows along x) or a0 (along y) is exactly 0, so v0 is one value per grid
-    # row or column, up to the sign of a zero: take it at the line's first cell
-    line_dx, line_dy = (dx[:, :1], dy) if along_x else (dx, dy[:, :1])
-    v0 = (a0[:, None] * line_dy - a1[:, None] * line_dx) / det[:, None]
-    v = v0[:, :, None] - np.arange(geom.count) * pv[:, None, None]
+    pu = (pitch[0] * b1 - pitch[1] * b0) / det
+    pv = (a0 * pitch[1] - a1 * pitch[0]) / det
     # no shadow below the horizon, nor an edge-on one with zero area
     casts = (sz > 0.0) & ~(np.abs(det) < 1.0e-12)
-    h, line, d = np.nonzero((v >= 0.0) & (v <= 1.0) & casts[:, None, None])
-
-    run, b0, b1, det, pu = (xs if along_x else ys), b0[h], b1[h], det[h], pu[h]
-    line_d = (dy if along_x else dx)[h, line]
-    slope = (b1 if along_x else -b0) / det  # du per unit run, never 0 where |det| >= 1e-12
-    sign = np.where(slope < 0.0, -1.0, 1.0)
-
-    def signed_u(r: np.ndarray) -> np.ndarray:  # sign * u at run index r: non-decreasing
-        dx_c, dy_c = (dx[h, r], line_d) if along_x else (line_d, dy[h, r])
-        return sign * ((dx_c * b1 - dy_c * b0) / det - d * pu)
-
-    # 0 <= u <= 1 is bound <= sign * u <= bound + 1
-    w0, bound = signed_u(np.zeros_like(h)), np.where(sign > 0.0, 0.0, -1.0)
-    start = run.searchsorted(run[0] + (bound - w0) / np.abs(slope), "left")
-    stop = run.searchsorted(run[0] + (bound + 1.0 - w0) / np.abs(slope), "right")
-    start = _first_passing(signed_u, bound, False, start, run.size)
-    stop = _first_passing(signed_u, bound + 1.0, True, stop, run.size)
-
+    h, d = np.nonzero(np.broadcast_to(casts[:, None], (casts.size, geom.count)))
+    # v = (a0 * dy - a1 * dx) / det - d * pv of each (hour, row) at a line's first cell
+    lo, hi = _index_range(ys, g0[h, 1], a0[h], (xs[0] - g0[h, 0]) * a1[h], det[h], d * pv[h])
+    count = np.maximum(hi - lo, 0)
+    pair = np.repeat(np.arange(h.size), count)
+    line = np.arange(pair.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    order = np.argsort(h[pair] * ys.size + line, kind="stable")  # rows stay in order
+    h, d, line = h[pair[order]], d[pair[order]], line[order]
+    # u = (dx * b1 - dy * b0) / det - d * pu of each (hour, line, row) along its line
+    shift = (ys[line] - g0[h, 1]) * b0[h]
+    start, stop = _index_range(xs, g0[h, 0], b1[h], shift, det[h], d * pu[h])
+    h, line, start, stop = (x[start < stop] for x in (h, line, start, stop))  # no empty ones
     # merge each (hour, line)'s intervals where consecutive ones overlap or touch
-    group = h * v.shape[1] + line  # hits come sorted by hour, line and row
-    same = group[1:] == group[:-1]
-    joined = same & (np.maximum(start[1:], start[:-1]) <= np.minimum(stop[1:], stop[:-1]))
-    first = np.flatnonzero(np.r_[True, ~joined])[: group.size]
-    start, stop = np.minimum.reduceat(start, first), np.maximum.reduceat(stop, first)
-    group = group[first]
-    rank = np.arange(group.size) - group.searchsorted(group)
-    r = np.arange(run.size, dtype=np.min_scalar_type(run.size))
-    r, axis = (r, 2) if along_x else (r[:, None], 1)
-    masks = np.zeros((len(sun), ys.size, xs.size), dtype=bool)
-    for k in range(rank.max(initial=-1) + 1):  # the k-th merged interval of each line
-        ends = np.zeros((2, len(sun) * v.shape[1]), dtype=r.dtype)
-        ends[:, group[rank == k]] = start[rank == k], stop[rank == k]
-        lo, hi = np.expand_dims(ends.reshape(2, len(sun), -1), axis + 1)
-        masks |= (r >= lo) & (r < hi)
-    return masks if sun_vecs.ndim == 2 else masks[0]
+    group = h * ys.size + line
+    joined = (group[1:] == group[:-1]) & (
+        np.maximum(start[1:], start[:-1]) <= np.minimum(stop[1:], stop[:-1]))
+    head = np.flatnonzero(np.r_[True, ~joined])[: group.size]
+    return h[head], line[head], np.minimum.reduceat(start, head), np.maximum.reduceat(stop, head)
+
+
+def _run_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """The masks of :func:`_shadow_intervals` over runs of cells, (H, runs), and each cell's
+    run, (ny, nx): the interval ends cut each line into runs that share every mask."""
+    h, line, start, stop = _shadow_intervals(geom, sun_vecs, xs, ys)
+    along_x = geom.along[0] != 0.0
+    lines, n = (ys.size, xs.size) if along_x else (xs.size, ys.size)
+    cut = np.zeros((lines, n + 1), dtype=bool)  # a line's slot n only ends its runs
+    cut[:, 0] = cut[line, start] = cut[line, stop] = True
+    run_of = cut.cumsum().reshape(lines, n + 1) - 1
+    # merged intervals neither touch nor overlap: each run toggles at most once an hour
+    toggles = np.zeros((len(np.atleast_2d(sun_vecs)), run_of[-1, -1] + 1), dtype=bool)
+    toggles[h, run_of[line, start]] = toggles[h, run_of[line, stop]] = True
+    masks = np.logical_xor.accumulate(toggles, axis=1)
+    return masks, run_of[:, :n] if along_x else run_of[:, :n].T
+
+
+def ground_shadow_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray,
+                        ys: np.ndarray) -> np.ndarray:
+    """Masks of the ground cells whose view of the sun a row blocks: (H, ny, nx)
+    for (H, 3) sun vectors, (ny, nx) for one, over cell centres ``xs`` by ``ys``."""
+    masks, cells = _run_masks(geom, sun_vecs, xs, ys)
+    return masks[:, cells] if sun_vecs.ndim == 2 else masks[0, cells]
 
 
 @dataclass
@@ -283,22 +308,14 @@ def ground_irradiance_map(
     lit = np.flatnonzero(daylight & (hours.altitude > MIN_SUN_ALTITUDE) & (direct + circ > 0.0))
 
     # direct and circumsolar; an hour without one adds +0.0 to its grid: no change
-    weights = np.maximum(np.stack([direct, circ], axis=-1)[lit], 0.0)[:, :, None, None]
-    blocked = np.zeros((2, ys.size, xs.size))
-    for first in range(0, lit.size, _MASK_CHUNK_HOURS):
-        chunk = lit[first:first + _MASK_CHUNK_HOURS]
-        sun = SolarPosition(hours.altitude[chunk], hours.azimuth[chunk])
-        geoms = layout.row_geometry(layout.orientation(sun))
-        masks = ground_shadow_masks(geoms, sun_vector(sun), xs, ys)
-        for mask, weight in zip(masks, weights[first:first + _MASK_CHUNK_HOURS]):
-            blocked += weight * mask  # hour by hour, in order: never a pairwise sum
+    weights = np.maximum(np.stack([direct, circ], axis=-1)[lit], 0.0)[:, :, None]
+    sun = SolarPosition(hours.altitude[lit], hours.azimuth[lit])
+    geoms = layout.row_geometry(layout.orientation(sun))
+    masks, cells = _run_masks(geoms, sun_vector(sun), xs, ys)
+    blocked = np.zeros((2, masks.shape[1]))
+    for mask, weight in zip(masks, weights):
+        blocked += weight * mask  # hour by hour, in order: never a pairwise sum
+    blocked = blocked[:, cells]  # each cell's in-order sums are its run's, bit for bit
 
-    return GroundGrid(
-        cell_size=cell_size,
-        xs=xs,
-        ys=ys,
-        blocked_direct=blocked[0],
-        blocked_circumsolar=blocked[1],
-        unshaded_total=unshaded_total,
-        daylight_hours=int(np.count_nonzero(daylight)),
-    )
+    return GroundGrid(cell_size, xs, ys, blocked_direct=blocked[0], blocked_circumsolar=blocked[1],
+                      unshaded_total=unshaded_total, daylight_hours=int(np.count_nonzero(daylight)))

@@ -19,9 +19,11 @@ year, with the per-hour sun and sky forms below (``solar_position``,
 ``diffuse_fraction``, ``horizon_brightening``) over weather rows; the
 fixture generator computes its sun with them too. ``ground_shadow_mask``
 and ``reference_ground_irradiance_map`` build the ground shadow map one
-hour at a time, testing every cell against every row; the production
-masks are built over the hour axis, one interval per shaded cell line,
-and must match them bit for bit. ``check_hourly``, ``check_full_year`` and
+hour at a time, testing every cell against every row and adding every
+cell's mask into the grids. The production places one interval per
+shaded (line of cells, row) over all hours at once, and adds each hour's
+weights per run of cells that the interval ends cut; its masks and maps
+must match these bit for bit. ``check_hourly``, ``check_full_year`` and
 ``check_price_timeline`` are the per-``datetime`` loops that once checked
 the time axis; the production checks run as array expressions over the
 ``datetime64`` column and must raise the same messages.

@@ -87,6 +87,7 @@ def test_criterion_03_par_anchor():
     print(f"PASS criterion 3: PAR(1000 W/m2) = {par:.1f} umol/m2/s")
 
 
+@pytest.mark.slow
 def test_criterion_04_shadow_geometry_oracle():
     """200 randomized (kind, spacing, height, sun) cases: the analytic row
     shading fraction and ground shadow area both match a 1 cm brute-force

@@ -812,14 +812,39 @@ class TestValidate:
                 ["validate", "--weather", weather, "--prices", path],
                 [*simulate, "--weather", weather, "--prices", path],
             ]
-        # a finite mean whose weighted sum over the field's energy overflows: only a
-        # simulation knows the energy
+        # a finite mean whose weighted sum over the field's energy overflows, refused
+        # before the sweep (see test_overflowing_price_weighting_refused_before_the_sweep)
         commands.append([*simulate, "--weather", weather, "--prices", flat("1e303")])
         for command in commands:
             assert main(command) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Warning" not in err, (command, err)
         # nothing written, indicators.csv included
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("price", ["1e303", "-1e303"])
+    def test_overflowing_price_weighting_refused_before_the_sweep(
+        self, cli_config, data_dir, tmp_path, capsys, monkeypatch, price
+    ):
+        """Every hour at ``price``: the mean is finite, but the largest case's
+        capacity over the year times the largest price overflows. ``validate``
+        and ``simulate`` refuse it with the same line, and no case runs."""
+        stamps = [line.split(",")[0] for line in (data_dir / "prices.csv").read_text().split()]
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(["time,price", *(f"{t},{price}" for t in stamps[1:])]))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(scenario, "run_cases", no_sweep)
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
+                  "--prices", str(prices)]
+        expected = (f"error: {prices}: price weighting undefined: the largest price times "
+                    "the largest capacity over the year overflows\n")
+        simulate = ["simulate", *inputs, "--out", str(tmp_path / "sim")]
+        for command in (["validate", *inputs], simulate):
+            assert main(command) == 2, command
+            assert capsys.readouterr().err == expected
         assert not (tmp_path / "sim").exists()
 
     def test_nothing_to_check(self, capsys):

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import paper_grid
+
+pytestmark = pytest.mark.slow
 
 
 def test_paper_grid_artifacts_match_golden(foulum, weather, prices, tmp_path):

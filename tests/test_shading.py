@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixturegen
+from agrivolt import shading
 from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.shading import (
     GroundGrid,
     _first_passing,
+    _shadow_intervals,
     effective_shading_factor,
     ground_irradiance_map,
     ground_shadow_masks,
@@ -287,6 +290,26 @@ def mask_cases(draw):
     )
 
 
+def case_geometry(case):
+    """The rows, the sun vectors (with the edge-on hours of ``case`` tipped in)
+    and the cell centres of a :func:`mask_cases` case."""
+    layout = build_layout(
+        case["kind"], case["spacing"], case["height"], field=case["field"], latitude_deg=56.49,
+    )
+    sun = SolarPosition(*(np.array(c) for c in zip(*case["suns"])))
+    geom = layout.row_geometry(layout.orientation(sun))
+    sun_vecs = sun_vector(sun)
+    for i, mix, eps in case["edge_on"]:
+        rows = rows_at_hour(geom, i)
+        rise = rows.rise / np.linalg.norm(rows.rise)
+        in_plane = mix * rows.along / rows.length + (rise if rise[2] >= 0.0 else -rise)
+        tipped = in_plane + eps * rows.normal
+        sun_vecs[i] = tipped / np.linalg.norm(tipped)
+    cell = case["cell"]
+    xs, ys = ((np.arange(max(1, round(side / cell))) + 0.5) * cell for side in case["field"])
+    return geom, sun_vecs, xs, ys
+
+
 class TestGroundShadowMasksOverHours:
     """The masks of many hours at once equal the per-hour, per-cell, per-row
     oracle, ``oracles.ground_shadow_mask``, bit for bit."""
@@ -375,6 +398,56 @@ class TestFirstPassing:
         assert np.array_equal(found, np.full(guesses.size, expected))
 
 
+class TestCheckedGuesses:
+    """Each interval end and line-range end starts from an analytic guess that one
+    evaluation checks on both sides; only refused guesses are walked. Guesses moved
+    off by whole cells or lines must settle on the ends of the unmoved call."""
+
+    @staticmethod
+    def nudged(offsets, walked):
+        """``shading._settle_ends`` with every guess moved by one of ``offsets``,
+        counting in ``walked`` the ends it hands to ``_first_passing``."""
+        settle, walk = shading._settle_ends, shading._first_passing
+
+        def counting(value_at, bound, strict, guess, n):
+            walked.append(guess.size)
+            return walk(value_at, bound, strict, guess, n)
+
+        def moved(signed, bound, lo, hi, n):
+            lo, hi = (end + np.resize(offsets, end.size) for end in (lo, hi))
+            with mock.patch.object(shading, "_first_passing", counting):
+                return settle(signed, bound, lo, hi, n)
+
+        return moved
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=mask_cases(),
+        offsets=st.lists(st.integers(1, 4).flatmap(lambda k: st.sampled_from([-k, k])),
+                         min_size=1, max_size=7),
+    )
+    def test_moved_guesses_settle_on_the_same_intervals(self, case, offsets):
+        geom, sun_vecs, xs, ys = case_geometry(case)
+        expected = _shadow_intervals(geom, sun_vecs, xs, ys)
+        with mock.patch.object(shading, "_settle_ends", self.nudged(offsets, [])):
+            found = _shadow_intervals(geom, sun_vecs, xs, ys)
+        for name, got, want in zip(("hour", "line", "start", "stop"), found, expected):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kind", MOUNT_KINDS)
+    def test_moved_guesses_are_walked(self, sky, kind):
+        """On a July map every end is moved, so the walk settles ends of both the
+        line ranges and the intervals, and the map keeps its bits."""
+        july = sky.take(sky.month == 7)
+        layout = reference_layout(kind, 10.0)
+        expected = ground_irradiance_map(layout, july, cell_size=0.5)
+        walked = []
+        with mock.patch.object(shading, "_settle_ends", self.nudged([2, -1, -3, 1], walked)):
+            grid = ground_irradiance_map(layout, july, cell_size=0.5)
+        assert len(walked) == 4 and min(walked) > 0  # both ends of lines and of intervals
+        assert_same_grid_bits(grid, expected)
+
+
 def assert_same_grid_bits(grid: GroundGrid, expected: GroundGrid) -> None:
     for name in ("xs", "ys", "blocked_direct", "blocked_circumsolar"):
         assert np.array_equal(
@@ -399,6 +472,36 @@ class TestGroundMapMatchesPerHourReference:
         assert_same_grid_bits(
             ground_irradiance_map(layout, july, cell_size=0.5),
             reference_ground_irradiance_map(layout, july, cell_size=0.5),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_layout_over_any_hours(self, sky, data):
+        """Any kind, spacing, height, field and cell size (a 1 x 1 grid and a
+        single row included) over any subset of a month's hours (none lit, or
+        none at all, included)."""
+        height = data.draw(st.floats(0.5, 3.0), label="height")
+        layout = build_layout(
+            data.draw(st.sampled_from(MOUNT_KINDS), label="kind"),
+            data.draw(st.floats(height, 12.0), label="spacing"),
+            height,
+            field=(data.draw(st.floats(0.7, 24.0), label="x"),
+                   data.draw(st.floats(0.7, 24.0), label="y")),
+            latitude_deg=56.49,
+        )
+        one_cell = data.draw(st.integers(0, 7), label="one cell") == 7
+        cell = 50.0 if one_cell else data.draw(st.floats(0.5, 2.0), label="cell")
+        month = sky.take(sky.month == data.draw(st.integers(1, 12), label="month"))
+        lit = (month.ghi > 0.0) & (month.altitude > MIN_SUN_ALTITUDE)
+        share = data.draw(st.sampled_from([1.0, 0.3, 0.03, 0.0]), label="share of hours")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        keep = rng.random(len(month.ghi)) < share
+        if data.draw(st.booleans(), label="unlit only"):
+            keep &= ~lit
+        hours = month.take(keep)
+        assert_same_grid_bits(
+            ground_irradiance_map(layout, hours, cell_size=cell),
+            reference_ground_irradiance_map(layout, hours, cell_size=cell),
         )
 
     @pytest.mark.parametrize("kind", MOUNT_KINDS)
