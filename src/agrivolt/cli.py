@@ -138,16 +138,13 @@ def _load_run_inputs(
         from .weather import ingest_prices
 
         prices = ingest_prices(args.prices, weather.times)
-        if config is not None:  # bound the price-weighted yield before any case runs
-            from .config import case_layout
+        if config is not None:  # the price-weighted yield, estimated before any case runs
+            from .indicators import price_weighting_overflows
 
-            area = max(case_layout(config, k, s, h, config.electrical_field_m).collector_area
-                       for k in config.kinds for s in config.spacings for h in config.heights)
-            bound = config.panel.stc_efficiency * config.panel.g_stc * area * len(prices)
-            bound *= float(abs(prices).max())  # Python floats overflow to inf silently
-            if not math.isfinite(bound / abs(float(prices.mean()))):
-                raise InputError(f"{args.prices}: price weighting undefined: the largest price "
-                                 "times the largest capacity over the year overflows")
+            if price_weighting_overflows(config.largest_capacity_w, config.panel.g_stc,
+                                         weather.ghi, prices):
+                raise InputError(f"{args.prices}: price weighting undefined: the prices times "
+                                 "the largest capacity at each hour's ghi overflow")
     if weather is not None:
         from .sky import check_full_year
 

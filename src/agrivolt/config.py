@@ -34,7 +34,9 @@ SCHEMA_VERSION = 1
 
 #: Most rows, floor(ground_m / spacing) + 1, and cells a side, ground_m / ground_cell_m,
 #: of a ground map: a July map took 0.08 s and 4 MB at 100 x 100 cells and 9 rows,
-#: 0.9 s and 74 MB at 501 rows, 0.37 s and 30 MB at 300 x 300 cells.
+#: 0.9 s and 74 MB at 501 rows, 0.37 s and 30 MB at 300 x 300 cells. At both bounds,
+#: 200 vertical rows 3 m tall over 500 x 500 cells took 1.2 s and 94 MB more peak RSS,
+#: 10 m tall 2.4 s and 204 MB (placed and painted 64 hours at a time).
 MAX_GROUND_ROWS, MAX_SIDE_CELLS = 200, 500
 #: Most rows of the electrical field, whose cost does not depend on them, and longest
 #: side of its rows: past an int64 of rows numpy raised OverflowError, and past
@@ -61,6 +63,8 @@ class ScenarioConfig:
     thresholds: CropThresholds = CropThresholds()
     growing_months: tuple[int, ...] = GROWING_MONTHS
     ground_map_months: tuple[int, ...] = (7,)
+    #: Nameplate power of the grid's largest electrical field, W (set from the grid).
+    largest_capacity_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid.
@@ -72,12 +76,15 @@ class ScenarioConfig:
             if value is not None and not check[0](value):
                 raise ValueError(f"invalid value for [{section}] {key}: {check[1].format(value)}")
         try:
+            capacities = []
             for kind, spacing, height in product(self.kinds, self.spacings, self.heights):
                 if kind not in self.clearances:
                     raise ValueError(f"no [layout] clearance_{kind}_m")
                 layout = case_layout(self, kind, spacing, height, self.electrical_field_m)
                 # the wind factor (h/10)^exp must not overflow
                 wind_at_module(1.0, layout.mid_height, self.panel.wind_shear_exponent)
+                capacities.append(self.panel.nameplate_w(layout.collector_area))
+            object.__setattr__(self, "largest_capacity_w", max(capacities))
             for key, side in (("[field] electrical_m", self.electrical_field_m),
                               ("[layout] heights_m", max(self.heights))):
                 if not side <= MAX_ROW_SIDE_M:

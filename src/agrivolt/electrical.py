@@ -73,6 +73,10 @@ class PanelModel:
         if self.u0 <= 0.0 or self.u1 < 0.0:
             raise ValueError("u0 must be positive, u1 non-negative")
 
+    def nameplate_w(self, collector_area: float) -> float:
+        """Nameplate power of ``collector_area`` m2 of modules at G_STC, W."""
+        return self.stc_efficiency * self.g_stc * collector_area
+
 
 def angular_loss(incidence, alpha_r: float = PanelModel.alpha_r):
     """Reflection loss of beam irradiance at the given incidence angle.
@@ -158,9 +162,7 @@ class SimulationResult:
     capacity_w: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.capacity_w = (
-            self.panel.stc_efficiency * self.panel.g_stc * self.layout.collector_area
-        )
+        self.capacity_w = self.panel.nameplate_w(self.layout.collector_area)
 
     @property
     def energy_kwh(self) -> float:

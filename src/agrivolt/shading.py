@@ -25,6 +25,7 @@ circumsolar); isotropic and ground-reflected light always arrive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -38,6 +39,9 @@ N_TB = 3
 #: A shadow must cover more than this fraction of a block's area to count
 #: the block as shaded; keeps sliver intersections from tripping N_SB.
 MIN_BLOCK_SHADOW_FRACTION = 1.0e-3
+
+#: Hours whose ground shadows are placed and painted at once; bounds the arrays per map.
+_MASK_CHUNK_HOURS = 64
 
 
 @dataclass(frozen=True)
@@ -146,37 +150,25 @@ def _first_passing(value_at, bound, strict: bool, guess: np.ndarray, n: int) -> 
     return i
 
 
-def _settle_ends(signed, bound, lo, hi, n: int):
-    """Least indices in [0, n] where non-decreasing ``signed(k, r)`` reaches ``bound`` and passes
-    ``bound + 1``: guesses ``lo`` and ``hi`` are checked at once, only refused ones walked."""
-    lo, hi, top = np.clip(lo, 0, n), np.clip(hi, 0, n), bound + 1.0
-    at = signed(slice(None), np.stack([lo - 1, lo, hi - 1, hi]))
-    oks = (((lo >= n) | (at[1] >= bound)) & ((lo <= 0) | ~(at[0] >= bound)),
-           ((hi >= n) | (at[3] > top)) & ((hi <= 0) | ~(at[2] > top)))
-    for end, ok, edge, strict in zip((lo, hi), oks, (bound, top), (False, True)):
-        if (k := np.flatnonzero(~ok)).size:
-            end[k] = _first_passing(lambda r: signed(k, r), edge[k], strict, end[k], n)
-    return lo, hi
-
-
 def _index_range(coords, offset, slope, shift, det, step):
     """Per entry k, the indices [lo, hi) of sorted ``coords`` where ((coords[r] - offset) * slope
-    - shift) / det - step, monotone in r, lies in [0, 1]: guessed from r = 0, then settled."""
+    - shift) / det - step, monotone in r, lies in [0, 1]: guessed from r = 0, then walked."""
     rate = slope / det
     sign = np.where(rate < 0.0, -1.0, 1.0)
 
-    def signed(k, r):  # sign * value at r, clipped into coords, in one buffer: non-decreasing
+    def signed(r):  # sign * value at r, clipped into coords, in one buffer: non-decreasing
         value = np.take(coords, r, mode="clip")
         for op, term in ((np.subtract, offset), (np.multiply, slope), (np.subtract, shift),
                          (np.divide, det), (np.subtract, step), (np.multiply, sign)):
-            op(value, term[k], out=value)
+            op(value, term, out=value)
         return value
 
     # 0 <= value <= 1 is bound <= sign * value <= bound + 1
-    w0, bound = signed(slice(None), np.zeros(sign.shape, int)), np.where(sign > 0.0, 0.0, -1.0)
+    w0, bound = signed(np.zeros(sign.shape, int)), np.where(sign > 0.0, 0.0, -1.0)
     lo = coords.searchsorted(coords[0] + (bound - w0) / np.abs(rate), "left")
     hi = coords.searchsorted(coords[0] + (bound + 1.0 - w0) / np.abs(rate), "right")
-    return _settle_ends(signed, bound, lo, hi, coords.size)
+    return (_first_passing(signed, bound, False, lo, coords.size),
+            _first_passing(signed, bound + 1.0, True, hi, coords.size))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -210,44 +202,58 @@ def _shadow_intervals(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, y
     h, d = np.nonzero(np.broadcast_to(casts[:, None], (casts.size, geom.count)))
     # v = (a0 * dy - a1 * dx) / det - d * pv of each (hour, row) at a line's first cell
     lo, hi = _index_range(ys, g0[h, 1], a0[h], (xs[0] - g0[h, 0]) * a1[h], det[h], d * pv[h])
-    count = np.maximum(hi - lo, 0)
-    pair = np.repeat(np.arange(h.size), count)
-    line = np.arange(pair.size) - np.repeat(np.cumsum(count) - count - lo, count)
-    order = np.argsort(h[pair] * ys.size + line, kind="stable")  # rows stay in order
-    h, d, line = h[pair[order]], d[pair[order]], line[order]
-    # u = (dx * b1 - dy * b0) / det - d * pu of each (hour, line, row) along its line
-    shift = (ys[line] - g0[h, 1]) * b0[h]
-    start, stop = _index_range(xs, g0[h, 0], b1[h], shift, det[h], d * pu[h])
-    h, line, start, stop = (x[start < stop] for x in (h, line, start, stop))  # no empty ones
-    # merge each (hour, line)'s intervals where consecutive ones overlap or touch
-    group = h * ys.size + line
-    joined = (group[1:] == group[:-1]) & (
-        np.maximum(start[1:], start[:-1]) <= np.minimum(stop[1:], stop[:-1]))
-    head = np.flatnonzero(np.r_[True, ~joined])[: group.size]
-    return h[head], line[head], np.minimum.reduceat(start, head), np.maximum.reduceat(stop, head)
+
+    def place(h, d, lo, hi):  # the merged intervals of some hours' (hour, row) line ranges
+        count = np.maximum(hi - lo, 0)
+        pair = np.repeat(np.arange(h.size), count)
+        line = np.arange(pair.size) - np.repeat(np.cumsum(count) - count - lo, count)
+        order = np.argsort(h[pair] * ys.size + line, kind="stable")  # rows stay in order
+        h, d, line = h[pair[order]], d[pair[order]], line[order]
+        # u = (dx * b1 - dy * b0) / det - d * pu of each (hour, line, row) along its line
+        shift = (ys[line] - g0[h, 1]) * b0[h]
+        start, stop = _index_range(xs, g0[h, 0], b1[h], shift, det[h], d * pu[h])
+        h, line, start, stop = (x[start < stop] for x in (h, line, start, stop))  # no empty ones
+        # merge each (hour, line)'s intervals where consecutive ones overlap or touch
+        group = h * ys.size + line
+        joined = (group[1:] == group[:-1]) & (
+            np.maximum(start[1:], start[:-1]) <= np.minimum(stop[1:], stop[:-1]))
+        head = np.flatnonzero(np.r_[True, ~joined])[: group.size]
+        start, stop = np.minimum.reduceat(start, head), np.maximum.reduceat(stop, head)
+        return h[head], line[head], start, stop
+
+    # the (hour, line, row) candidates of at most _MASK_CHUNK_HOURS hours at once: bounded memory
+    blocks = pairwise(h.searchsorted(np.r_[0:max(sz.size, 1):_MASK_CHUNK_HOURS, sz.size]))
+    placed = [place(*(x[i:j] for x in (h, d, lo, hi))) for i, j in blocks]
+    return tuple(np.concatenate(column) for column in zip(*placed))
 
 
 def _run_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """The masks of :func:`_shadow_intervals` over runs of cells, (H, runs), and each cell's
-    run, (ny, nx): the interval ends cut each line into runs that share every mask."""
+    """Each cell's run, (ny, nx), the number of runs, and each hour's mask over the runs:
+    the ends of the :func:`_shadow_intervals` cut each line into runs that share every mask."""
     h, line, start, stop = _shadow_intervals(geom, sun_vecs, xs, ys)
-    along_x = geom.along[0] != 0.0
-    lines, n = (ys.size, xs.size) if along_x else (xs.size, ys.size)
+    lines, n = (ys.size, xs.size) if geom.along[0] != 0.0 else (xs.size, ys.size)
     cut = np.zeros((lines, n + 1), dtype=bool)  # a line's slot n only ends its runs
     cut[:, 0] = cut[line, start] = cut[line, stop] = True
     run_of = cut.cumsum().reshape(lines, n + 1) - 1
-    # merged intervals neither touch nor overlap: each run toggles at most once an hour
-    toggles = np.zeros((len(np.atleast_2d(sun_vecs)), run_of[-1, -1] + 1), dtype=bool)
-    toggles[h, run_of[line, start]] = toggles[h, run_of[line, stop]] = True
-    masks = np.logical_xor.accumulate(toggles, axis=1)
-    return masks, run_of[:, :n] if along_x else run_of[:, :n].T
+    hours, runs = len(np.atleast_2d(sun_vecs)), run_of[-1, -1] + 1
+
+    def masks():  # merged intervals neither touch nor overlap: a run toggles once an hour
+        for first in range(0, hours, _MASK_CHUNK_HOURS):
+            i, j = h.searchsorted([first, first + _MASK_CHUNK_HOURS])
+            toggles = np.zeros((min(hours - first, _MASK_CHUNK_HOURS), runs), dtype=bool)
+            hour, ends = h[i:j] - first, run_of[line[i:j], np.stack([start[i:j], stop[i:j]])]
+            toggles[hour, ends[0]] = toggles[hour, ends[1]] = True
+            yield from np.logical_xor.accumulate(toggles, axis=1)
+
+    return (run_of[:, :n] if geom.along[0] != 0.0 else run_of[:, :n].T), runs, masks()
 
 
 def ground_shadow_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray,
                         ys: np.ndarray) -> np.ndarray:
     """Masks of the ground cells whose view of the sun a row blocks: (H, ny, nx)
     for (H, 3) sun vectors, (ny, nx) for one, over cell centres ``xs`` by ``ys``."""
-    masks, cells = _run_masks(geom, sun_vecs, xs, ys)
+    cells, runs, masks = _run_masks(geom, sun_vecs, xs, ys)
+    masks = np.array([*masks], dtype=bool).reshape(-1, runs)
     return masks[:, cells] if sun_vecs.ndim == 2 else masks[0, cells]
 
 
@@ -311,8 +317,8 @@ def ground_irradiance_map(
     weights = np.maximum(np.stack([direct, circ], axis=-1)[lit], 0.0)[:, :, None]
     sun = SolarPosition(hours.altitude[lit], hours.azimuth[lit])
     geoms = layout.row_geometry(layout.orientation(sun))
-    masks, cells = _run_masks(geoms, sun_vector(sun), xs, ys)
-    blocked = np.zeros((2, masks.shape[1]))
+    cells, runs, masks = _run_masks(geoms, sun_vector(sun), xs, ys)
+    blocked = np.zeros((2, runs))
     for mask, weight in zip(masks, weights):
         blocked += weight * mask  # hour by hour, in order: never a pairwise sum
     blocked = blocked[:, cells]  # each cell's in-order sums are its run's, bit for bit

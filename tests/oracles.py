@@ -21,7 +21,7 @@ fixture generator computes its sun with them too. ``ground_shadow_mask``
 and ``reference_ground_irradiance_map`` build the ground shadow map one
 hour at a time, testing every cell against every row and adding every
 cell's mask into the grids. The production places one interval per
-shaded (line of cells, row) over all hours at once, and adds each hour's
+shaded (line of cells, row) over blocks of hours, and adds each hour's
 weights per run of cells that the interval ends cut; its masks and maps
 must match these bit for bit. ``check_hourly``, ``check_full_year`` and
 ``check_price_timeline`` are the per-``datetime`` loops that once checked

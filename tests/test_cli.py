@@ -20,6 +20,7 @@ from agrivolt import land, outputs, scenario
 from agrivolt.cli import main
 from agrivolt.config import load_config
 from agrivolt.land import LandRaster
+from agrivolt.weather import ingest_weather
 from fixturegen import write_ascii_grid
 
 EXPECTED_ARTIFACTS = {
@@ -34,6 +35,14 @@ EXPECTED_ARTIFACTS = {
     "decision_map.csv",
     "comparisons.csv",
 }
+
+
+def flat_prices(data_dir: Path, tmp_path: Path, price: str) -> Path:
+    """A price file on the fixture's hours with every hour at ``price``."""
+    stamps = [line.split(",")[0] for line in (data_dir / "prices.csv").read_text().split()]
+    path = tmp_path / f"prices_{price}.csv"
+    path.write_text("\n".join(["time,price", *(f"{t},{price}" for t in stamps[1:])]))
+    return path
 
 
 #: Flag values: any float as Python prints it, and the edges of each range.
@@ -826,12 +835,10 @@ class TestValidate:
     def test_overflowing_price_weighting_refused_before_the_sweep(
         self, cli_config, data_dir, tmp_path, capsys, monkeypatch, price
     ):
-        """Every hour at ``price``: the mean is finite, but the largest case's
-        capacity over the year times the largest price overflows. ``validate``
-        and ``simulate`` refuse it with the same line, and no case runs."""
-        stamps = [line.split(",")[0] for line in (data_dir / "prices.csv").read_text().split()]
-        prices = tmp_path / "prices.csv"
-        prices.write_text("\n".join(["time,price", *(f"{t},{price}" for t in stamps[1:])]))
+        """Every hour at ``price``: the mean is finite, but the prices times the
+        largest case's capacity at each hour's ghi overflow. ``validate`` and
+        ``simulate`` refuse it with the same line, and no case runs."""
+        prices = flat_prices(data_dir, tmp_path, price)
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
@@ -839,13 +846,35 @@ class TestValidate:
         monkeypatch.setattr(scenario, "run_cases", no_sweep)
         inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
                   "--prices", str(prices)]
-        expected = (f"error: {prices}: price weighting undefined: the largest price times "
-                    "the largest capacity over the year overflows\n")
+        expected = (f"error: {prices}: price weighting undefined: the prices times the "
+                    "largest capacity at each hour's ghi overflow\n")
         simulate = ["simulate", *inputs, "--out", str(tmp_path / "sim")]
         for command in (["validate", *inputs], simulate):
             assert main(command) == 2, command
             assert capsys.readouterr().err == expected
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("scale, code", [(0.95, 0), (1.05, 2)])
+    def test_price_weighting_refused_where_its_estimate_overflows(
+        self, cli_config, data_dir, tmp_path, capsys, scale, code
+    ):
+        """Flat prices at ``scale`` times the price where the estimate, the largest
+        capacity at each hour's ghi, overflows. Below it both commands run, and the
+        simulated cases (which yield less than the estimate) weight to finite yields;
+        above it both refuse, although the simulated sum would still be finite."""
+        config = load_config(cli_config)
+        ghi = ingest_weather(data_dir / "weather.csv").ghi
+        edge = sys.float_info.max / (config.largest_capacity_w / config.panel.g_stc * ghi.sum())
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
+                  "--prices", str(flat_prices(data_dir, tmp_path, repr(float(scale * edge))))]
+        out = tmp_path / "sim"
+        for command in (["validate", *inputs], ["simulate", *inputs, "--out", str(out)]):
+            assert main(command) == code, command
+            assert ("price weighting undefined" in capsys.readouterr().err) == bool(code)
+        if not code:
+            rows = [line.split(",") for line in (out / "indicators.csv").read_text().split()]
+            column = rows[0].index("price_weighted_yield_kWh_m2")
+            assert all(np.isfinite(float(row[column])) for row in rows[1:])
 
     def test_nothing_to_check(self, capsys):
         code = main(["validate"])

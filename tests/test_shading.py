@@ -399,24 +399,21 @@ class TestFirstPassing:
 
 
 class TestCheckedGuesses:
-    """Each interval end and line-range end starts from an analytic guess that one
-    evaluation checks on both sides; only refused guesses are walked. Guesses moved
-    off by whole cells or lines must settle on the ends of the unmoved call."""
+    """Each interval end and line-range end starts from an analytic guess that
+    ``_first_passing`` checks on both sides, walking only refused guesses. Guesses
+    moved off by whole cells or lines must settle on the ends of the unmoved call."""
 
     @staticmethod
     def nudged(offsets, walked):
-        """``shading._settle_ends`` with every guess moved by one of ``offsets``,
-        counting in ``walked`` the ends it hands to ``_first_passing``."""
-        settle, walk = shading._settle_ends, shading._first_passing
+        """``shading._first_passing`` with every guess moved by one of ``offsets``,
+        recording in ``walked`` how many ends of each call the walk then moves."""
+        walk = shading._first_passing
 
-        def counting(value_at, bound, strict, guess, n):
-            walked.append(guess.size)
-            return walk(value_at, bound, strict, guess, n)
-
-        def moved(signed, bound, lo, hi, n):
-            lo, hi = (end + np.resize(offsets, end.size) for end in (lo, hi))
-            with mock.patch.object(shading, "_first_passing", counting):
-                return settle(signed, bound, lo, hi, n)
+        def moved(value_at, bound, strict, guess, n):
+            guess = np.clip(guess + np.resize(offsets, guess.size), 0, n)
+            found = walk(value_at, bound, strict, guess, n)
+            walked.append(np.count_nonzero(found != guess))
+            return found
 
         return moved
 
@@ -429,22 +426,23 @@ class TestCheckedGuesses:
     def test_moved_guesses_settle_on_the_same_intervals(self, case, offsets):
         geom, sun_vecs, xs, ys = case_geometry(case)
         expected = _shadow_intervals(geom, sun_vecs, xs, ys)
-        with mock.patch.object(shading, "_settle_ends", self.nudged(offsets, [])):
+        with mock.patch.object(shading, "_first_passing", self.nudged(offsets, [])):
             found = _shadow_intervals(geom, sun_vecs, xs, ys)
         for name, got, want in zip(("hour", "line", "start", "stop"), found, expected):
             assert np.array_equal(got, want), name
 
     @pytest.mark.parametrize("kind", MOUNT_KINDS)
     def test_moved_guesses_are_walked(self, sky, kind):
-        """On a July map every end is moved, so the walk settles ends of both the
-        line ranges and the intervals, and the map keeps its bits."""
+        """On a July map every end is moved, so the walk settles ends of the line
+        ranges and of the intervals of every block of hours, and the map keeps its bits."""
         july = sky.take(sky.month == 7)
         layout = reference_layout(kind, 10.0)
         expected = ground_irradiance_map(layout, july, cell_size=0.5)
         walked = []
-        with mock.patch.object(shading, "_settle_ends", self.nudged([2, -1, -3, 1], walked)):
+        with mock.patch.object(shading, "_first_passing", self.nudged([2, -1, -3, 1], walked)):
             grid = ground_irradiance_map(layout, july, cell_size=0.5)
-        assert len(walked) == 4 and min(walked) > 0  # both ends of lines and of intervals
+        # both ends of the line ranges, then both ends of each block's intervals
+        assert len(walked) > 4 and min(walked) > 0
         assert_same_grid_bits(grid, expected)
 
 
