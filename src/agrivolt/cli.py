@@ -5,7 +5,7 @@ Subcommands:
 * ``simulate``: run the scenario grid, write the full artifact set
 * ``decision-map``: run the grid, write only the crop decision map
 * ``potential``: land eligibility and regional deployment potential
-* ``validate``: check input files and report problems without simulating
+* ``validate``: check input files and report problems, writing nothing
 
 Exit codes: 0 success, 2 invalid input, 3 computation failure.
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reference demand for the summary multiple")
     pot.add_argument("--out", required=True)
 
-    val = sub.add_parser("validate", help="check inputs, simulate nothing")
+    val = sub.add_parser("validate", help="check inputs, write nothing")
     val.add_argument("--config")
     val.add_argument("--weather")
     val.add_argument("--prices")
@@ -138,13 +138,6 @@ def _load_run_inputs(
         from .weather import ingest_prices
 
         prices = ingest_prices(args.prices, weather.times)
-        if config is not None:  # the price-weighted yield, estimated before any case runs
-            from .indicators import price_weighting_overflows
-
-            if price_weighting_overflows(config.largest_capacity_w, config.panel.g_stc,
-                                         weather.ghi, prices):
-                raise InputError(f"{args.prices}: price weighting undefined: the prices times "
-                                 "the largest capacity at each hour's ghi overflow")
     if weather is not None:
         from .sky import check_full_year
 
@@ -181,20 +174,9 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
                 "--yield-tilt/--yield-vertical/--yield-tracking"
             )
         return lambda region: constant
-    from .weather import _parse_float, _records
+    from .weather import ingest_yields
 
-    path = Path(args.yields)
-    table: dict[int, dict[str, float]] = {}
-    for row, (region_id, *texts) in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
-        try:
-            region = int(region_id)
-        except ValueError as exc:
-            raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
-        if region in table:
-            raise InputError(f"{path}: row {row}: region {region} given twice")
-        table[region] = {k: _parse_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
-        if min(table[region].values()) < 0.0:
-            raise InputError(f"{path}: row {row}: yields must be >= 0")
+    table = ingest_yields(args.yields)
 
     def lookup(region: int) -> dict[str, float]:
         if region not in table:
@@ -228,10 +210,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise InputError("validate: nothing to check, pass at least one input")
     config, weather, prices = _load_run_inputs(args)
     if config is not None:
-        if weather is not None:
+        if weather is not None:  # the yield step of a sweep, refusing as it does
+            from .scenario import case_yields
             from .sky import sky_year
 
-            sky_year(config.location, weather)  # logs beam above top-of-atmosphere
+            case_yields(config, sky_year(config.location, weather), prices)
         print(f"config ok: {args.config}")
     if weather is not None:
         print(f"weather ok: {args.weather} ({len(weather)} hours)")

@@ -63,8 +63,6 @@ class ScenarioConfig:
     thresholds: CropThresholds = CropThresholds()
     growing_months: tuple[int, ...] = GROWING_MONTHS
     ground_map_months: tuple[int, ...] = (7,)
-    #: Nameplate power of the grid's largest electrical field, W (set from the grid).
-    largest_capacity_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Raise ``ValueError`` naming the INI keys: :data:`KEYS` checks, then the grid.
@@ -76,15 +74,12 @@ class ScenarioConfig:
             if value is not None and not check[0](value):
                 raise ValueError(f"invalid value for [{section}] {key}: {check[1].format(value)}")
         try:
-            capacities = []
             for kind, spacing, height in product(self.kinds, self.spacings, self.heights):
                 if kind not in self.clearances:
                     raise ValueError(f"no [layout] clearance_{kind}_m")
                 layout = case_layout(self, kind, spacing, height, self.electrical_field_m)
                 # the wind factor (h/10)^exp must not overflow
                 wind_at_module(1.0, layout.mid_height, self.panel.wind_shear_exponent)
-                capacities.append(self.panel.nameplate_w(layout.collector_area))
-            object.__setattr__(self, "largest_capacity_w", max(capacities))
             for key, side in (("[field] electrical_m", self.electrical_field_m),
                               ("[layout] heights_m", max(self.heights))):
                 if not side <= MAX_ROW_SIDE_M:

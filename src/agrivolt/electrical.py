@@ -164,14 +164,6 @@ class SimulationResult:
     def __post_init__(self) -> None:
         self.capacity_w = self.panel.nameplate_w(self.layout.collector_area)
 
-    @property
-    def energy_kwh(self) -> float:
-        return float(self.p_w.sum()) / 1000.0
-
-    @property
-    def noshadow_energy_kwh(self) -> float:
-        return float(self.p_noshadow_w.sum()) / 1000.0
-
 
 def simulate_year(
     layout: Layout,
@@ -193,7 +185,7 @@ def simulate_year(
     day = sky.take(lit)
     sun = SolarPosition(day.altitude, day.azimuth)
     rows = layout.row_count
-    p_stc_row = panel.stc_efficiency * panel.g_stc * (layout.row_length * layout.height)
+    p_stc_row = panel.nameplate_w(layout.row_length * layout.height)
     bifacial = layout.bifaciality > 0.0
     wind_factor = wind_at_module(1.0, layout.mid_height, panel.wind_shear_exponent)
 

@@ -50,21 +50,6 @@ def price_weighted_yield(
     return float(weighted)
 
 
-def price_weighting_overflows(
-    capacity_w: float, g_stc: float, ghi: np.ndarray, prices: np.ndarray
-) -> bool:
-    """Whether :func:`price_weighted_yield` overflows on a field of nameplate ``capacity_w``,
-    judged before any simulation: each hour's energy is estimated as the capacity at the
-    hour's global irradiance, ``capacity_w * ghi / g_stc``, and prices are taken in
-    magnitude so that no partial sum is missed. An estimate, not a bound: the fixture
-    years' cases yield 0.78-0.95 of it, so refusals start within that factor of an overflow,
-    while prices that favour hours lit far above their ``ghi`` can still overflow later.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy_wh = capacity_w / g_stc * ghi
-        return not np.isfinite(np.sum(energy_wh * np.abs(prices)) / abs(np.mean(prices)))
-
-
 def shadow_losses(energy_wh: np.ndarray, noshadow_energy_wh: np.ndarray) -> float:
     """Percent of counterfactual (shadow-free) production lost to row shading."""
     reference = float(np.sum(noshadow_energy_wh))

@@ -1,14 +1,16 @@
 """Scenario sweeps: run the layout grid and emit the artifact set.
 
 One scenario run covers the cross product of mount kinds, spacings and
-heights from the configuration. Per case it simulates a year of
-electricity on the electrical field and accumulates monthly ground
-irradiance grids on the smaller ground-study field. One ordered table
-of (file name, writer) then holds every artifact: indicators, hourly and
-monthly yields, ground maps, the crop decision map and the comparisons.
-A decision-map run sweeps only the growing months and writes one entry.
+heights from the configuration. Its yield step simulates each case's year
+of electricity on the electrical field and builds its indicator report,
+refusing what the artifacts cannot hold; its ground-map step then
+accumulates monthly ground irradiance grids on the smaller ground-study
+field. One ordered table of (file name, writer) then holds every artifact:
+indicators, hourly and monthly yields, ground maps, the crop decision map
+and the comparisons. A decision-map run maps only the growing months and
+writes one entry.
 
-Cases are independent, so the sweep optionally fans out over worker
+Ground maps are independent, so that step optionally fans out over worker
 processes; results are collected in submission order and written by the
 parent alone, keeping artifacts byte-identical for any worker count.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import multiprocessing
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,6 +47,7 @@ class CaseSpec:
 class CaseResult:
     spec: CaseSpec
     simulation: SimulationResult
+    report: indicators.IndicatorReport
     monthly_grids: dict[int, GroundGrid]
 
     def combined_grid(self, months: tuple[int, ...]) -> GroundGrid:
@@ -72,29 +74,41 @@ def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
     return replace(grids[0], **{name: sum(getattr(g, name) for g in grids) for name in sums})
 
 
-def run_case(
-    config: ScenarioConfig,
-    spec: CaseSpec,
-    sky: SkyYear,
-    monthly: dict[int, SkyYear],
-) -> CaseResult:
-    """Simulate one grid case: electricity year plus ground grids.
+def case_yields(
+    config: ScenarioConfig, sky: SkyYear, prices: np.ndarray | None = None
+) -> list[tuple[CaseSpec, SimulationResult, indicators.IndicatorReport]]:
+    """The yield step of a sweep: each grid case's electricity year on the
+    electrical field and its indicator report, in :func:`expand_cases` order.
 
-    ``sky`` is :func:`sky.sky_year` of the configured location and
-    ``monthly`` its hours by calendar month, for every month any downstream
-    artifact needs; grids accumulate per month so ground-map and
-    growing-period artifacts can combine them without re-scanning the
+    ``sky`` is :func:`sky.sky_year` of the configured location. The reports
+    refuse what the artifacts cannot hold (a price weighting that overflows, a
+    capacity that is not positive) with :class:`InputError`, before any ground
+    map runs; ``validate`` runs this step too.
+    """
+    cases = []
+    for spec in expand_cases(config):
+        layout = case_layout(config, spec.kind, spec.spacing, spec.height,
+                             config.electrical_field_m)
+        simulation = simulate_year(layout, sky, config.panel, config.albedo)
+        cases.append((spec, simulation, indicators.report(simulation, spec.scenario, prices)))
+    return cases
+
+
+def run_case(
+    config: ScenarioConfig, spec: CaseSpec, monthly: dict[int, SkyYear]
+) -> dict[int, GroundGrid]:
+    """The ground-map step of one grid case: its ground grid of each month.
+
+    ``monthly`` holds the sky year's hours by calendar month, for every month
+    any downstream artifact needs; grids accumulate per month so ground-map
+    and growing-period artifacts can combine them without re-scanning the
     weather.
     """
-    field_m = config.electrical_field_m
-    electrical = case_layout(config, spec.kind, spec.spacing, spec.height, field_m)
-    simulation = simulate_year(electrical, sky, config.panel, config.albedo)
-    ground_layout = replace(electrical, field=(config.ground_field_m, config.ground_field_m))
-    grids = {
-        month: ground_irradiance_map(ground_layout, hours, cell_size=config.ground_cell_m)
+    layout = case_layout(config, spec.kind, spec.spacing, spec.height, config.ground_field_m)
+    return {
+        month: ground_irradiance_map(layout, hours, cell_size=config.ground_cell_m)
         for month, hours in monthly.items()
     }
-    return CaseResult(spec=spec, simulation=simulation, monthly_grids=grids)
 
 
 DEFAULT_THREADS = 1  # worker processes of a sweep
@@ -105,9 +119,9 @@ def _init_worker(*args) -> None:
     _WORKER_STATE["args"] = args
 
 
-def _run_case_worker(spec: CaseSpec) -> CaseResult:
-    config, sky, monthly = _WORKER_STATE["args"]
-    return run_case(config, spec, sky, monthly)
+def _run_case_worker(spec: CaseSpec) -> dict[int, GroundGrid]:
+    config, monthly = _WORKER_STATE["args"]
+    return run_case(config, spec, monthly)
 
 
 def run_cases(
@@ -115,35 +129,39 @@ def run_cases(
     weather: Weather,
     months: tuple[int, ...],
     threads: int = DEFAULT_THREADS,
+    prices: np.ndarray | None = None,
 ) -> list[CaseResult]:
-    """Run the whole grid, optionally across worker processes.
+    """Run the whole grid: the yield step here, then the ground maps of
+    ``months``, optionally across worker processes.
 
-    Results come back in grid order whatever the worker count, and each
-    case's computation is independent of scheduling, so downstream
-    artifacts do not depend on ``threads``. The sky year and its month
-    groups are derived once, here, and every worker reads them.
+    The sky year and its month groups are derived once, here. A refused
+    yield step raises before any ground map runs. Results come back in grid
+    order whatever the worker count, and each case's computation is
+    independent of scheduling, so downstream artifacts do not depend on
+    ``threads``.
     """
-    cases = expand_cases(config)
     sky = sky_year(config.location, weather)
+    yields = case_yields(config, sky, prices)
     monthly = {m: sky.take(sky.month == m) for m in sorted(set(months))}
-    if threads <= 1 or len(cases) == 1:
-        return [run_case(config, spec, sky, monthly) for spec in cases]
-    workers = min(threads, len(cases))
-    with multiprocessing.Pool(
-        processes=workers, initializer=_init_worker, initargs=(config, sky, monthly)
-    ) as pool:
-        return list(pool.imap(_run_case_worker, cases))
+    specs = [spec for spec, _, _ in yields]
+    if threads <= 1 or len(specs) == 1:
+        grids = [run_case(config, spec, monthly) for spec in specs]
+    else:  # imported here: the yield step alone, as ``validate`` runs it, needs no pool
+        import multiprocessing
+
+        with multiprocessing.Pool(processes=min(threads, len(specs)),
+                                  initializer=_init_worker, initargs=(config, monthly)) as pool:
+            grids = list(pool.imap(_run_case_worker, specs))
+    return [CaseResult(*case, monthly_grids=g) for case, g in zip(yields, grids)]
 
 
 def _decision_points(
-    config: ScenarioConfig,
-    results: list[CaseResult],
-    reports: list[indicators.IndicatorReport],
+    config: ScenarioConfig, results: list[CaseResult]
 ) -> list[agronomy.DecisionPoint]:
     """Sorted decision-map rows: each case's yield against growing-period PAR."""
     points = []
-    for r, rep in zip(results, reports):
-        growing = r.combined_grid(config.growing_months)
+    for r in results:
+        rep, growing = r.report, r.combined_grid(config.growing_months)
         points.append(
             agronomy.decision_point(
                 scenario=r.spec.scenario,
@@ -160,16 +178,16 @@ def _decision_points(
 
 
 def _artifacts(
-    config: ScenarioConfig, results: list[CaseResult], prices: np.ndarray | None
+    config: ScenarioConfig, results: list[CaseResult]
 ) -> list[tuple[str, Callable[[Path], None]]]:
     """Every artifact of a sweep in write order: (file name, writer of that path).
 
-    The indicator reports are built here, and the hourly time column once, on
-    first use; each ground grid and the decision map only by the writers that
-    need them, so a run that writes the decision map alone needs no ground-map
-    month and formats no time column.
+    The hourly time column is formatted once, on first use; each ground grid
+    and the decision map only by the writers that need them, so a run that
+    writes the decision map alone needs no ground-map month and formats no
+    time column.
     """
-    reports = [indicators.report(r.simulation, r.spec.scenario, prices) for r in results]
+    reports = [r.report for r in results]
     stamps = functools.cache(lambda: outputs.time_column(results[0].simulation.times))
     simulations = {r.spec.scenario: r.simulation for r in results}
     table = [("indicators.csv", lambda path: outputs.write_indicators_csv(path, reports))]
@@ -183,7 +201,7 @@ def _artifacts(
                       lambda path, grid=grid: outputs.write_ground_csv(path, grid())))
         table.append((f"ground_{r.spec.scenario}.pgm",
                       lambda path, grid=grid: outputs.write_ground_pgm(path, grid())))
-    points = functools.partial(_decision_points, config, results, reports)
+    points = functools.partial(_decision_points, config, results)
     table.append(("decision_map.csv", lambda path: outputs.write_decision_csv(path, points())))
     table.append(("comparisons.csv", lambda path: outputs.write_comparisons_csv(path, reports)))
     return table
@@ -198,9 +216,8 @@ def _sweep(
     months = set(config.growing_months)
     if only is None:
         months |= set(config.ground_map_months)
-    results = run_cases(config, weather, tuple(sorted(months)), threads)
-    # the table refuses overflowing prices, so it is built before the directory
-    table = [entry for entry in _artifacts(config, results, prices) if only in (None, entry[0])]
+    results = run_cases(config, weather, tuple(sorted(months)), threads, prices)
+    table = [entry for entry in _artifacts(config, results) if only in (None, entry[0])]
     written = outputs.write_artifacts(Path(out_dir), table)
     log.info("wrote %d artifacts to %s", len(table), Path(out_dir))
     return written

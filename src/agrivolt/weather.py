@@ -1,4 +1,4 @@
-"""Weather and price CSV ingestion with validation and repair.
+"""Weather, price and specific-yield CSV ingestion with validation and repair.
 
 Weather files carry hourly rows ``time,bhi,dhi,ghi,temp_air,wind10``
 (irradiance W/m2, temperature degC, 10 m wind m/s; timestamps UTC,
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MAX_LISTED, InputError, listed
+from .layout import MOUNT_KINDS
 from .solar import HOUR, SUPPORTED_YEARS, TIME_DTYPE, stamp_text, utc_micros
 
 log = logging.getLogger(__name__)
@@ -153,6 +154,28 @@ def _check_hourly(times: np.ndarray, path: Path) -> None:
         raise InputError(
             f"{path}: missing hours: {listed(stamp_text(missing).tolist(), int(gaps.sum()))}"
         )
+
+
+def ingest_yields(path: str | Path) -> dict[int, dict[str, float]]:
+    """Read a specific-yield CSV (``region_id,tilt,vertical,tracking``, kWh/kW).
+
+    Returns each region's yields by mount kind. Raises :class:`InputError` on
+    a region id that is not an integer or is given twice, and on a yield that
+    is not a finite number >= 0.
+    """
+    path = Path(path)
+    table: dict[int, dict[str, float]] = {}
+    for row, (region_id, *texts) in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
+        try:
+            region = int(region_id)
+        except ValueError as exc:
+            raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
+        if region in table:
+            raise InputError(f"{path}: row {row}: region {region} given twice")
+        table[region] = {k: _parse_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
+        if min(table[region].values()) < 0.0:
+            raise InputError(f"{path}: row {row}: yields must be >= 0")
+    return table
 
 
 def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_criterion_07_shadow_loss_limits(sky, foulum, decision_grid):
         sim = simulate_year(layout, sky, panel)
         density = sim.capacity_w / layout.field_area
         assert density == pytest.approx(15.0, rel=1e-12)
-        loss = 100.0 * (1.0 - sim.energy_kwh / sim.noshadow_energy_kwh)
+        loss = 100.0 * (1.0 - sim.p_w.sum() / sim.p_noshadow_w.sum())
         losses_15[kind] = loss
         assert loss < 1.0, f"{kind}: {loss:.3f}% at 15 W/m2"
 
@@ -216,8 +216,8 @@ def test_criterion_07_shadow_loss_limits(sky, foulum, decision_grid):
                         100.0
                         * (
                             1.0
-                            - r.simulation.energy_kwh
-                            / r.simulation.noshadow_energy_kwh
+                            - r.simulation.p_w.sum()
+                            / r.simulation.p_noshadow_w.sum()
                         ),
                     )
                     for r in results

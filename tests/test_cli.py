@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import agrivolt
 from agrivolt import land, outputs, scenario
 from agrivolt.cli import main
-from agrivolt.config import load_config
+from agrivolt.config import case_layout, load_config
+from agrivolt.electrical import simulate_year
 from agrivolt.land import LandRaster
+from agrivolt.sky import sky_year
 from agrivolt.weather import ingest_weather
 from fixturegen import write_ascii_grid
 
@@ -822,7 +824,7 @@ class TestValidate:
                 [*simulate, "--weather", weather, "--prices", path],
             ]
         # a finite mean whose weighted sum over the field's energy overflows, refused
-        # before the sweep (see test_overflowing_price_weighting_refused_before_the_sweep)
+        # before any ground map (see test_overflowing_price_weighting_refused_before_the_sweep)
         commands.append([*simulate, "--weather", weather, "--prices", flat("1e303")])
         for command in commands:
             assert main(command) == 2, command
@@ -835,46 +837,34 @@ class TestValidate:
     def test_overflowing_price_weighting_refused_before_the_sweep(
         self, cli_config, data_dir, tmp_path, capsys, monkeypatch, price
     ):
-        """Every hour at ``price``: the mean is finite, but the prices times the
-        largest case's capacity at each hour's ghi overflow. ``validate`` and
-        ``simulate`` refuse it with the same line, and no case runs."""
-        prices = flat_prices(data_dir, tmp_path, price)
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr(scenario, "run_cases", no_sweep)
+        """Every hour at ``price``: the mean is finite, but the prices times a
+        case's simulated energy overflow. ``validate`` and ``simulate`` refuse it
+        with the same line, and no ground map runs."""
         inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
-                  "--prices", str(prices)]
-        expected = (f"error: {prices}: price weighting undefined: the prices times the "
-                    "largest capacity at each hour's ghi overflow\n")
-        simulate = ["simulate", *inputs, "--out", str(tmp_path / "sim")]
-        for command in (["validate", *inputs], simulate):
-            assert main(command) == 2, command
-            assert capsys.readouterr().err == expected
-        assert not (tmp_path / "sim").exists()
+                  "--prices", str(flat_prices(data_dir, tmp_path, price))]
+        assert refused_alike(inputs, tmp_path / "sim", capsys, monkeypatch) == PRICE_OVERFLOW
 
-    @pytest.mark.parametrize("scale, code", [(0.95, 0), (1.05, 2)])
-    def test_price_weighting_refused_where_its_estimate_overflows(
-        self, cli_config, data_dir, tmp_path, capsys, scale, code
+    @pytest.mark.parametrize("scale, code", [(0.99, 0), (1.01, 2)])
+    def test_price_weighting_refused_exactly_where_it_overflows(
+        self, cli_config, data_dir, tmp_path, capsys, monkeypatch, scale, code
     ):
-        """Flat prices at ``scale`` times the price where the estimate, the largest
-        capacity at each hour's ghi, overflows. Below it both commands run, and the
-        simulated cases (which yield less than the estimate) weight to finite yields;
-        above it both refuse, although the simulated sum would still be finite."""
-        config = load_config(cli_config)
-        ghi = ingest_weather(data_dir / "weather.csv").ghi
-        edge = sys.float_info.max / (config.largest_capacity_w / config.panel.g_stc * ghi.sum())
-        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
-                  "--prices", str(flat_prices(data_dir, tmp_path, repr(float(scale * edge))))]
+        """Flat prices at ``scale`` times the price where the weighted sum of the
+        largest case's simulated energy overflows: below it both commands run to
+        finite price-weighted yields, above it both refuse before any ground map."""
+        weather = data_dir / "weather.csv"
+        edge = overflow_price(load_config(cli_config), ingest_weather(weather))
+        assert 1e300 < edge < 1e301  # the 30 m fixture field
+        inputs = ["--config", str(cli_config), "--weather", str(weather),
+                  "--prices", str(flat_prices(data_dir, tmp_path, repr(scale * edge)))]
         out = tmp_path / "sim"
+        if code:
+            assert refused_alike(inputs, out, capsys, monkeypatch) == PRICE_OVERFLOW
+            return
         for command in (["validate", *inputs], ["simulate", *inputs, "--out", str(out)]):
-            assert main(command) == code, command
-            assert ("price weighting undefined" in capsys.readouterr().err) == bool(code)
-        if not code:
-            rows = [line.split(",") for line in (out / "indicators.csv").read_text().split()]
-            column = rows[0].index("price_weighted_yield_kWh_m2")
-            assert all(np.isfinite(float(row[column])) for row in rows[1:])
+            assert main(command) == 0, command
+        rows = [line.split(",") for line in (out / "indicators.csv").read_text().split()]
+        column = rows[0].index("price_weighted_yield_kWh_m2")
+        assert all(np.isfinite(float(row[column])) for row in rows[1:])
 
     def test_nothing_to_check(self, capsys):
         code = main(["validate"])
@@ -977,6 +967,70 @@ class TestValidateAgreesWithSimulate:
         simulated = main(["simulate", *inputs, "--out", str(work / "out")])
         assert validated in (0, 2) and simulated in (0, 2)
         assert validated == simulated
+
+    def test_irradiance_far_above_the_sun_refused_alike(
+        self, cli_config, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        """The fixture year with bhi, dhi and ghi times 1000, far above what the sun
+        gives: flat prices just past that year's exact overflow price are refused
+        by both commands, before any ground map."""
+        lines = (data_dir / "weather.csv").read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            stamp, *irradiance, temp, wind = line.split(",")
+            lines[i] = ",".join([stamp, *(repr(1000.0 * float(v)) for v in irradiance), temp, wind])
+        weather = tmp_path / "bright.csv"
+        weather.write_text("\n".join(lines) + "\n")
+        edge = overflow_price(load_config(cli_config), ingest_weather(weather))
+        inputs = ["--config", str(cli_config), "--weather", str(weather),
+                  "--prices", str(flat_prices(data_dir, tmp_path, repr(1.01 * edge)))]
+        assert refused_alike(inputs, tmp_path / "sim", capsys, monkeypatch) == PRICE_OVERFLOW
+
+    def test_capacity_underflow_refused_alike(self, tmp_path, data_dir, capsys, monkeypatch):
+        """Rows 5e-324 m tall on a 1e-10 m field load, but their capacity rounds to
+        0 W; ``validate`` refuses them as ``simulate`` does, before any ground map."""
+        config = tmp_path / "tiny.ini"
+        config.write_text(
+            "[meta]\nschema_version = 1\n[location]\nlatitude = 56.49\nlongitude = 9.57\n"
+            "[field]\nelectrical_m = 1e-10\n[layout]\nkinds = tilt\nheights_m = 5e-324\n"
+        )
+        inputs = ["--config", str(config), "--weather", str(data_dir / "weather.csv")]
+        assert refused_alike(inputs, tmp_path / "sim", capsys, monkeypatch) == (
+            "error: capacity must be positive\n"
+        )
+
+
+PRICE_OVERFLOW = "error: price weighting undefined: the mean price is zero or the sum overflows\n"
+
+
+def overflow_price(config, weather) -> float:
+    """The flat price at which the weighted sum of the largest case's simulated
+    energy reaches the largest float."""
+    sky = sky_year(config.location, weather)
+    energy = max(
+        simulate_year(case_layout(config, spec.kind, spec.spacing, spec.height,
+                                  config.electrical_field_m), sky, config.panel, config.albedo)
+        .p_w.sum()
+        for spec in scenario.expand_cases(config)
+    )
+    return sys.float_info.max / float(energy)
+
+
+def refused_alike(inputs: list[str], out: Path, capsys, monkeypatch) -> str:
+    """Run ``validate`` and ``simulate`` on ``inputs``, with any ground map an
+    error: both must exit 2 with the same stderr and leave no ``out``. Returns
+    that stderr."""
+
+    def no_ground_map(*args):
+        raise AssertionError("a ground map ran")
+
+    monkeypatch.setattr(scenario, "run_case", no_ground_map)
+    errors = []
+    for command in (["validate", *inputs], ["simulate", *inputs, "--out", str(out)]):
+        assert main(command) == 2, command
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1], errors
+    assert not out.exists()
+    return errors[0]
 
 
 SUBCOMMANDS = ("simulate", "decision-map", "potential", "validate")

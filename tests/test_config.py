@@ -24,7 +24,7 @@ from agrivolt.electrical import PanelModel, simulate_year
 from agrivolt.errors import InputError
 from agrivolt.indicators import report
 from agrivolt.layout import MOUNT_KINDS, optimal_tilt
-from agrivolt.scenario import expand_cases, run_case
+from agrivolt.scenario import case_yields, expand_cases, run_case
 
 MINIMAL = """\
 [meta]
@@ -497,14 +497,12 @@ class TestEveryConstructedConfigRuns:
         event("constructed")
         months = sorted({*config.growing_months, *config.ground_map_months})
         monthly = {m: sky.take(sky.month == m) for m in months}
-        for spec in expand_cases(config):
-            case = run_case(config, spec, sky, monthly)
-            simulation = case.simulation
+        for spec, simulation, _ in case_yields(config, sky):
             for column in (simulation.p_w, simulation.p_noshadow_w, simulation.t_cell_c,
                            simulation.f_es_front, simulation.f_es_rear, simulation.g_eff_wm2):
                 assert np.isfinite(column).all()
             assert math.isfinite(simulation.capacity_w)
-            for grid in case.monthly_grids.values():
+            for grid in run_case(config, spec, monthly).values():
                 assert grid.blocked_direct.size <= 4
                 assert np.isfinite(grid.blocked_direct).all()
                 assert np.isfinite(grid.blocked_circumsolar).all()

@@ -188,7 +188,7 @@ class TestSimulateYear:
     def test_counterfactual_never_below_actual(self, annual_sims):
         for sim in annual_sims.values():
             assert np.all(sim.p_noshadow_w >= sim.p_w - 1e-9)
-            assert sim.noshadow_energy_kwh >= sim.energy_kwh
+            assert sim.p_noshadow_w.sum() >= sim.p_w.sum()
 
     def test_night_hours_idle(self, annual_sims, weather):
         sim = annual_sims["tilt"]
@@ -218,8 +218,8 @@ class TestSimulateYear:
     def test_bifacial_rear_contributes(self, sky):
         mono = build_layout("vertical", 6.0, 2.0, field=(30.0, 30.0), bifaciality=0.0)
         bi = build_layout("vertical", 6.0, 2.0, field=(30.0, 30.0), bifaciality=0.8)
-        e_mono = simulate_year(mono, sky).energy_kwh
-        e_bi = simulate_year(bi, sky).energy_kwh
+        e_mono = simulate_year(mono, sky).p_w.sum()
+        e_bi = simulate_year(bi, sky).p_w.sum()
         assert e_bi > 1.3 * e_mono  # the western face sees whole afternoons
 
     def test_partial_year_rejected(self, sky):
@@ -256,8 +256,8 @@ class TestSimulateYear:
         layout = build_layout("tilt", 4.5, 2.0, field=(30.0, 30.0), latitude_deg=56.49)
         full = simulate_year(layout, sky, PanelModel())
         half = simulate_year(layout, sky, replace(PanelModel(), stc_efficiency=0.10))
-        loss_full = 1.0 - full.energy_kwh / full.noshadow_energy_kwh
-        loss_half = 1.0 - half.energy_kwh / half.noshadow_energy_kwh
+        loss_full = 1.0 - full.p_w.sum() / full.p_noshadow_w.sum()
+        loss_half = 1.0 - half.p_w.sum() / half.p_noshadow_w.sum()
         assert loss_full == pytest.approx(loss_half, rel=1e-9)
 
 

@@ -30,7 +30,7 @@ class TestReportConsistency:
     def test_shadow_losses_match_energy_gap(self, annual_sims, annual_reports):
         for kind, rep in annual_reports.items():
             sim = annual_sims[kind]
-            expected = 100.0 * (1.0 - sim.energy_kwh / sim.noshadow_energy_kwh)
+            expected = 100.0 * (1.0 - sim.p_w.sum() / sim.p_noshadow_w.sum())
             assert rep.shadow_losses_pct == pytest.approx(expected, rel=1e-9)
 
     def test_flat_prices_leave_yield_unweighted(self, annual_sims):

@@ -79,7 +79,7 @@ class TestHourlyCsv:
         outputs.write_hourly_csv(path, sim, outputs.time_column(sim.times))
         rows = path.read_text().splitlines()[1:]
         total_wh = sum(float(r.split(",")[1]) for r in rows)
-        assert total_wh / 1000.0 == pytest.approx(sim.energy_kwh, rel=1e-6)
+        assert total_wh == pytest.approx(sim.p_w.sum(), rel=1e-6)
 
 
 class TestMonthlyYield:
@@ -104,7 +104,7 @@ class TestMonthlyYield:
             d * n
             for d, n in zip(daily, (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31))
         )
-        assert annual == pytest.approx(sim.energy_kwh / sim.layout.field_area, rel=1e-9)
+        assert annual == pytest.approx(sim.p_w.sum() / 1000.0 / sim.layout.field_area, rel=1e-9)
 
     def test_year_across_new_year(self, annual_sims):
         """A Jul 2015 - Jun 2016 year divides each month by the days it holds,
