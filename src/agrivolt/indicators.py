@@ -81,18 +81,21 @@ class IndicatorReport:
 def report(
     result: SimulationResult, scenario: str, prices: np.ndarray | None = None
 ) -> IndicatorReport:
-    """Compute the indicator set for one simulated scenario."""
+    """Compute the indicator set for one simulated scenario; a refusal names it."""
     area = result.layout.field_area
-    return IndicatorReport(
-        scenario=scenario,
-        kind=result.layout.kind,
-        spacing=result.layout.spacing,
-        height=result.layout.height,
-        capacity_density_w_m2=capacity_density(result.capacity_w, area),
-        electricity_yield_kwh_m2=electricity_yield(result.p_w, area),
-        price_weighted_yield_kwh_m2=(
-            None if prices is None else price_weighted_yield(result.p_w, prices, area)
-        ),
-        shadow_losses_pct=shadow_losses(result.p_w, result.p_noshadow_w),
-        specific_yield_kwh_kw=specific_yield(result.p_w, result.capacity_w),
-    )
+    try:
+        return IndicatorReport(
+            scenario=scenario,
+            kind=result.layout.kind,
+            spacing=result.layout.spacing,
+            height=result.layout.height,
+            capacity_density_w_m2=capacity_density(result.capacity_w, area),
+            electricity_yield_kwh_m2=electricity_yield(result.p_w, area),
+            price_weighted_yield_kwh_m2=(
+                None if prices is None else price_weighted_yield(result.p_w, prices, area)
+            ),
+            shadow_losses_pct=shadow_losses(result.p_w, result.p_noshadow_w),
+            specific_yield_kwh_kw=specific_yield(result.p_w, result.capacity_w),
+        )
+    except InputError as error:
+        raise InputError(f"{scenario}: {error}") from None

@@ -5,10 +5,10 @@ heights from the configuration. Its yield step simulates each case's year
 of electricity on the electrical field and builds its indicator report,
 refusing what the artifacts cannot hold; its ground-map step then
 accumulates monthly ground irradiance grids on the smaller ground-study
-field. One ordered table of (file name, writer) then holds every artifact:
-indicators, hourly and monthly yields, ground maps, the crop decision map
-and the comparisons. A decision-map run maps only the growing months and
-writes one entry.
+field. Every artifact is then computed, and only then written, from one
+ordered table of (file name, writer): indicators, hourly and monthly yields,
+ground maps, the crop decision map and the comparisons. A decision-map run
+maps only the growing months and writes one entry.
 
 Ground maps are independent, so that step optionally fans out over worker
 processes; results are collected in submission order and written by the
@@ -17,7 +17,6 @@ parent alone, keeping artifacts byte-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -180,44 +179,30 @@ def _decision_points(
 def _artifacts(
     config: ScenarioConfig, results: list[CaseResult]
 ) -> list[tuple[str, Callable[[Path], None]]]:
-    """Every artifact of a sweep in write order: (file name, writer of that path).
-
-    The hourly time column is formatted once, on first use; each ground grid
-    and the decision map only by the writers that need them, so a run that
-    writes the decision map alone needs no ground-map month and formats no
-    time column.
-    """
+    """Every artifact of a sweep in write order: (file name, writer of that path),
+    with all the writers' data computed first: the hourly time column once, each
+    case's ground grid once (its csv and pgm share it) and the decision map."""
     reports = [r.report for r in results]
-    stamps = functools.cache(lambda: outputs.time_column(results[0].simulation.times))
+    stamps = outputs.time_column(results[0].simulation.times)
     simulations = {r.spec.scenario: r.simulation for r in results}
     table = [("indicators.csv", lambda path: outputs.write_indicators_csv(path, reports))]
     for r in results:
         table.append((f"hourly_{r.spec.scenario}.csv",
-                      lambda path, sim=r.simulation: outputs.write_hourly_csv(path, sim, stamps())))
+                      lambda path, sim=r.simulation: outputs.write_hourly_csv(path, sim, stamps)))
     table.append(("monthly_yield.csv", lambda path: outputs.write_monthly_csv(path, simulations)))
-    for r in results:  # the csv and the pgm share one combined grid
-        grid = functools.cache(functools.partial(r.combined_grid, config.ground_map_months))
+    for r in results:
+        grid = r.combined_grid(config.ground_map_months)
         table.append((f"ground_{r.spec.scenario}.csv",
-                      lambda path, grid=grid: outputs.write_ground_csv(path, grid())))
+                      lambda path, grid=grid: outputs.write_ground_csv(path, grid)))
         table.append((f"ground_{r.spec.scenario}.pgm",
-                      lambda path, grid=grid: outputs.write_ground_pgm(path, grid())))
-    points = functools.partial(_decision_points, config, results)
-    table.append(("decision_map.csv", lambda path: outputs.write_decision_csv(path, points())))
+                      lambda path, grid=grid: outputs.write_ground_pgm(path, grid)))
+    points = _decision_points(config, results)
+    table.append(("decision_map.csv", lambda path: outputs.write_decision_csv(path, points)))
     table.append(("comparisons.csv", lambda path: outputs.write_comparisons_csv(path, reports)))
     return table
 
 
-def _sweep(
-    config: ScenarioConfig, weather: Weather, prices: np.ndarray | None,
-    out_dir: str | Path, threads: int, only: str | None,
-) -> list[Path]:
-    """Run the grid once and write its artifact table in order, or only the
-    artifact named ``only``; ground-map months are swept only for the full set."""
-    months = set(config.growing_months)
-    if only is None:
-        months |= set(config.ground_map_months)
-    results = run_cases(config, weather, tuple(sorted(months)), threads, prices)
-    table = [entry for entry in _artifacts(config, results) if only in (None, entry[0])]
+def _write(out_dir: str | Path, table: list[tuple[str, Callable[[Path], None]]]) -> list[Path]:
     written = outputs.write_artifacts(Path(out_dir), table)
     log.info("wrote %d artifacts to %s", len(table), Path(out_dir))
     return written
@@ -231,7 +216,8 @@ def run_scenario(
     threads: int = DEFAULT_THREADS,
 ) -> list[Path]:
     """Run the full scenario grid and write every artifact; returns the written paths."""
-    return _sweep(config, weather, prices, out_dir, threads, None)
+    months = tuple(sorted(set(config.growing_months) | set(config.ground_map_months)))
+    return _write(out_dir, _artifacts(config, run_cases(config, weather, months, threads, prices)))
 
 
 def run_decision_map(
@@ -241,4 +227,7 @@ def run_decision_map(
     threads: int = DEFAULT_THREADS,
 ) -> Path:
     """Sweep the grid over the growing months and write only the crop decision map."""
-    return _sweep(config, weather, None, out_dir, threads, "decision_map.csv")[0]
+    results = run_cases(config, weather, tuple(sorted(set(config.growing_months))), threads)
+    points = _decision_points(config, results)
+    table = [("decision_map.csv", lambda path: outputs.write_decision_csv(path, points))]
+    return _write(out_dir, table)[0]

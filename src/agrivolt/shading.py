@@ -248,15 +248,6 @@ def _run_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray, ys: np.n
     return (run_of[:, :n] if geom.along[0] != 0.0 else run_of[:, :n].T), runs, masks()
 
 
-def ground_shadow_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray,
-                        ys: np.ndarray) -> np.ndarray:
-    """Masks of the ground cells whose view of the sun a row blocks: (H, ny, nx)
-    for (H, 3) sun vectors, (ny, nx) for one, over cell centres ``xs`` by ``ys``."""
-    cells, runs, masks = _run_masks(geom, sun_vecs, xs, ys)
-    masks = np.array([*masks], dtype=bool).reshape(-1, runs)
-    return masks[:, cells] if sun_vecs.ndim == 2 else masks[0, cells]
-
-
 @dataclass
 class GroundGrid:
     """Accumulated ground-level irradiance over a study period.

@@ -76,10 +76,6 @@ class PlaneIrradiance:
     reflected: np.ndarray
 
     @property
-    def total(self) -> np.ndarray:
-        return self.direct + self.circumsolar + self.isotropic + self.reflected
-
-    @property
     def beamlike(self) -> np.ndarray:
         """The part that shadows can block."""
         return self.direct + self.circumsolar

@@ -92,10 +92,6 @@ class SolarPosition:
     altitude: float
     azimuth: float
 
-    @property
-    def zenith(self) -> float:
-        return 0.5 * math.pi - self.altitude
-
 
 @dataclass(frozen=True)
 class PlaneOrientation:

@@ -23,10 +23,12 @@ hour at a time, testing every cell against every row and adding every
 cell's mask into the grids. The production places one interval per
 shaded (line of cells, row) over blocks of hours, and adds each hour's
 weights per run of cells that the interval ends cut; its masks and maps
-must match these bit for bit. ``check_hourly``, ``check_full_year`` and
-``check_price_timeline`` are the per-``datetime`` loops that once checked
-the time axis; the production checks run as array expressions over the
-``datetime64`` column and must raise the same messages.
+must match these bit for bit; ``ground_shadow_masks`` gathers the
+production's per-run masks to each cell for that comparison.
+``check_hourly``, ``check_full_year`` and ``check_price_timeline`` are
+the per-``datetime`` loops that once checked the time axis; the
+production checks run as array expressions over the ``datetime64``
+column and must raise the same messages.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from agrivolt.electrical import PanelModel, SimulationResult, wind_at_module
 from agrivolt.layout import Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
-from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, row_shading
+from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, _run_masks, row_shading
 from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
 from agrivolt.errors import MAX_LISTED, InputError, listed
 from agrivolt.solar import (
@@ -222,6 +224,17 @@ def ground_shadow_mask(
         v = v0 - d * pv
         blocked |= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
     return blocked
+
+
+def ground_shadow_masks(geom: RowGeometry, sun_vecs: np.ndarray, xs: np.ndarray,
+                        ys: np.ndarray) -> np.ndarray:
+    """The production's masks, not an oracle: the per-run masks of
+    ``shading._run_masks``, which ground maps add up, gathered to each cell.
+    (H, ny, nx) for (H, 3) sun vectors, (ny, nx) for one, over cell centres
+    ``xs`` by ``ys``."""
+    cells, runs, masks = _run_masks(geom, sun_vecs, xs, ys)
+    masks = np.array([*masks], dtype=bool).reshape(-1, runs)
+    return masks[:, cells] if sun_vecs.ndim == 2 else masks[0, cells]
 
 
 def rows_at_hour(geom: RowGeometry, i: int) -> RowGeometry:

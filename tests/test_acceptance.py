@@ -35,16 +35,13 @@ from agrivolt.land import (
 )
 from agrivolt.layout import MOUNT_KINDS, build_layout
 from agrivolt.outputs import monthly_daily_yield
-from agrivolt.shading import (
-    effective_shading_factor,
-    ground_shadow_masks,
-    row_shading,
-)
+from agrivolt.shading import effective_shading_factor, row_shading
 from agrivolt.sky import PlaneIrradiance
 from agrivolt.solar import SolarPosition, sun_vector
 from conftest import DECISION_THRESHOLDS, GROWING_MONTHS
 from oracles import (
     brute_force_eligibility,
+    ground_shadow_masks,
     rasterized_ground_mask,
     rasterized_row_shading,
     row_shading_fractions,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import agrivolt
-from agrivolt import land, outputs, scenario
+from agrivolt import agronomy, land, outputs, scenario
 from agrivolt.cli import main
 from agrivolt.config import case_layout, load_config
 from agrivolt.electrical import simulate_year
@@ -128,6 +129,23 @@ class TestSimulate:
         results = scenario.run_cases(load_config(cli_config), weather, (7,), threads=2)
         assert [r.spec.scenario for r in results] == ["tilt_s6_h2", "vertical_s6_h2"]
         assert pids.read_text().split() == [str(os.getpid())]
+
+    def test_failure_after_the_sweep_leaves_no_out(
+        self, cli_config, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        """Every artifact is computed before ``--out`` is created: a failure
+        past the sweep (here in the decision map) exits 3 and leaves no
+        directory, rather than one that holds most of the artifacts."""
+
+        def failing(**kwargs):
+            raise RuntimeError("no decision point")
+
+        monkeypatch.setattr(agronomy, "decision_point", failing)
+        out = tmp_path / "sim"
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
+        assert main(["simulate", *inputs, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("computation failed: RuntimeError")
+        assert not out.exists()
 
     def test_toa_warning_once_per_run(self, cli_config, data_dir, tmp_path):
         """One hour of beam above the top of the atmosphere is flagged once by
@@ -310,6 +328,18 @@ class TestDecisionMap:
         assert code == 0
         simulated = cli_runs["first"][1] / "decision_map.csv"
         assert (out / "decision_map.csv").read_bytes() == simulated.read_bytes()
+
+    def test_formats_no_time_column(self, cli_config, data_dir, tmp_path, monkeypatch):
+        """``decision-map`` writes no hourly file, so it formats no time column."""
+
+        def no_time_column(times):
+            raise AssertionError("a time column was formatted")
+
+        monkeypatch.setattr(outputs, "time_column", no_time_column)
+        out = tmp_path / "dm"
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
+        assert main(["decision-map", *inputs, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {"decision_map.csv"}
 
     def test_ground_maps_of_growing_months_only(
         self, cli_config, data_dir, tmp_path, monkeypatch
@@ -995,11 +1025,15 @@ class TestValidateAgreesWithSimulate:
         )
         inputs = ["--config", str(config), "--weather", str(data_dir / "weather.csv")]
         assert refused_alike(inputs, tmp_path / "sim", capsys, monkeypatch) == (
-            "error: capacity must be positive\n"
+            "error: tilt_s6_h4.94066e-324: capacity must be positive\n"
         )
 
 
-PRICE_OVERFLOW = "error: price weighting undefined: the mean price is zero or the sum overflows\n"
+#: The refusal of flat prices whose weighting overflows: the first case refused
+#: is the fixture's tilt case, the one of largest energy.
+PRICE_OVERFLOW = (
+    "error: tilt_s6_h2: price weighting undefined: the mean price is zero or the sum overflows\n"
+)
 
 
 def overflow_price(config, weather) -> float:
@@ -1139,6 +1173,12 @@ class TestInstalledEntryPoint:
         assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert len(agrivolt.__all__) == 30
         assert (out / "regions.csv").exists()
+
+    def test_readme_names_every_export(self):
+        """Every name of ``agrivolt.__all__`` appears in README.md as a word."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        unnamed = [n for n in agrivolt.__all__ if not re.search(rf"(?<!\w){n}(?!\w)", readme)]
+        assert unnamed == []
 
     @pytest.mark.skipif(
         shutil.which("agrivolt") is None,

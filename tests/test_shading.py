@@ -21,7 +21,6 @@ from agrivolt.shading import (
     _shadow_intervals,
     effective_shading_factor,
     ground_irradiance_map,
-    ground_shadow_masks,
     row_shading,
     shaded_blocks,
 )
@@ -30,6 +29,7 @@ from agrivolt.solar import SolarPosition, sun_vector
 from conftest import reference_layout
 from oracles import (
     ground_shadow_mask,
+    ground_shadow_masks,
     rasterized_ground_mask,
     rasterized_row_shading,
     reference_ground_irradiance_map,

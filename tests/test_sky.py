@@ -119,9 +119,6 @@ class TestHorizontalIdentity:
         assert poa.isotropic == pytest.approx(k_hori * (1.0 - k1) * 180.0, rel=1e-12)
         assert poa.reflected == 0.0
         assert poa.beamlike == pytest.approx(poa.direct + poa.circumsolar, rel=1e-12)
-        assert poa.total == pytest.approx(
-            poa.direct + poa.circumsolar + poa.isotropic + poa.reflected, rel=1e-12
-        )
 
 
 class TestDiffuseOnPlane:

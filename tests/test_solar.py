@@ -41,7 +41,7 @@ class TestSolarPosition:
         where = GeoLocation(latitude=39.742476, longitude=-105.1786)
         when = utc(2003, 10, 17, 19, 30, 30)
         sun = solar_position(where, when)
-        assert math.degrees(sun.zenith) == pytest.approx(50.11162, abs=0.1)
+        assert math.degrees(0.5 * math.pi - sun.altitude) == pytest.approx(50.11162, abs=0.1)
         assert math.degrees(sun.azimuth) == pytest.approx(14.34024, abs=0.1)
 
     def test_summer_solstice_noon_altitude(self):
@@ -98,8 +98,11 @@ class TestSolarPosition:
             GeoLocation(latitude=0.0, longitude=190.0)
 
     def test_zenith_complements_altitude(self):
+        """The zenith angle, 0.5 pi - altitude, is the sun vector's angle from vertical."""
         sun = SolarPosition(altitude=math.radians(30.0), azimuth=0.2)
-        assert sun.zenith == pytest.approx(math.radians(60.0), rel=1e-12)
+        zenith = 0.5 * math.pi - sun.altitude
+        assert zenith == pytest.approx(math.radians(60.0), rel=1e-12)
+        assert sun_vector(sun)[2] == pytest.approx(math.cos(zenith), rel=1e-12)
 
 
 class TestSunVector:
@@ -126,11 +129,11 @@ class TestIncidence:
     def test_horizontal_plane_incidence_is_zenith(self):
         sun = SolarPosition(math.radians(37.0), math.radians(55.0))
         flat = PlaneOrientation(tilt=0.0, azimuth=0.0)
-        assert incidence_angle(sun, flat) == pytest.approx(sun.zenith, rel=1e-12)
+        assert incidence_angle(sun, flat) == pytest.approx(0.5 * math.pi - sun.altitude, rel=1e-12)
 
     def test_plane_facing_sun_has_zero_incidence(self):
         sun = SolarPosition(math.radians(25.0), math.radians(-40.0))
-        facing = PlaneOrientation(tilt=sun.zenith, azimuth=sun.azimuth)
+        facing = PlaneOrientation(tilt=0.5 * math.pi - sun.altitude, azimuth=sun.azimuth)
         assert incidence_angle(sun, facing) == pytest.approx(0.0, abs=1e-12)
 
     def test_sun_behind_plane_exceeds_right_angle(self):
