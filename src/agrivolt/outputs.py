@@ -2,12 +2,18 @@
 
 Every writer formats numbers through fixed format strings so repeated
 runs on identical inputs produce byte-identical files regardless of
-platform or thread count.
+platform or thread count. Every command writes into a staging directory
+beside its ``--out`` and publishes it only once every artifact is there
+(:func:`staged`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import os
+import shutil
+import tempfile
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,11 +32,45 @@ if TYPE_CHECKING:
 PGM_MAXVAL = 65535
 
 
-def write_artifacts(out: Path, table: list[tuple[str, Callable[[Path], None]]]) -> list[Path]:
-    """Create ``out``, write each (file name, writer of its path) of ``table`` in order."""
-    out.mkdir(parents=True, exist_ok=True)
+Table = list[tuple[str, Callable[[Path], None]]]  # (file name, writer of that path)
+
+
+@contextmanager
+def staged(out: Path) -> Iterator[Path]:
+    """A new directory beside ``out``, on its filesystem, to write artifacts into.
+
+    When the block completes the directory is published: renamed to ``out``
+    when ``out`` does not exist, else each file replaces its namesake in
+    ``out``, which keeps its other files. When the block raises, the
+    directory is removed with all it holds, so a failed run leaves neither
+    ``out`` nor a staging directory.
+    """
+    beside = next(p for p in out.resolve().parents if p.is_dir())
+    root = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=beside))
+    staging = root / "out"  # made by mkdir, so it gets the mode a new ``out`` would
+    try:
+        staging.mkdir()
+        yield staging
+        if out.exists():
+            for path in staging.iterdir():
+                os.replace(path, out / path.name)
+        else:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            staging.rename(out)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def write_table(directory: Path, table: Table) -> None:
+    """Write each entry of ``table`` in order into ``directory``."""
     for name, write in table:
-        write(out / name)
+        write(directory / name)
+
+
+def write_artifacts(out: Path, table: Table) -> list[Path]:
+    """Write ``table`` through :func:`staged` into ``out``; the paths in ``out``."""
+    with staged(out) as staging:
+        write_table(staging, table)
     return [out / name for name, _ in table]
 
 
@@ -59,16 +99,23 @@ def time_column(times: np.ndarray) -> list[str]:
     return (np.datetime_as_string(times, unit="s") + "Z").tolist()
 
 
-_HOURLY_ROW = "{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
+_HOURLY_HEADER = "time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W\n"
+_HOURLY_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
 
 
 def write_hourly_csv(path: str | Path, result: SimulationResult, stamps: list[str]) -> None:
-    """One row per hour; ``stamps`` is :func:`time_column` of ``result.times``."""
+    """One row per hour; ``stamps`` is :func:`time_column` of ``result.times``.
+
+    The stamps and the six columns are interleaved into one list, and one
+    ``%`` operation formats the whole table.
+    """
     columns = (result.p_w, result.t_cell_c, result.f_es_front,
                result.f_es_rear, result.g_eff_wm2, result.p_noshadow_w)
-    rows = map(_HOURLY_ROW, stamps, *(column.tolist() for column in columns))
-    header = "time,P_W,T_cell_C,F_ES_front,F_ES_rear,G_eff_Wm2,P_noshadow_W"
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+    table = [None] * (7 * len(stamps))
+    table[::7] = stamps
+    for k, column in enumerate(columns, start=1):
+        table[k::7] = column.tolist()
+    Path(path).write_text(_HOURLY_HEADER + _HOURLY_ROW * len(stamps) % tuple(table))
 
 
 def monthly_daily_yield(result: SimulationResult) -> list[float]:

@@ -2,17 +2,15 @@
 
 One scenario run covers the cross product of mount kinds, spacings and
 heights from the configuration. Its yield step simulates each case's year
-of electricity on the electrical field and builds its indicator report,
-refusing what the artifacts cannot hold; its ground-map step then
-accumulates monthly ground irradiance grids on the smaller ground-study
-field. Every artifact is then computed, and only then written, from one
-ordered table of (file name, writer): indicators, hourly and monthly yields,
-ground maps, the crop decision map and the comparisons. A decision-map run
-maps only the growing months and writes one entry.
+of electricity and builds its indicator report, refusing what the artifacts
+cannot hold. In its ground-map step each case maps the ground-study field
+by month, writes its hourly and ground-map files and returns its crop
+decision point; the cross-case tables come last. Every file goes into a
+staging directory, published as the output directory once all are written.
 
-Ground maps are independent, so that step optionally fans out over worker
-processes; results are collected in submission order and written by the
-parent alone, keeping artifacts byte-identical for any worker count.
+Cases are independent, so the ground-map step optionally fans out over
+worker processes; results are collected in submission order, keeping
+artifacts byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,15 +40,17 @@ class CaseSpec:
     height: float
 
 
+Case = tuple[CaseSpec, SimulationResult, indicators.IndicatorReport]  # a yield step's
+
+
 @dataclass
 class CaseResult:
+    """One grid case after a sweep: its yield step and its decision point."""
+
     spec: CaseSpec
     simulation: SimulationResult
     report: indicators.IndicatorReport
-    monthly_grids: dict[int, GroundGrid]
-
-    def combined_grid(self, months: tuple[int, ...]) -> GroundGrid:
-        return combine_grids([self.monthly_grids[m] for m in sorted(set(months))])
+    point: agronomy.DecisionPoint
 
 
 def case_id(kind: str, spacing: float, height: float) -> str:
@@ -75,7 +75,7 @@ def combine_grids(grids: list[GroundGrid]) -> GroundGrid:
 
 def case_yields(
     config: ScenarioConfig, sky: SkyYear, prices: np.ndarray | None = None
-) -> list[tuple[CaseSpec, SimulationResult, indicators.IndicatorReport]]:
+) -> list[Case]:
     """The yield step of a sweep: each grid case's electricity year on the
     electrical field and its indicator report, in :func:`expand_cases` order.
 
@@ -93,21 +93,53 @@ def case_yields(
     return cases
 
 
-def run_case(
+def case_grids(
     config: ScenarioConfig, spec: CaseSpec, monthly: dict[int, SkyYear]
 ) -> dict[int, GroundGrid]:
-    """The ground-map step of one grid case: its ground grid of each month.
-
-    ``monthly`` holds the sky year's hours by calendar month, for every month
-    any downstream artifact needs; grids accumulate per month so ground-map
-    and growing-period artifacts can combine them without re-scanning the
-    weather.
-    """
+    """One grid case's ground grid of each month of ``monthly``, which holds
+    the sky year's hours by calendar month."""
     layout = case_layout(config, spec.kind, spec.spacing, spec.height, config.ground_field_m)
     return {
         month: ground_irradiance_map(layout, hours, cell_size=config.ground_cell_m)
         for month, hours in monthly.items()
     }
+
+
+def run_case(
+    config: ScenarioConfig,
+    case: Case,
+    monthly: dict[int, SkyYear],
+    out: Path | None = None,
+    stamps: list[str] | None = None,
+) -> agronomy.DecisionPoint:
+    """The ground-map step of one case of :func:`case_yields`: its decision
+    point over the growing months, and with ``out``, a staging directory, its
+    ``hourly_<id>.csv`` (``stamps`` is the time column) and its ground map
+    files there. ``monthly`` holds the growing and ground-map months."""
+    spec, simulation, report = case
+    grids = case_grids(config, spec, monthly)
+
+    def combined(months: tuple[int, ...]) -> GroundGrid:
+        return combine_grids([grids[m] for m in sorted(set(months))])
+
+    if out is not None:
+        ground = combined(config.ground_map_months)
+        outputs.write_table(out, [
+            (f"hourly_{spec.scenario}.csv",
+             lambda path: outputs.write_hourly_csv(path, simulation, stamps)),
+            (f"ground_{spec.scenario}.csv", lambda path: outputs.write_ground_csv(path, ground)),
+            (f"ground_{spec.scenario}.pgm", lambda path: outputs.write_ground_pgm(path, ground)),
+        ])
+    return agronomy.decision_point(
+        scenario=spec.scenario,
+        kind=spec.kind,
+        spacing=spec.spacing,
+        height=spec.height,
+        capacity_density_w_m2=report.capacity_density_w_m2,
+        electricity_yield_kwh_m2=report.electricity_yield_kwh_m2,
+        par_map=agronomy.par_flux(combined(config.growing_months).mean_daytime_irradiance()),
+        thresholds=config.thresholds,
+    )
 
 
 DEFAULT_THREADS = 1  # worker processes of a sweep
@@ -118,9 +150,9 @@ def _init_worker(*args) -> None:
     _WORKER_STATE["args"] = args
 
 
-def _run_case_worker(spec: CaseSpec) -> dict[int, GroundGrid]:
-    config, monthly = _WORKER_STATE["args"]
-    return run_case(config, spec, monthly)
+def _run_case_worker(case: Case) -> agronomy.DecisionPoint:
+    config, monthly, out, stamps = _WORKER_STATE["args"]
+    return run_case(config, case, monthly, out, stamps)
 
 
 def run_cases(
@@ -129,83 +161,31 @@ def run_cases(
     months: tuple[int, ...],
     threads: int = DEFAULT_THREADS,
     prices: np.ndarray | None = None,
+    out: Path | None = None,
 ) -> list[CaseResult]:
-    """Run the whole grid: the yield step here, then the ground maps of
-    ``months``, optionally across worker processes.
+    """Run the whole grid: the yield step here, then :func:`run_case` over
+    the growing months and ``months`` (with ``out``, the ground-map months),
+    optionally across worker processes, which get what they need as
+    arguments under any start method.
 
-    The sky year and its month groups are derived once, here. A refused
-    yield step raises before any ground map runs. Results come back in grid
-    order whatever the worker count, and each case's computation is
-    independent of scheduling, so downstream artifacts do not depend on
-    ``threads``.
+    The sky year, its month groups and the time column are derived once,
+    here. A refused yield step raises before any ground map runs. Results
+    come back in grid order whatever the worker count, and each case is
+    independent of scheduling, so the artifacts do not depend on ``threads``.
     """
     sky = sky_year(config.location, weather)
     yields = case_yields(config, sky, prices)
-    monthly = {m: sky.take(sky.month == m) for m in sorted(set(months))}
-    specs = [spec for spec, _, _ in yields]
-    if threads <= 1 or len(specs) == 1:
-        grids = [run_case(config, spec, monthly) for spec in specs]
+    monthly = {m: sky.take(sky.month == m) for m in sorted({*config.growing_months, *months})}
+    stamps = None if out is None else outputs.time_column(sky.times)
+    if threads <= 1 or len(yields) == 1:
+        points = [run_case(config, case, monthly, out, stamps) for case in yields]
     else:  # imported here: the yield step alone, as ``validate`` runs it, needs no pool
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(threads, len(specs)),
-                                  initializer=_init_worker, initargs=(config, monthly)) as pool:
-            grids = list(pool.imap(_run_case_worker, specs))
-    return [CaseResult(*case, monthly_grids=g) for case, g in zip(yields, grids)]
-
-
-def _decision_points(
-    config: ScenarioConfig, results: list[CaseResult]
-) -> list[agronomy.DecisionPoint]:
-    """Sorted decision-map rows: each case's yield against growing-period PAR."""
-    points = []
-    for r in results:
-        rep, growing = r.report, r.combined_grid(config.growing_months)
-        points.append(
-            agronomy.decision_point(
-                scenario=r.spec.scenario,
-                kind=r.spec.kind,
-                spacing=r.spec.spacing,
-                height=r.spec.height,
-                capacity_density_w_m2=rep.capacity_density_w_m2,
-                electricity_yield_kwh_m2=rep.electricity_yield_kwh_m2,
-                par_map=agronomy.par_flux(growing.mean_daytime_irradiance()),
-                thresholds=config.thresholds,
-            )
-        )
-    return agronomy.sort_decision_points(points)
-
-
-def _artifacts(
-    config: ScenarioConfig, results: list[CaseResult]
-) -> list[tuple[str, Callable[[Path], None]]]:
-    """Every artifact of a sweep in write order: (file name, writer of that path),
-    with all the writers' data computed first: the hourly time column once, each
-    case's ground grid once (its csv and pgm share it) and the decision map."""
-    reports = [r.report for r in results]
-    stamps = outputs.time_column(results[0].simulation.times)
-    simulations = {r.spec.scenario: r.simulation for r in results}
-    table = [("indicators.csv", lambda path: outputs.write_indicators_csv(path, reports))]
-    for r in results:
-        table.append((f"hourly_{r.spec.scenario}.csv",
-                      lambda path, sim=r.simulation: outputs.write_hourly_csv(path, sim, stamps)))
-    table.append(("monthly_yield.csv", lambda path: outputs.write_monthly_csv(path, simulations)))
-    for r in results:
-        grid = r.combined_grid(config.ground_map_months)
-        table.append((f"ground_{r.spec.scenario}.csv",
-                      lambda path, grid=grid: outputs.write_ground_csv(path, grid)))
-        table.append((f"ground_{r.spec.scenario}.pgm",
-                      lambda path, grid=grid: outputs.write_ground_pgm(path, grid)))
-    points = _decision_points(config, results)
-    table.append(("decision_map.csv", lambda path: outputs.write_decision_csv(path, points)))
-    table.append(("comparisons.csv", lambda path: outputs.write_comparisons_csv(path, reports)))
-    return table
-
-
-def _write(out_dir: str | Path, table: list[tuple[str, Callable[[Path], None]]]) -> list[Path]:
-    written = outputs.write_artifacts(Path(out_dir), table)
-    log.info("wrote %d artifacts to %s", len(table), Path(out_dir))
-    return written
+        with multiprocessing.Pool(processes=min(threads, len(yields)), initializer=_init_worker,
+                                  initargs=(config, monthly, out, stamps)) as pool:
+            points = list(pool.imap(_run_case_worker, yields))
+    return [CaseResult(*case, point) for case, point in zip(yields, points)]
 
 
 def run_scenario(
@@ -215,9 +195,27 @@ def run_scenario(
     out_dir: str | Path,
     threads: int = DEFAULT_THREADS,
 ) -> list[Path]:
-    """Run the full scenario grid and write every artifact; returns the written paths."""
-    months = tuple(sorted(set(config.growing_months) | set(config.ground_map_months)))
-    return _write(out_dir, _artifacts(config, run_cases(config, weather, months, threads, prices)))
+    """Run the full scenario grid and write every artifact, each case's as it
+    finishes, through :func:`outputs.staged`; returns their paths by name."""
+    out = Path(out_dir)
+    with outputs.staged(out) as staging:
+        results = run_cases(config, weather, config.ground_map_months, threads, prices, staging)
+        reports = [r.report for r in results]
+        simulations = {r.spec.scenario: r.simulation for r in results}
+        outputs.write_table(staging, [
+            ("indicators.csv", lambda path: outputs.write_indicators_csv(path, reports)),
+            ("monthly_yield.csv", lambda path: outputs.write_monthly_csv(path, simulations)),
+            _decision_map(results),
+            ("comparisons.csv", lambda path: outputs.write_comparisons_csv(path, reports)),
+        ])
+        names = sorted(path.name for path in staging.iterdir())
+    log.info("wrote %d artifacts to %s", len(names), out)
+    return [out / name for name in names]
+
+
+def _decision_map(results: list[CaseResult]) -> tuple[str, Callable[[Path], None]]:
+    points = agronomy.sort_decision_points([r.point for r in results])
+    return "decision_map.csv", lambda path: outputs.write_decision_csv(path, points)
 
 
 def run_decision_map(
@@ -227,7 +225,7 @@ def run_decision_map(
     threads: int = DEFAULT_THREADS,
 ) -> Path:
     """Sweep the grid over the growing months and write only the crop decision map."""
-    results = run_cases(config, weather, tuple(sorted(set(config.growing_months))), threads)
-    points = _decision_points(config, results)
-    table = [("decision_map.csv", lambda path: outputs.write_decision_csv(path, points))]
-    return _write(out_dir, table)[0]
+    results = run_cases(config, weather, (), threads)
+    written = outputs.write_artifacts(Path(out_dir), [_decision_map(results)])
+    log.info("wrote %d artifacts to %s", len(written), Path(out_dir))
+    return written[0]

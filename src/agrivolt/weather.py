@@ -14,14 +14,14 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MAX_LISTED, InputError, listed
 from .layout import MOUNT_KINDS
-from .solar import HOUR, SUPPORTED_YEARS, TIME_DTYPE, stamp_text, utc_micros
+from .solar import HOUR, SUPPORTED_YEARS, TIME_DTYPE, stamp_text
 
 log = logging.getLogger(__name__)
 
@@ -53,25 +53,101 @@ class Weather:
         return len(self.times)
 
 
+def _header(reader, path: Path, columns: tuple[str, ...], what: str) -> list[int]:
+    """The index of each of ``columns`` in the header row, the last of a
+    repeated name, as ``csv.DictReader`` takes it."""
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: empty file")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing {what} columns {missing}")
+    return [max(i for i, name in enumerate(header) if name == c) for c in columns]
+
+
+def _unreadable(path: Path, what: str, exc: Exception) -> InputError:
+    return InputError(f"cannot read {what} file {path}: {exc}")
+
+
 def _records(path: Path, columns: tuple[str, ...], what: str):
     """Yield ``(row number, values of columns)`` per data row, as ``csv.DictReader`` reads them."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: empty file")
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise InputError(f"{path}: missing {what} columns {missing}")
-            at = [max(i for i, name in enumerate(header) if name == c) for c in columns]
+            at = _header(reader, path, columns, what)
             row_num = 1
             for row_num, row in enumerate(filter(None, reader), start=2):
                 yield row_num, [row[i] if i < len(row) else "" for i in at]
             if row_num == 1:
                 raise InputError(f"{path}: no data rows")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+        raise _unreadable(path, what, exc) from exc
+
+
+def _parse_columns(path: Path, columns: tuple[str, ...], what: str, parse, check_row):
+    """``parse`` of the values of ``columns`` in a CSV file, one tuple per
+    column, read in one pass; rows are numbered and read as :func:`_records`
+    reads them.
+
+    ``parse`` raises ``ValueError`` exactly when ``check_row(path, row
+    number, values)`` refuses some row; the rows are then checked in order,
+    so the refusal names the first bad row. A file that cannot be read to its
+    end is refused after the rows read before the failure pass
+    ``check_row``, as when each row is parsed as it is read.
+    """
+    rows: list[list[str]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            at = _header(reader, path, columns, what)
+            rows.extend(filter(None, reader))  # keeps the rows read before a failure
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        _check_rows(path, rows, at if rows else [], check_row)
+        raise _unreadable(path, what, exc) from exc
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    try:
+        table = list(zip(*rows))  # as many columns as the shortest row has values
+        return parse([table[i] for i in at])  # IndexError: some row lacks a value
+    except (ValueError, IndexError):
+        _check_rows(path, rows, at, check_row)
+        raise
+
+
+def _check_rows(path: Path, rows: list[list[str]], at: list[int], check_row) -> None:
+    for row_num, row in enumerate(rows, start=2):
+        check_row(path, row_num, [row[i] if i < len(row) else "" for i in at])
+
+
+_NAIVE_EPOCH, _AWARE_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _utc_stamps(texts: tuple[str, ...], years: range) -> np.ndarray:
+    """Timestamps as :func:`_parse_time` reads them, in :data:`TIME_DTYPE`.
+
+    Raises ``ValueError`` on one that it refuses, and on one whose UTC year
+    lies outside ``years``, which must lie within 1-9999: outside those
+    years :func:`_parse_time` refuses a stamp, as ``datetime`` cannot hold it.
+    """
+    stamps = map(datetime.fromisoformat, [t.strip().replace("Z", "+00:00") for t in texts])
+    micro = timedelta(microseconds=1)
+    times = np.array(
+        [(s - (_NAIVE_EPOCH if s.tzinfo is None else _AWARE_EPOCH)) // micro for s in stamps],
+        dtype=TIME_DTYPE,
+    )
+    year = times.astype("M8[Y]").astype(np.int64) + 1970
+    if not ((year >= years.start) & (year < years.stop)).all():
+        raise ValueError("a year out of range")
+    return times
+
+
+def _finite_floats(texts: list[tuple[str, ...]]) -> np.ndarray:
+    """Columns of numbers as one float64 array of rows; ``ValueError`` on a
+    value that is not a number or not finite."""
+    values = np.array([list(map(float, column)) for column in texts])
+    if not np.isfinite(values).all():
+        raise ValueError("a value is not finite")
+    return values
 
 
 def _parse_time(text: str, path: Path, row: int) -> datetime:
@@ -108,17 +184,12 @@ def ingest_weather(path: str | Path) -> Weather:
     flags it.
     """
     path = Path(path)
-    micros: list[int] = []
-    values: list[list[float]] = []
-    for row_num, (stamp, *fields) in _records(path, WEATHER_COLUMNS, "weather"):
-        time = _parse_time(stamp, path, row_num)
-        if time.year not in SUPPORTED_YEARS:
-            raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
-        micros.append(utc_micros(time))
-        values.append([_parse_float(text, c, path, row_num)
-                       for text, c in zip(fields, WEATHER_COLUMNS[1:])])
-    times = np.array(micros, dtype=TIME_DTYPE)
-    bhi, dhi, ghi, temp_air, wind10 = np.array(values).T.copy()
+    times, values = _parse_columns(
+        path, WEATHER_COLUMNS, "weather",
+        lambda texts: (_utc_stamps(texts[0], SUPPORTED_YEARS), _finite_floats(texts[1:])),
+        _check_weather_row,
+    )
+    bhi, dhi, ghi, temp_air, wind10 = values
     # record i is row i + 2, as ``_records`` numbers them
     negative = np.flatnonzero((bhi < 0.0) | (dhi < 0.0) | (ghi < 0.0) | (wind10 < 0.0)) + 2
     if negative.size:
@@ -136,6 +207,15 @@ def ingest_weather(path: str | Path) -> Weather:
         )
     _check_hourly(times, path)
     return Weather(times, bhi, dhi, ghi, temp_air, wind10)
+
+
+def _check_weather_row(path: Path, row_num: int, values: list[str]) -> None:
+    stamp, *fields = values
+    time = _parse_time(stamp, path, row_num)
+    if time.year not in SUPPORTED_YEARS:
+        raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
+    for text, column in zip(fields, WEATHER_COLUMNS[1:]):
+        _parse_float(text, column, path, row_num)
 
 
 def _check_hourly(times: np.ndarray, path: Path) -> None:
@@ -187,16 +267,15 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
     Returns the price array (currency per MWh, any fixed unit) in timeline order.
     """
     path = Path(path)
-    micros: list[int] = []
-    prices: list[float] = []
-    for row_num, (stamp, price) in _records(path, PRICE_COLUMNS, "price"):
-        micros.append(utc_micros(_parse_time(stamp, path, row_num)))
-        prices.append(_parse_float(price, "price", path, row_num))
-    if len(micros) != len(times):
+    stamps, (series,) = _parse_columns(
+        path, PRICE_COLUMNS, "price",
+        lambda texts: (_utc_stamps(texts[0], _DATETIME_YEARS), _finite_floats(texts[1:])),
+        _check_price_row,
+    )
+    if len(stamps) != len(times):
         raise InputError(
-            f"{path}: {len(micros)} price rows for {len(times)} weather hours"
+            f"{path}: {len(stamps)} price rows for {len(times)} weather hours"
         )
-    stamps = np.array(micros, dtype=TIME_DTYPE)
     diverge = np.flatnonzero(stamps != times)
     if diverge.size:
         i = diverge[0]
@@ -204,9 +283,17 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
             f"{path}: price timeline diverges from weather at row {i + 2}: "
             f"{stamp_text(stamps[i])} != {stamp_text(times[i])}"
         )
-    series = np.array(prices)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mean = float(np.mean(series))
     if mean == 0.0 or not math.isfinite(mean):
         raise InputError(f"{path}: mean price is {mean}, price weighting undefined")
     return series
+
+
+_DATETIME_YEARS = range(1, 10000)  # UTC years a ``datetime`` holds
+
+
+def _check_price_row(path: Path, row_num: int, values: list[str]) -> None:
+    stamp, price = values
+    _parse_time(stamp, path, row_num)
+    _parse_float(price, "price", path, row_num)

@@ -28,11 +28,15 @@ production's per-run masks to each cell for that comparison.
 ``check_hourly``, ``check_full_year`` and ``check_price_timeline`` are
 the per-``datetime`` loops that once checked the time axis; the
 production checks run as array expressions over the ``datetime64``
-column and must raise the same messages.
+column and must raise the same messages. ``reference_ingest_weather`` and
+``reference_ingest_prices`` read their files one row at a time, parsing
+each row as it is read; the production reads each file into columns and
+parses them whole, and must give the same arrays or the same refusal.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -46,6 +50,7 @@ from agrivolt.land import ClassSets, LandRaster, RegionPotential
 from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, _run_masks, row_shading
 from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
 from agrivolt.errors import MAX_LISTED, InputError, listed
+from agrivolt.weather import CLOSURE_TOLERANCE_WM2, WEATHER_COLUMNS, Weather, _check_hourly
 from agrivolt.solar import (
     SOLAR_CONSTANT,
     SUPPORTED_YEARS,
@@ -53,6 +58,7 @@ from agrivolt.solar import (
     PlaneOrientation,
     SolarPosition,
     incidence_angle,
+    stamp_text,
     sun_vector,
 )
 
@@ -734,3 +740,100 @@ def check_price_timeline(stamps: list[datetime], times: list[datetime], path: Pa
                 f"{path}: price timeline diverges from weather at row {i + 2}: "
                 f"{got.isoformat()} != {want.isoformat()}"
             )
+
+
+# The weather and price readers one row at a time: each row is parsed as it
+# is read, so a refusal names the first bad row, and a file that cannot be
+# read is refused at the row where reading fails.
+
+
+def _reference_records(path: Path, columns: tuple[str, ...], what: str):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise InputError(f"{path}: missing {what} columns {missing}")
+            at = [max(i for i, name in enumerate(header) if name == c) for c in columns]
+            row_num = 1
+            for row_num, row in enumerate(filter(None, reader), start=2):
+                yield row_num, [row[i] if i < len(row) else "" for i in at]
+            if row_num == 1:
+                raise InputError(f"{path}: no data rows")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _reference_micros(text: str, path: Path, row: int, years: range | None) -> int:
+    """A timestamp as UTC microseconds since 1970, naive ones read as UTC;
+    refused outside ``years`` (None: any)."""
+    cleaned = text.strip().replace("Z", "+00:00")
+    try:
+        stamp = datetime.fromisoformat(cleaned)
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        stamp = stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: row {row}: bad timestamp {text!r}: {exc}") from exc
+    if years is not None and stamp.year not in years:
+        raise InputError(f"{path}: row {row}: year {stamp.year} is outside 1950-2100")
+    return (stamp - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+
+
+def _reference_float(text: str, column: str, path: Path, row: int) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise InputError(
+            f"{path}: row {row}: column {column!r} is not a number: {text!r}"
+        ) from exc
+    if not math.isfinite(value):
+        raise InputError(f"{path}: row {row}: column {column!r} is not finite: {text!r}")
+    return value
+
+
+def reference_ingest_weather(path: Path) -> Weather:
+    """:func:`agrivolt.weather.ingest_weather`, parsing one row at a time."""
+    micros, values = [], []
+    for row, (stamp, *fields) in _reference_records(path, WEATHER_COLUMNS, "weather"):
+        micros.append(_reference_micros(stamp, path, row, SUPPORTED_YEARS))
+        values.append([_reference_float(text, column, path, row)
+                       for text, column in zip(fields, WEATHER_COLUMNS[1:])])
+    times = np.array(micros, dtype="M8[us]")
+    bhi, dhi, ghi, temp_air, wind10 = np.array(values).T.copy()
+    negative = np.flatnonzero((bhi < 0.0) | (dhi < 0.0) | (ghi < 0.0) | (wind10 < 0.0)) + 2
+    if negative.size:
+        raise InputError(
+            f"{path}: negative irradiance or wind in rows {listed(negative.tolist())}"
+        )
+    repaired = np.abs(ghi - (bhi + dhi)) > CLOSURE_TOLERANCE_WM2
+    ghi = np.where(repaired, bhi + dhi, ghi)
+    _check_hourly(times, path)
+    return Weather(times, bhi, dhi, ghi, temp_air, wind10)
+
+
+def reference_ingest_prices(path: Path, times: np.ndarray) -> np.ndarray:
+    """:func:`agrivolt.weather.ingest_prices`, parsing one row at a time."""
+    micros, prices = [], []
+    for row, (stamp, price) in _reference_records(path, ("time", "price"), "price"):
+        micros.append(_reference_micros(stamp, path, row, None))
+        prices.append(_reference_float(price, "price", path, row))
+    if len(micros) != len(times):
+        raise InputError(f"{path}: {len(micros)} price rows for {len(times)} weather hours")
+    stamps = np.array(micros, dtype="M8[us]")
+    diverge = np.flatnonzero(stamps != times)
+    if diverge.size:
+        i = diverge[0]
+        raise InputError(
+            f"{path}: price timeline diverges from weather at row {i + 2}: "
+            f"{stamp_text(stamps[i])} != {stamp_text(times[i])}"
+        )
+    series = np.array(prices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(series))
+    if mean == 0.0 or not math.isfinite(mean):
+        raise InputError(f"{path}: mean price is {mean}, price weighting undefined")
+    return series

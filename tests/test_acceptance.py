@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from agrivolt import indicators
-from agrivolt.agronomy import decision_point, par_flux, sort_decision_points
+from agrivolt.agronomy import par_flux, sort_decision_points
 from agrivolt.electrical import (
     PanelModel,
     angular_loss,
@@ -38,7 +38,6 @@ from agrivolt.outputs import monthly_daily_yield
 from agrivolt.shading import effective_shading_factor, row_shading
 from agrivolt.sky import PlaneIrradiance
 from agrivolt.solar import SolarPosition, sun_vector
-from conftest import DECISION_THRESHOLDS, GROWING_MONTHS
 from oracles import (
     brute_force_eligibility,
     ground_shadow_masks,
@@ -258,25 +257,14 @@ def test_criterion_09_decision_map_target(decision_grid):
     """The scenario grid offers tilt and vertical configurations that keep
     the light-hungry crop class on at least 80% of the field while yielding
     30 +- 5 kWh/m2 of electricity."""
-    config, results = decision_grid
-    points = []
-    for r in results:
+    _, results = decision_grid
+    for r in results:  # each point carries its case's indicators
         rep = indicators.report(r.simulation, r.spec.scenario)
-        growing = r.combined_grid(GROWING_MONTHS)
-        par_map = par_flux(growing.mean_daytime_irradiance())
-        points.append(
-            decision_point(
-                scenario=r.spec.scenario,
-                kind=r.spec.kind,
-                spacing=r.spec.spacing,
-                height=r.spec.height,
-                capacity_density_w_m2=rep.capacity_density_w_m2,
-                electricity_yield_kwh_m2=rep.electricity_yield_kwh_m2,
-                par_map=par_map,
-                thresholds=DECISION_THRESHOLDS,
-            )
-        )
-    points = sort_decision_points(points)
+        assert (r.point.scenario, r.point.kind, r.point.spacing, r.point.height) == (
+            r.spec.scenario, r.spec.kind, r.spec.spacing, r.spec.height)
+        assert r.point.capacity_density_w_m2 == rep.capacity_density_w_m2
+        assert r.point.electricity_yield_kwh_m2 == rep.electricity_yield_kwh_m2
+    points = sort_decision_points([r.point for r in results])
 
     def qualifies(p):
         return p.frac_high >= 0.80 and abs(p.electricity_yield_kwh_m2 - 30.0) <= 5.0

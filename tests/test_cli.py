@@ -133,9 +133,10 @@ class TestSimulate:
     def test_failure_after_the_sweep_leaves_no_out(
         self, cli_config, data_dir, tmp_path, monkeypatch, capsys
     ):
-        """Every artifact is computed before ``--out`` is created: a failure
-        past the sweep (here in the decision map) exits 3 and leaves no
-        directory, rather than one that holds most of the artifacts."""
+        """Every artifact is written into a staging directory that becomes
+        ``--out`` only once all are there: a failure after a case has written
+        its files (here in its decision point) exits 3 and leaves neither
+        ``--out`` nor the staging directory."""
 
         def failing(**kwargs):
             raise RuntimeError("no decision point")
@@ -145,7 +146,81 @@ class TestSimulate:
         inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
         assert main(["simulate", *inputs, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("computation failed: RuntimeError")
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_failing_in_a_worker_leaves_no_out(
+        self, cli_config, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        """At two workers each case writes its files in its worker; one that
+        fails there exits 3 and leaves neither ``--out`` nor the staging
+        directory."""
+        parent = os.getpid()
+
+        def failing(path, grid):
+            if os.getpid() != parent:
+                raise RuntimeError("worker writer failed")
+
+        monkeypatch.setattr(outputs, "write_ground_pgm", failing)
+        out = tmp_path / "sim"
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
+        assert main(["simulate", *inputs, "--out", str(out), "--threads", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "computation failed: RuntimeError: worker writer failed\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_out_keeps_its_files(self, cli_config, cli_runs, data_dir, tmp_path,
+                                          capsys):
+        """An existing ``--out`` keeps a file the run does not write and
+        receives every artifact; no staging directory is left beside it."""
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        (out / "indicators.csv").write_text("replaced\n")
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
+                  "--prices", str(data_dir / "prices.csv")]
+        assert main(["simulate", *inputs, "--out", str(out), "--threads", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote {len(EXPECTED_ARTIFACTS)} artifacts to {out}\n"
+        assert {p.name for p in out.iterdir()} == EXPECTED_ARTIFACTS | {"notes.txt"}
+        assert (out / "notes.txt").read_text() == "kept\n"
+        first = cli_runs["first"][1]
+        for name in sorted(EXPECTED_ARTIFACTS):
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_returned_paths_name_out(self, cli_config, weather, tmp_path):
+        """``run_scenario`` returns every artifact's path in the directory it
+        was given, under a new nested ``--out`` too."""
+        out = tmp_path / "a" / "b"
+        written = scenario.run_scenario(load_config(cli_config), weather, None, out)
+        assert sorted(p.name for p in written) == sorted(EXPECTED_ARTIFACTS)
+        assert all(p.parent == out and p.is_file() for p in written)
+        assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+
+    def test_workers_need_no_fork(self, cli_config, cli_runs, data_dir, tmp_path):
+        """Under the ``forkserver`` start method, where workers inherit no
+        state of the parent, two workers write the same artifacts as one
+        process."""
+        out = tmp_path / "sim"
+        command = ["simulate", "--config", str(cli_config),
+                   "--weather", str(data_dir / "weather.csv"),
+                   "--prices", str(data_dir / "prices.csv"), "--out", str(out), "--threads", "2"]
+        script = (
+            "import multiprocessing, sys\n"
+            "from agrivolt.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('forkserver')\n"
+            f"    sys.exit(main({command!r}))\n"
+        )
+        (tmp_path / "run.py").write_text(script)
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, str(tmp_path / "run.py")], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        first = cli_runs["first"][1]
+        assert {p.name for p in out.iterdir()} == EXPECTED_ARTIFACTS
+        for name in sorted(EXPECTED_ARTIFACTS):
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_toa_warning_once_per_run(self, cli_config, data_dir, tmp_path):
         """One hour of beam above the top of the atmosphere is flagged once by
@@ -413,6 +488,26 @@ POTENTIAL_FLAGS = (
 )
 
 class TestPotential:
+    def test_failure_after_the_reads_leaves_no_out(
+        self, potential_inputs, tmp_path, monkeypatch, capsys
+    ):
+        """``potential`` writes through the staging directory too: a writer
+        failing after ``regions.csv`` is written exits 3 and leaves neither
+        ``--out`` nor the staging directory."""
+
+        def failing(path, summary):
+            raise RuntimeError("no summary")
+
+        monkeypatch.setattr(outputs, "write_summary_csv", failing)
+        land_path, regions_path = potential_inputs
+        out = tmp_path / "runs" / "pot"
+        beside = set(tmp_path.iterdir())
+        assert main(["potential", "--raster", str(land_path), "--regions", str(regions_path),
+                     "--yield-tilt", "1000", "--yield-vertical", "900",
+                     "--yield-tracking", "1100", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "computation failed: RuntimeError: no summary\n"
+        assert set(tmp_path.iterdir()) == beside
+
     def test_constant_yields_arithmetic(self, potential_inputs, tmp_path, capsys):
         land_path, regions_path = potential_inputs
         out = tmp_path / "pot"
@@ -1058,12 +1153,14 @@ def refused_alike(inputs: list[str], out: Path, capsys, monkeypatch) -> str:
         raise AssertionError("a ground map ran")
 
     monkeypatch.setattr(scenario, "run_case", no_ground_map)
+    beside = set(out.parent.iterdir())
     errors = []
     for command in (["validate", *inputs], ["simulate", *inputs, "--out", str(out)]):
         assert main(command) == 2, command
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1], errors
     assert not out.exists()
+    assert set(out.parent.iterdir()) == beside  # no staging directory either
     return errors[0]
 
 

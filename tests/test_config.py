@@ -24,7 +24,7 @@ from agrivolt.electrical import PanelModel, simulate_year
 from agrivolt.errors import InputError
 from agrivolt.indicators import report
 from agrivolt.layout import MOUNT_KINDS, optimal_tilt
-from agrivolt.scenario import case_yields, expand_cases, run_case
+from agrivolt.scenario import case_grids, case_yields, expand_cases
 
 MINIMAL = """\
 [meta]
@@ -502,7 +502,7 @@ class TestEveryConstructedConfigRuns:
                            simulation.f_es_front, simulation.f_es_rear, simulation.g_eff_wm2):
                 assert np.isfinite(column).all()
             assert math.isfinite(simulation.capacity_w)
-            for grid in run_case(config, spec, monthly).values():
+            for grid in case_grids(config, spec, monthly).values():
                 assert grid.blocked_direct.size <= 4
                 assert np.isfinite(grid.blocked_direct).all()
                 assert np.isfinite(grid.blocked_circumsolar).all()

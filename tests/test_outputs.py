@@ -35,6 +35,26 @@ REGIONS_HEADER = (
 )
 
 
+class TestStaged:
+    def test_new_out_gets_the_mode_of_mkdir(self, tmp_path):
+        """A published new directory has the mode ``mkdir`` gives, not the
+        private mode of a temporary directory, and nothing else is left."""
+        out = tmp_path / "a" / "out"
+        with outputs.staged(out) as staging:
+            (staging / "x.csv").write_text("1\n")
+        (tmp_path / "made").mkdir()
+        assert out.stat().st_mode == (tmp_path / "made").stat().st_mode
+        assert [p.name for p in out.iterdir()] == ["x.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "made"]
+
+    def test_raising_block_leaves_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError), outputs.staged(out) as staging:
+            (staging / "x.csv").write_text("1\n")
+            raise RuntimeError
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIndicatorsCsv:
     def test_header_and_rows(self, tmp_path, annual_reports):
         path = tmp_path / "indicators.csv"

@@ -7,8 +7,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import fixturegen
+import oracles
 from agrivolt.errors import InputError
 from agrivolt.sky import sky_year
 from agrivolt.weather import (
@@ -280,6 +283,122 @@ class TestIngestPrices:
         path.write_text("time,price\n")
         with pytest.raises(InputError, match="no data rows"):
             ingest_prices(path, self._times(0))
+
+
+#: Rows of the fixture files in a mutated copy: past the 8 KiB that a text
+#: file decodes at once, so an undecodable byte can follow rows already read.
+MUTATED_ROWS = 400
+#: Values that fail to parse or are not finite, and values ``float`` reads.
+BAD_NUMBERS = ["abc", "", " ", "1.2.3", "0x10", "nan", "-inf", "Infinity", "1e999",
+               "1_000", "\u0661", " 7 "]
+#: Stamps in other forms: refused, naive, offset, and at the year bounds.
+ODD_STAMPS = ["garbage", "", "2015-13-01T00:00:00Z", "2015-01-01T00:00:00+02:00",
+              "1949-12-31T23:00:00Z", "1950-01-01T00:30:00+01:00",
+              "2101-01-01T00:30:00+01:00", "2100-12-31T23:00:00-01:00",
+              "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
+
+
+def mutation(data, n_fields: int):
+    """One edit of a data row: (kind, row index, argument)."""
+    kind = data.draw(st.sampled_from(
+        ["number", "negative", "short", "stamp", "naive", "offset", "gap", "duplicate",
+         "blank", "undecodable"]), label="kind")
+    row = data.draw(st.integers(0, MUTATED_ROWS - 1), label="row")
+    if kind == "number":
+        return kind, row, (data.draw(st.integers(1, n_fields - 1)),
+                           data.draw(st.sampled_from(BAD_NUMBERS)))
+    if kind == "negative":
+        return kind, row, data.draw(st.integers(1, n_fields - 1))
+    if kind == "short":
+        return kind, row, data.draw(st.integers(0, n_fields - 1))
+    if kind == "stamp":
+        return kind, row, data.draw(st.sampled_from(ODD_STAMPS))
+    return kind, row, None
+
+
+def mutate(lines: list[str], edits) -> bytes:
+    """``lines`` (header first) with ``edits`` applied, as file bytes."""
+    rows = lines[1:]
+    for kind, row, arg in edits:
+        row = min(row, len(rows) - 1)
+        fields = rows[row].split(",")
+        if kind == "number" and arg[0] < len(fields):
+            fields[arg[0]] = arg[1]
+        elif kind == "negative" and arg < len(fields):
+            fields[arg] = "-1.5"
+        elif kind == "short":
+            fields = fields[:arg]
+        elif kind == "stamp":
+            fields[0] = arg
+        elif kind == "naive":
+            fields[0] = fields[0].replace("Z", "")
+        elif kind == "offset" and fields[0].endswith("Z"):  # the same instant at +01:00
+            stamp = datetime.fromisoformat(fields[0].replace("Z", "+00:00"))
+            fields[0] = (stamp + timedelta(hours=1)).replace(tzinfo=None).isoformat() + "+01:00"
+        if kind == "gap" and len(rows) > 1:
+            del rows[row]
+            continue
+        rows[row] = ",".join(fields)
+        if kind == "duplicate":
+            rows.insert(row, rows[row])
+        elif kind == "blank":
+            rows.insert(row, "")
+        elif kind == "undecodable":
+            rows[row] += "\udce9"
+    text = "\n".join([lines[0], *rows]) + "\n"
+    return text.encode("utf-8", "surrogateescape")
+
+
+def outcome(read, *args):
+    """What ``read`` returns, or the text of the ``InputError`` it raises."""
+    try:
+        return read(*args)
+    except InputError as exc:
+        event(re.sub(r"\S*\.csv|row \d+|'.*'|\d+", "_", str(exc))[:40])
+        return str(exc)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnsAgainstRowReader:
+    """The columnar readers against the row readers of ``oracles`` on mutated
+    copies of the fixture files: the same arrays, bit for bit, or the same
+    refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_weather(self, data_dir, tmp_path_factory, data):
+        lines = (data_dir / "weather.csv").read_text().splitlines()[:MUTATED_ROWS + 1]
+        edits = [mutation(data, 6) for _ in range(data.draw(st.integers(1, 3)))]
+        path = tmp_path_factory.mktemp("w") / "weather.csv"
+        path.write_bytes(mutate(lines, edits))
+        want = outcome(oracles.reference_ingest_weather, path)
+        got = outcome(ingest_weather, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            for name in WEATHER_COLUMNS:
+                assert same_bits(getattr(got, name.replace("time", "times")),
+                                 getattr(want, name.replace("time", "times"))), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_prices(self, data_dir, weather, tmp_path_factory, data):
+        lines = (data_dir / "prices.csv").read_text().splitlines()[:MUTATED_ROWS + 1]
+        edits = [mutation(data, 2) for _ in range(data.draw(st.integers(1, 3)))]
+        path = tmp_path_factory.mktemp("p") / "prices.csv"
+        path.write_bytes(mutate(lines, edits))
+        times = weather.times[:MUTATED_ROWS]
+        want = outcome(oracles.reference_ingest_prices, path, times)
+        got = outcome(ingest_prices, path, times)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert same_bits(got, want)
 
 
 class TestFixtureWriters:
