@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 computation failure.
 
-The simulator modules are imported inside the commands that run them, so
-``potential`` loads the raster path only.
+The simulator modules are imported inside the commands that run them, and
+``land`` inside those that read rasters, so ``potential`` loads the raster
+path only and ``simulate`` no raster code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import land, outputs
+from . import outputs
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     pot.add_argument("--raster", required=True, help="land-cover class raster (ASCII grid)")
     pot.add_argument("--regions", required=True, help="region id raster (ASCII grid)")
     pot.add_argument("--classes", help="JSON include/exclude class sets")
-    pot.add_argument("--buffer", type=float, default=land.DEFAULT_BUFFER_M,
+    pot.add_argument("--buffer", type=float,  # None: land.DEFAULT_BUFFER_M
                      help="exclusion buffer around excluded classes, metres")
     pot.add_argument("--capacity-density", type=float, default=30.0,
                      help="deployable capacity per eligible area, W/m2")
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     pot.add_argument("--yield-tilt", type=float, help="constant tilt yield, kWh/kW")
     pot.add_argument("--yield-vertical", type=float)
     pot.add_argument("--yield-tracking", type=float)
-    pot.add_argument("--demand-twh", type=float, default=land.DEFAULT_DEMAND_TWH,
+    pot.add_argument("--demand-twh", type=float,  # None: land.DEFAULT_DEMAND_TWH
                      help="reference demand for the summary multiple")
     pot.add_argument("--out", required=True)
 
@@ -187,13 +188,17 @@ def _yield_lookup(args: argparse.Namespace) -> Callable[[int], dict[str, float]]
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
+    from . import land
+
     out = _out_dir(args.out)
     classes = land.load_class_sets(args.classes) if args.classes else land.DEFAULT_CLASS_SETS
     yields = _yield_lookup(args)
+    buffer = land.DEFAULT_BUFFER_M if args.buffer is None else args.buffer
     results = land.stream_potential(
-        args.raster, args.regions, classes, args.buffer, args.capacity_density, yields
+        args.raster, args.regions, classes, buffer, args.capacity_density, yields
     )
-    summary = land.aggregate_potential(results, args.demand_twh)
+    demand = land.DEFAULT_DEMAND_TWH if args.demand_twh is None else args.demand_twh
+    summary = land.aggregate_potential(results, demand)
     # every region value adds into a total, so a finite summary has finite regions
     if not all(math.isfinite(v) for v in summary.values()):
         raise InputError("the flag values overflow the potential totals")
@@ -221,11 +226,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if prices is not None:
         print(f"prices ok: {args.prices} (mean {prices.mean():.2f})")
     if args.raster:
+        from . import land
+
         grid = land.AsciiGrid(args.raster)
         for _ in grid.bands():  # checks every value, one band in memory
             pass
         print(f"raster ok: {args.raster} {grid.shape}")
     if args.classes:
+        from . import land
+
         sets = land.load_class_sets(args.classes)
         print(
             f"classes ok: {args.classes} "

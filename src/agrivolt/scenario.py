@@ -115,7 +115,8 @@ def run_case(
     """The ground-map step of one case of :func:`case_yields`: its decision
     point over the growing months, and with ``out``, a staging directory, its
     ``hourly_<id>.csv`` (``stamps`` is the time column) and its ground map
-    files there. ``monthly`` holds the growing and ground-map months."""
+    files there; the case's simulation is read only for the hourly file.
+    ``monthly`` holds the growing and ground-map months."""
     spec, simulation, report = case
     grids = case_grids(config, spec, monthly)
 
@@ -182,9 +183,11 @@ def run_cases(
     else:  # imported here: the yield step alone, as ``validate`` runs it, needs no pool
         import multiprocessing
 
+        # the hourly columns go to a worker only for the hourly file
+        tasks = yields if out is not None else [(spec, None, r) for spec, _, r in yields]
         with multiprocessing.Pool(processes=min(threads, len(yields)), initializer=_init_worker,
                                   initargs=(config, monthly, out, stamps)) as pool:
-            points = list(pool.imap(_run_case_worker, yields))
+            points = list(pool.imap(_run_case_worker, tasks))
     return [CaseResult(*case, point) for case, point in zip(yields, points)]
 
 

@@ -53,73 +53,64 @@ class Weather:
         return len(self.times)
 
 
-def _header(reader, path: Path, columns: tuple[str, ...], what: str) -> list[int]:
-    """The index of each of ``columns`` in the header row, the last of a
-    repeated name, as ``csv.DictReader`` takes it."""
-    header = next(reader, None)
-    if header is None:
-        raise InputError(f"{path}: empty file")
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise InputError(f"{path}: missing {what} columns {missing}")
-    return [max(i for i, name in enumerate(header) if name == c) for c in columns]
-
-
-def _unreadable(path: Path, what: str, exc: Exception) -> InputError:
-    return InputError(f"cannot read {what} file {path}: {exc}")
-
-
-def _records(path: Path, columns: tuple[str, ...], what: str):
-    """Yield ``(row number, values of columns)`` per data row, as ``csv.DictReader`` reads them."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            at = _header(reader, path, columns, what)
-            row_num = 1
-            for row_num, row in enumerate(filter(None, reader), start=2):
-                yield row_num, [row[i] if i < len(row) else "" for i in at]
-            if row_num == 1:
-                raise InputError(f"{path}: no data rows")
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise _unreadable(path, what, exc) from exc
-
-
-def _parse_columns(path: Path, columns: tuple[str, ...], what: str, parse, check_row):
-    """``parse`` of the values of ``columns`` in a CSV file, one tuple per
-    column, read in one pass; rows are numbered and read as :func:`_records`
-    reads them.
-
-    ``parse`` raises ``ValueError`` exactly when ``check_row(path, row
-    number, values)`` refuses some row; the rows are then checked in order,
-    so the refusal names the first bad row. A file that cannot be read to its
-    end is refused after the rows read before the failure pass
-    ``check_row``, as when each row is parsed as it is read.
-    """
+def _rows(path: Path, columns: tuple[str, ...], what: str, check_row):
+    """The data rows of a CSV file, blank lines skipped, as ``csv.reader``
+    gives them (numbered from 2), and the index of each of ``columns`` in the
+    header, the last of a repeated name, as ``csv.DictReader`` takes it. A
+    file unreadable past some rows is refused once those pass ``check_row``."""
     rows: list[list[str]] = []
+    at: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            at = _header(reader, path, columns, what)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise InputError(f"{path}: missing {what} columns {missing}")
+            at = [max(i for i, name in enumerate(header) if name == c) for c in columns]
             rows.extend(filter(None, reader))  # keeps the rows read before a failure
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        _check_rows(path, rows, at if rows else [], check_row)
-        raise _unreadable(path, what, exc) from exc
+        _check_rows(rows, at, check_row)
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
+    return rows, at
+
+
+def _check_rows(rows: list[list[str]], at: list[int], check_row) -> None:
+    """Pass each row's number and its values at ``at`` to ``check_row``, in order."""
+    for row_num, row in enumerate(rows, start=2):
+        check_row(row_num, [row[i] if i < len(row) else "" for i in at])
+
+
+def _series(path: Path, columns: tuple[str, ...], what: str, years: range):
+    """The time column of a CSV file in :data:`TIME_DTYPE` and its other
+    columns as one float64 array of rows. Parsed whole, they are checked row
+    by row only when refused, so that the refusal names the first bad row;
+    the stamps' UTC years must lie in ``years``."""
+
+    def check_row(row: int, values: list[str]) -> None:
+        time = _parse_time(values[0], path, row)
+        if time.year not in years:
+            raise InputError(f"{path}: row {row}: year {time.year} is outside "
+                             f"{years[0]}-{years[-1]}")
+        for text, column in zip(values[1:], columns[1:]):
+            _parse_float(text, column, path, row)
+
+    rows, at = _rows(path, columns, what, check_row)
     try:
         table = list(zip(*rows))  # as many columns as the shortest row has values
-        return parse([table[i] for i in at])  # IndexError: some row lacks a value
+        texts = [table[i] for i in at]  # IndexError: some row lacks a value
+        return _utc_stamps(texts[0], years), _finite_floats(texts[1:])
     except (ValueError, IndexError):
-        _check_rows(path, rows, at, check_row)
+        _check_rows(rows, at, check_row)
         raise
 
 
-def _check_rows(path: Path, rows: list[list[str]], at: list[int], check_row) -> None:
-    for row_num, row in enumerate(rows, start=2):
-        check_row(path, row_num, [row[i] if i < len(row) else "" for i in at])
-
-
 _NAIVE_EPOCH, _AWARE_EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DATETIME_YEARS = range(1, 10000)  # UTC years a ``datetime`` holds
 
 
 def _utc_stamps(texts: tuple[str, ...], years: range) -> np.ndarray:
@@ -184,13 +175,9 @@ def ingest_weather(path: str | Path) -> Weather:
     flags it.
     """
     path = Path(path)
-    times, values = _parse_columns(
-        path, WEATHER_COLUMNS, "weather",
-        lambda texts: (_utc_stamps(texts[0], SUPPORTED_YEARS), _finite_floats(texts[1:])),
-        _check_weather_row,
-    )
+    times, values = _series(path, WEATHER_COLUMNS, "weather", SUPPORTED_YEARS)
     bhi, dhi, ghi, temp_air, wind10 = values
-    # record i is row i + 2, as ``_records`` numbers them
+    # record i is row i + 2: ``_rows`` numbers the header 1 and skips blank lines
     negative = np.flatnonzero((bhi < 0.0) | (dhi < 0.0) | (ghi < 0.0) | (wind10 < 0.0)) + 2
     if negative.size:
         raise InputError(
@@ -207,15 +194,6 @@ def ingest_weather(path: str | Path) -> Weather:
         )
     _check_hourly(times, path)
     return Weather(times, bhi, dhi, ghi, temp_air, wind10)
-
-
-def _check_weather_row(path: Path, row_num: int, values: list[str]) -> None:
-    stamp, *fields = values
-    time = _parse_time(stamp, path, row_num)
-    if time.year not in SUPPORTED_YEARS:
-        raise InputError(f"{path}: row {row_num}: year {time.year} is outside 1950-2100")
-    for text, column in zip(fields, WEATHER_COLUMNS[1:]):
-        _parse_float(text, column, path, row_num)
 
 
 def _check_hourly(times: np.ndarray, path: Path) -> None:
@@ -245,7 +223,9 @@ def ingest_yields(path: str | Path) -> dict[int, dict[str, float]]:
     """
     path = Path(path)
     table: dict[int, dict[str, float]] = {}
-    for row, (region_id, *texts) in _records(path, ("region_id", *MOUNT_KINDS), "yields"):
+
+    def add_row(row: int, values: list[str]) -> None:
+        region_id, *texts = values
         try:
             region = int(region_id)
         except ValueError as exc:
@@ -255,6 +235,9 @@ def ingest_yields(path: str | Path) -> dict[int, dict[str, float]]:
         table[region] = {k: _parse_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
         if min(table[region].values()) < 0.0:
             raise InputError(f"{path}: row {row}: yields must be >= 0")
+
+    rows, at = _rows(path, ("region_id", *MOUNT_KINDS), "yields", add_row)
+    _check_rows(rows, at, add_row)
     return table
 
 
@@ -267,11 +250,7 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
     Returns the price array (currency per MWh, any fixed unit) in timeline order.
     """
     path = Path(path)
-    stamps, (series,) = _parse_columns(
-        path, PRICE_COLUMNS, "price",
-        lambda texts: (_utc_stamps(texts[0], _DATETIME_YEARS), _finite_floats(texts[1:])),
-        _check_price_row,
-    )
+    stamps, (series,) = _series(path, PRICE_COLUMNS, "price", _DATETIME_YEARS)
     if len(stamps) != len(times):
         raise InputError(
             f"{path}: {len(stamps)} price rows for {len(times)} weather hours"
@@ -288,12 +267,3 @@ def ingest_prices(path: str | Path, times: np.ndarray) -> np.ndarray:
     if mean == 0.0 or not math.isfinite(mean):
         raise InputError(f"{path}: mean price is {mean}, price weighting undefined")
     return series
-
-
-_DATETIME_YEARS = range(1, 10000)  # UTC years a ``datetime`` holds
-
-
-def _check_price_row(path: Path, row_num: int, values: list[str]) -> None:
-    stamp, price = values
-    _parse_time(stamp, path, row_num)
-    _parse_float(price, "price", path, row_num)

@@ -32,6 +32,9 @@ column and must raise the same messages. ``reference_ingest_weather`` and
 ``reference_ingest_prices`` read their files one row at a time, parsing
 each row as it is read; the production reads each file into columns and
 parses them whole, and must give the same arrays or the same refusal.
+``reference_ingest_yields`` checks each yields row as it is read; the
+production reads the whole file first, and must give the same table or
+the same refusal.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from agrivolt.electrical import PanelModel, SimulationResult, wind_at_module
-from agrivolt.layout import Layout, RowGeometry
+from agrivolt.layout import MOUNT_KINDS, Layout, RowGeometry
 from agrivolt.land import ClassSets, LandRaster, RegionPotential
 from agrivolt.shading import MIN_BLOCK_SHADOW_FRACTION, GroundGrid, _run_masks, row_shading
 from agrivolt.sky import MIN_SUN_ALTITUDE, SkyYear
@@ -742,9 +745,9 @@ def check_price_timeline(stamps: list[datetime], times: list[datetime], path: Pa
             )
 
 
-# The weather and price readers one row at a time: each row is parsed as it
-# is read, so a refusal names the first bad row, and a file that cannot be
-# read is refused at the row where reading fails.
+# The weather, price and yields readers one row at a time: each row is parsed
+# as it is read, so a refusal names the first bad row, and a file that cannot
+# be read is refused at the row where reading fails.
 
 
 def _reference_records(path: Path, columns: tuple[str, ...], what: str):
@@ -837,3 +840,20 @@ def reference_ingest_prices(path: Path, times: np.ndarray) -> np.ndarray:
     if mean == 0.0 or not math.isfinite(mean):
         raise InputError(f"{path}: mean price is {mean}, price weighting undefined")
     return series
+
+
+def reference_ingest_yields(path: Path) -> dict[int, dict[str, float]]:
+    """:func:`agrivolt.weather.ingest_yields`, checking one row at a time."""
+    table: dict[int, dict[str, float]] = {}
+    for row, (region_id, *texts) in _reference_records(path, ("region_id", *MOUNT_KINDS),
+                                                       "yields"):
+        try:
+            region = int(region_id)
+        except ValueError as exc:
+            raise InputError(f"{path}: row {row}: region_id is not an integer") from exc
+        if region in table:
+            raise InputError(f"{path}: row {row}: region {region} given twice")
+        table[region] = {k: _reference_float(t, k, path, row) for k, t in zip(MOUNT_KINDS, texts)}
+        if min(table[region].values()) < 0.0:
+            raise InputError(f"{path}: row {row}: yields must be >= 0")
+    return table

@@ -20,7 +20,7 @@ import agrivolt
 from agrivolt import agronomy, land, outputs, scenario
 from agrivolt.cli import main
 from agrivolt.config import case_layout, load_config
-from agrivolt.electrical import simulate_year
+from agrivolt.electrical import SimulationResult, simulate_year
 from agrivolt.land import LandRaster
 from agrivolt.sky import sky_year
 from agrivolt.weather import ingest_weather
@@ -415,6 +415,29 @@ class TestDecisionMap:
         inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
         assert main(["decision-map", *inputs, "--out", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == {"decision_map.csv"}
+
+    def test_sends_no_hourly_columns_to_workers(
+        self, cli_config, data_dir, tmp_path, cli_runs, monkeypatch
+    ):
+        """At ``--threads 2`` each case goes to a worker without its
+        ``SimulationResult``, which only ``simulate``'s hourly file reads."""
+        import multiprocessing.pool
+
+        tasks = []
+        imap = multiprocessing.pool.Pool.imap
+
+        def recording(pool, func, iterable, *args):
+            tasks.extend(iterable)
+            return imap(pool, func, tasks, *args)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording)
+        out = tmp_path / "dm"
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv")]
+        assert main(["decision-map", *inputs, "--out", str(out), "--threads", "2"]) == 0
+        assert len(tasks) == 2
+        assert not [v for task in tasks for v in task if isinstance(v, SimulationResult)]
+        simulated = cli_runs["first"][1] / "decision_map.csv"
+        assert (out / "decision_map.csv").read_bytes() == simulated.read_bytes()
 
     def test_ground_maps_of_growing_months_only(
         self, cli_config, data_dir, tmp_path, monkeypatch
@@ -1270,6 +1293,24 @@ class TestInstalledEntryPoint:
         assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert len(agrivolt.__all__) == 30
         assert (out / "regions.csv").exists()
+
+    def test_run_commands_load_no_raster_code(self, cli_config, data_dir, tmp_path):
+        """``validate`` of a config, weather and prices and ``simulate`` leave
+        ``agrivolt.land`` unimported."""
+        inputs = ["--config", str(cli_config), "--weather", str(data_dir / "weather.csv"),
+                  "--prices", str(data_dir / "prices.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(agrivolt.__file__).parent.parent)}
+        for command in (["validate", *inputs],
+                        ["simulate", *inputs, "--out", str(tmp_path / "sim")]):
+            script = (
+                "import sys, agrivolt.cli\n"
+                f"assert agrivolt.cli.main({command!r}) == 0\n"
+                "print('agrivolt.land' in sys.modules)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "False", command[0]
 
     def test_readme_names_every_export(self):
         """Every name of ``agrivolt.__all__`` appears in README.md as a word."""

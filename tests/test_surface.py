@@ -3,7 +3,9 @@
 Every public function, class, method and property of ``src/agrivolt`` is
 either referenced somewhere in the package outside its own definition, or
 named in README.md. A member that only the tests call belongs in the tests
-(``tests/oracles.py``), not in the package.
+(``tests/oracles.py``), not in the package. Every private module-level
+function, class and constant is referenced in the package outside its own
+definition, so that no helper outlives its last caller.
 """
 
 from __future__ import annotations
@@ -31,6 +33,22 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{member.name}", member.name, True, member
 
 
+def private_definitions(tree: ast.Module):
+    """(name, node) of each private module-level function, class and
+    assigned name, dunder names left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
 def references(tree: ast.AST) -> Counter:
     """How often each (name, as an attribute) is named, as attribute, name or
     import, in ``tree``."""
@@ -45,10 +63,15 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
-def test_every_public_member_is_used_or_documented():
+def package_trees() -> tuple[dict[str, ast.Module], Counter]:
+    """Each module's syntax tree by name, and the references of all of them."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    package = sum((references(tree) for tree in trees.values()), Counter())
+    return trees, sum((references(tree) for tree in trees.values()), Counter())
+
+
+def test_every_public_member_is_used_or_documented():
+    trees, package = package_trees()
     readme = README.read_text(encoding="utf-8")
     unused = []
     for module, tree in trees.items():
@@ -58,3 +81,14 @@ def test_every_public_member_is_used_or_documented():
             if not used and not re.search(rf"(?<!\w){name}(?!\w)", readme):
                 unused.append(f"{module}.{qualified}")
     assert unused == []
+
+
+def test_every_private_name_is_used():
+    trees, package = package_trees()
+    orphaned = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            outside = package - references(node)
+            if not (outside[name, False] or outside[name, True]):
+                orphaned.append(f"{module}.{name}")
+    assert orphaned == []

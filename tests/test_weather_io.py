@@ -20,6 +20,7 @@ from agrivolt.weather import (
     WEATHER_COLUMNS,
     ingest_prices,
     ingest_weather,
+    ingest_yields,
 )
 
 HEADER = "time,bhi,dhi,ghi,temp_air,wind10\n"
@@ -328,7 +329,7 @@ def mutate(lines: list[str], edits) -> bytes:
             fields[arg] = "-1.5"
         elif kind == "short":
             fields = fields[:arg]
-        elif kind == "stamp":
+        elif kind in ("stamp", "id"):
             fields[0] = arg
         elif kind == "naive":
             fields[0] = fields[0].replace("Z", "")
@@ -399,6 +400,38 @@ class TestColumnsAgainstRowReader:
         else:
             assert not isinstance(got, str), got
             assert same_bits(got, want)
+
+
+#: Region ids that ``int`` refuses, and ones it reads, some as another row's id.
+ODD_IDS = ["x", "", "1.5", "1e3", "0x10", " 7 ", "+3", "-2", "\u0663", "1_0", "400"]
+#: A yields table of ``MUTATED_ROWS`` regions, past the first 8 KiB of its file.
+YIELD_LINES = ["region_id,tilt,vertical,tracking",
+               *(f"{i},{1000 + i / 8},{900 - i / 4},{1100 + i / 3:.4f}"
+                 for i in range(1, MUTATED_ROWS + 1))]
+
+
+def yields_mutation(data):
+    """One edit of a yields row: a region id of ``ODD_IDS``, or a ``mutation``
+    of its four fields."""
+    if data.draw(st.booleans(), label="id"):
+        return ("id", data.draw(st.integers(0, MUTATED_ROWS - 1), label="row"),
+                data.draw(st.sampled_from(ODD_IDS)))
+    return mutation(data, 4)
+
+
+class TestYieldsAgainstRowReader:
+    """``ingest_yields``, which reads the whole file before it checks the
+    rows, against the row reader of ``oracles`` on mutated yields tables: the
+    same table or the same refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_yields(self, tmp_path_factory, data):
+        assert len("\n".join(YIELD_LINES)) > 8192
+        edits = [yields_mutation(data) for _ in range(data.draw(st.integers(1, 3)))]
+        path = tmp_path_factory.mktemp("y") / "yields.csv"
+        path.write_bytes(mutate(YIELD_LINES, edits))
+        assert outcome(ingest_yields, path) == outcome(oracles.reference_ingest_yields, path)
 
 
 class TestFixtureWriters:
